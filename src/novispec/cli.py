@@ -256,6 +256,19 @@ class TaskLog:
 # tasks
 
 
+def _spectra_row(log: TaskLog, ws: Workspace, C, result, **where):
+    cert = spectrality_check(result.rho, C, mode=ws.mode)
+    log.check(
+        result.rho == NEG_INF or cert or ws.mode != "rational-exact",
+        task="spectra",
+        **where,
+        rho=result.rho,
+        witness=jsonio.chain_to_json(result.witness),
+        trace_len=len(result.reduced_trace),
+        spectral=cert,
+    )
+
+
 def task_spectra(ws: Workspace) -> TaskLog:
     log = TaskLog()
     for name in sorted(ws.manifolds):
@@ -265,18 +278,7 @@ def task_spectra(ws: Workspace) -> TaskLog:
         for i, a in enumerate(fix.shipped_classes):
             rep = realize_flat(flat(a), C, fix.pd_chains)
             result = spectral_invariant(C, rep, floor=ws.floor)
-            cert = spectrality_check(result.rho, C, mode=ws.mode)
-            log.check(
-                result.rho == NEG_INF or cert or ws.mode != "rational-exact",
-                task="spectra",
-                fixture=name,
-                cls=f"class{i}",
-                eps=eps,
-                rho=result.rho,
-                witness=jsonio.chain_to_json(result.witness),
-                trace_len=len(result.reduced_trace),
-                spectral=cert,
-            )
+            _spectra_row(log, ws, C, result, fixture=name, cls=f"class{i}", eps=eps)
     for cname in sorted(ws.complexes):
         C = ws.complexes[cname]
         for rname, rep in sorted(ws.representatives.get(cname, {}).items()):
@@ -286,17 +288,7 @@ def task_spectra(ws: Workspace) -> TaskLog:
                 log.check(False, task="spectra", fixture=cname, cls=rname,
                           error=str(exc))
                 continue
-            cert = spectrality_check(result.rho, C, mode=ws.mode)
-            log.check(
-                result.rho == NEG_INF or cert or ws.mode != "rational-exact",
-                task="spectra",
-                fixture=cname,
-                cls=rname,
-                rho=result.rho,
-                witness=jsonio.chain_to_json(result.witness),
-                trace_len=len(result.reduced_trace),
-                spectral=cert,
-            )
+            _spectra_row(log, ws, C, result, fixture=cname, cls=rname)
     return log
 
 

@@ -284,10 +284,12 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int,
                             *, window=None):
     """Smallest truncation level at which the functional detects a cycle.
 
-    Exact ascending scan of the window spectrum: at each candidate level the
-    cycles supported at or below it form an exact kernel, and mu is tested
-    for nonvanishing on a kernel basis.  A functional that detects nothing
-    in the window pairs to zero with every class there: -infinity.
+    The boundary out of degree `degree` is reduced once with its columns in
+    ascending action; the kernel vectors V_j of its zero reduced columns
+    span the cycles supported at or below every level, so the answer is the
+    action of the first such column on which mu does not vanish.  A
+    functional that detects nothing in the window pairs to zero with every
+    class there: -infinity.
     """
     if not classify_functional(mu).continuous:
         raise DomainError("the functional is not continuous")
@@ -300,35 +302,15 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int,
         lo, hi = default_window_bounds(C, probe)
     else:
         lo, hi = Fraction(window[0]), Fraction(window[1])
-    w = build_window(C, degree, lo, hi)
-    # boundary matrix out of degree `degree` for the cycle condition
-    below = build_window(C, degree - 1, lo, hi)
-    down_rows = below.rows
-    down_index = {g: i for i, g in enumerate(down_rows)}
-    down = [[Fraction(0)] * len(w.rows) for _ in down_rows]
-    for j, gen in enumerate(w.rows):
+    gens = build_window(C, degree, lo, hi).rows[::-1]
+    # the cycle condition is read on the rows of the window one degree down
+    below = build_window(C, degree - 1, lo, hi).row_index
+    columns = []
+    for gen in gens:
         img = C.boundary(C.chain({gen: 1}, None))
-        for g, c in img.terms.items():
-            if g in down_index:
-                down[down_index[g]][j] = c
-    levels = sorted({g.action for g in w.rows})
-    for level in levels:
-        picked = [j for j, g in enumerate(w.rows) if g.action <= level]
-        if not picked:
-            continue
-        rows = [[down[i][j] for j in picked] for i in range(len(down_rows))]
-        if rows:
-            kernel = linalg.nullspace(rows)
-        else:
-            kernel = [
-                [Fraction(int(i == j)) for j in range(len(picked))]
-                for i in range(len(picked))
-            ]
-        for vec in kernel:
-            chain = C.chain(
-                {w.rows[picked[j]]: vec[j] for j in range(len(picked)) if vec[j] != 0},
-                None,
-            )
-            if not chain.is_zero() and mu.evaluate(chain) != 0:
-                return level
+        columns.append({below[g]: c for g, c in img.terms.items() if g in below})
+    reduction = linalg.Reduction(columns)
+    for gen, r, v in zip(gens, reduction.R, reduction.V):
+        if not r and mu.evaluate(C.chain({gens[j]: c for j, c in v.items()}, None)) != 0:
+            return gen.action
     return NEG_INF

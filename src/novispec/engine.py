@@ -6,7 +6,10 @@ representatives is an affine space over Q inside a finite per-degree window
 of capped generators, and the infimum is computed exactly by repeated
 top-stratum elimination: solve for a boundary whose action >= level part
 cancels the current top stratum; when the linear system is infeasible the
-level is the invariant and the infeasibility is its certificate.
+level is the invariant and the infeasibility is its certificate.  Every
+level's system is answered by one filtered column reduction of the window
+boundary (`linalg.Reduction`, pivots at the highest action), queried on the
+prefix of rows at or above the level.
 
 An independent oracle answers the same question bottom-up (smallest level
 whose strict-sublevel constraint system is feasible), which is also the
@@ -42,12 +45,9 @@ class Window:
     degree: int
     rows: list  # degree-d generators, action descending
     cols: list  # degree-(d+1) generators, action descending
-    matrix: list  # len(rows) x len(cols) Fractions
+    matrix: list  # per column: {row generator: nonzero coefficient}
     row_index: dict = field(default_factory=dict)
     truncated: bool = False  # some boundary target fell below the window
-
-    def row_actions(self):
-        return [g.action for g in self.rows]
 
 
 def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
@@ -105,11 +105,7 @@ def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     if extra:
         rows = sorted(rows + extra, key=lambda g: (-g.action, g.orbit, g.cap))
         row_index = {g: i for i, g in enumerate(rows)}
-    matrix = [[Fraction(0)] * len(cols) for _ in rows]
-    for j, image in enumerate(columns):
-        for tgt, coeff in image.items():
-            if coeff != 0:
-                matrix[row_index[tgt]][j] = coeff
+    matrix = [{g: c for g, c in image.items() if c != 0} for image in columns]
     return Window(C, lo, hi, degree, rows, cols, matrix, row_index, truncated)
 
 
@@ -139,24 +135,29 @@ def _vector_chain(window: Window, v, floor=None) -> NovikovChain:
     )
 
 
-def _restricted_solve(window: Window, v, level):
-    """Solve for x with (Dx) = -v on all rows of action >= level."""
-    picked = [i for i, g in enumerate(window.rows) if g.action >= level]
-    rows = [window.matrix[i] for i in picked]
-    rhs = [-v[i] for i in picked]
-    if not rows:
-        return [Fraction(0)] * len(window.cols)
-    return linalg.solve(rows, rhs)
+def _reduction(window: Window):
+    """The window boundary reduced once; row i of `linalg.Reduction` is rows[i]."""
+    index = window.row_index
+    return linalg.Reduction(
+        [{index[g]: c for g, c in col.items()} for col in window.matrix]
+    )
+
+
+def _prefix(window: Window, level):
+    """Number of rows at or above `level` (the rows are action descending)."""
+    return sum(1 for g in window.rows if g.action >= level)
+
+
+def _cancel(reduction, v, k):
+    """x with (Dx) = -v on rows[:k], free variables zero; None if infeasible."""
+    return reduction.solve({i: -c for i, c in enumerate(v) if c != 0}, k)
 
 
 def _apply_columns(window: Window, v, x):
     out = list(v)
-    for i, row in enumerate(window.matrix):
-        acc = out[i]
-        for j, c in enumerate(x):
-            if c != 0 and row[j] != 0:
-                acc += row[j] * c
-        out[i] = acc
+    for j, c in x.items():
+        for g, a in window.matrix[j].items():
+            out[window.row_index[g]] += a * c
     return out
 
 
@@ -253,6 +254,7 @@ def _reduce_once(C, rep, lo, hi, hard_floor=None):
         )
     inexact = dropped or window.truncated or hard_floor is not None
     result_floor = lo if inexact else None
+    reduction = _reduction(window)
     trace = []
     while True:
         live = [i for i, c in enumerate(v) if c != 0]
@@ -279,11 +281,11 @@ def _reduce_once(C, rep, lo, hi, hard_floor=None):
         level = max(window.rows[i].action for i in live)
         if level <= lo:
             return None  # hit the floor: caller may widen
-        x = _restricted_solve(window, v, level)
+        constraint_rows = _prefix(window, level)
+        x = _cancel(reduction, v, constraint_rows)
         if x is None:
             stratum = [i for i in live if window.rows[i].action == level]
             witness = _vector_chain(window, v, result_floor)
-            constraint_rows = sum(1 for g in window.rows if g.action >= level)
             cert = {
                 "level": level,
                 "stratum": [
@@ -300,9 +302,7 @@ def _reduce_once(C, rep, lo, hi, hard_floor=None):
             1 for i in live if window.rows[i].action == level
         )
         v = _apply_columns(window, v, x)
-        trace.append(
-            ReductionStep(level, stratum_size, sum(1 for c in x if c != 0))
-        )
+        trace.append(ReductionStep(level, stratum_size, len(x)))
         new_live = [i for i, c in enumerate(v) if c != 0]
         if new_live and max(window.rows[i].action for i in new_live) >= level:
             raise StructuralError("reduction failed to lower the level")
@@ -361,8 +361,7 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
     pushing the representative strictly below `lam`.
     """
     lam = Fraction(lam)
-    spec = action_spectrum(C, (lam - 1, lam + 1))
-    if lam in spec.points:
+    if spectrality_check(lam, C):
         raise SpectralLevelError(f"{lam} lies on the action spectrum")
     rep = representative
     if not C.boundary(rep).is_zero():
@@ -374,7 +373,7 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
         lo, hi = Fraction(window[0]), Fraction(window[1])
     w = build_window(C, rep.degree, lo, max(hi, lam))
     v, _ = _chain_vector(w, rep)
-    return _restricted_solve(w, v, lam) is not None
+    return _cancel(_reduction(w), v, _prefix(w, lam)) is not None
 
 
 # ---------------------------------------------------------------------------

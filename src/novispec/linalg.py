@@ -1,7 +1,15 @@
-"""Exact Gaussian elimination over Fraction for the reduction engine.
+"""Exact linear algebra over Fraction.
 
-Dense row operations; instance sizes stay in the dozens, so no sparsity
-tricks are needed.
+`Reduction` serves the engine, membership and the dual invariant: one
+sparse column reduction R = D V of a filtered boundary matrix, with V
+unitriangular.  Rows are numbered from the top of the filtration (row 0
+has the highest action) and the pivot of a column is its first nonzero
+row.  Cut down to any row prefix, the reduced columns stay reduced, so one
+reduction answers the cancellation system at every action level; and the
+zero reduced columns carry a kernel basis of every column prefix.
+
+`solve` is dense Gauss-Jordan elimination, kept for the oracle, which
+cross-checks the reduction and so shares no code with it.
 """
 
 from __future__ import annotations
@@ -44,59 +52,69 @@ def solve(rows, rhs):
     return x
 
 
+def _axpy(y, a, x):
+    """y += a * x on sparse {index: value} dicts; cancelled entries drop."""
+    for i, c in x.items():
+        s = y.get(i, 0) + a * c
+        if s:
+            y[i] = s
+        else:
+            y.pop(i, None)
+
+
+class Reduction:
+    """Column reduction of sparse columns {row: Fraction}, left to right.
+
+    While a column's pivot is the pivot of an earlier reduced column, that
+    column's multiple is subtracted.  `R[j]` is the reduced column, `V[j]`
+    its combination of input columns ({column: coefficient}, V[j][j] = 1,
+    support in columns <= j) and `pivots` maps each pivot row to the one
+    nonzero reduced column it heads.
+    """
+
+    def __init__(self, columns):
+        self.R, self.V, self.pivots = [], [], {}
+        for j, col in enumerate(columns):
+            r = {i: c for i, c in col.items() if c != 0}
+            v = {j: Fraction(1)}
+            while r:
+                p = min(r)
+                i = self.pivots.get(p)
+                if i is None:
+                    self.pivots[p] = j
+                    break
+                f = -r[p] / self.R[i][p]
+                _axpy(r, f, self.R[i])
+                _axpy(v, f, self.V[i])
+            self.R.append(r)
+            self.V.append(v)
+
+    def solve(self, b, k):
+        """x with (D x)[i] = b[i] for all rows i < k, or None if infeasible.
+
+        `b` and `x` are sparse dicts.  x is the solution that Gauss-Jordan
+        elimination of D[:k] gives with free variables zero: it combines
+        the V[j] with pivot row < k, and each V[j] involves only columns
+        with pivot rows above its own, so x vanishes on every column that
+        depends on the columns left of it over rows < k.
+        """
+        b = {i: c for i, c in b.items() if c}
+        x = {}
+        while b:
+            p = min(b)
+            if p >= k:
+                break
+            j = self.pivots.get(p)
+            if j is None:
+                return None
+            f = b[p] / self.R[j][p]
+            _axpy(b, -f, self.R[j])
+            _axpy(x, f, self.V[j])
+        return x
+
+
 def rank(rows) -> int:
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [[Fraction(v) for v in row] for row in rows]
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        for i in range(r + 1, m):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def nullspace(rows):
-    """Basis of the kernel of A over Q (list of length-n vectors)."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    if m == 0:
-        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    a = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            v[pc] = -a[row_idx][fc]
-        basis.append(v)
-    return basis
+    """Rank of a dense matrix: the number of nonzero reduced columns."""
+    n = len(rows[0]) if rows else 0
+    columns = [{i: Fraction(row[j]) for i, row in enumerate(rows)} for j in range(n)]
+    return len(Reduction(columns).pivots)

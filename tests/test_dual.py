@@ -11,7 +11,10 @@ from novispec import (
     DualFunctional,
     Ray,
 )
+from novispec import linalg
+from novispec.engine import build_window, default_window_bounds
 from novispec.fixtures import (
+    BUILTIN_FIXTURES,
     calibration,
     curated_functionals,
     random_chain,
@@ -258,6 +261,41 @@ def test_dual_invariant_matches_primal_on_zero_boundary():
             else:
                 assert rd <= rp
                 assert rd == min(g.action for g in mu.atoms)
+
+
+def _dual_by_dense_solve(C, mu, degree):
+    # mu detects a cycle supported at or below L iff mu, restricted to the
+    # generators at or below L, is outside the row space of the boundary
+    # restricted to them: the transposed system D_L^T y = mu_L is infeasible
+    probe = C.chain({C.generator(next(iter(C.orbits))): 1}, None)
+    lo, hi = default_window_bounds(C, probe)
+    gens = build_window(C, degree, lo, hi).rows
+    below = build_window(C, degree - 1, lo, hi).rows
+    for level in sorted({g.action for g in gens}):
+        picked = [g for g in gens if g.action <= level]
+        rows = []
+        for g in picked:
+            img = C.boundary(C.chain({g: 1}, None)).terms
+            rows.append([img.get(t, F(0)) for t in below])
+        values = [mu.evaluate(C.chain({g: 1}, None)) for g in picked]
+        if linalg.solve(rows, values) is None:
+            return level
+    return NEG_INF
+
+
+def test_dual_invariant_matches_dense_solve_on_builtins():
+    checked = 0
+    for name in sorted(BUILTIN_FIXTURES):
+        fix = BUILTIN_FIXTURES[name]()
+        for eps in sorted({min(F(1, 8), fix.max_eps), min(F(1, 16), fix.max_eps)}):
+            C = fix.build(eps)
+            for a in fix.shipped_classes:
+                mu = nv.embed_class(a, C, fix.cochains)
+                degree = fix.morse.dim // 2 - a.degree
+                expected = _dual_by_dense_solve(C, mu, degree)
+                assert nv.dual_spectral_invariant(C, mu, degree) == expected, (name, eps)
+                checked += expected != NEG_INF
+    assert checked > 10
 
 
 def test_dual_invariant_reported_on_tilted():

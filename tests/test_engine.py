@@ -13,6 +13,8 @@ from novispec import (
     NovikovScalar,
     SpectralLevelError,
 )
+from novispec import linalg
+from novispec.engine import _chain_vector, _reduction, build_window, default_window_bounds
 from novispec.fixtures import calibration, random_instance, sphere
 
 G1 = GammaGroup((F(1),), (2,))
@@ -261,3 +263,36 @@ def test_valid_fixture_reduction_respects_monotone_formulation():
             assert not nv.image_membership(
                 inst.complex, inst.representative, r - F(1, 13)
             )
+
+
+@pytest.mark.parametrize("max_orbits, seeds", [(6, range(40)), (12, range(10))])
+def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
+    # at every action prefix of a window the filtered reduction must give
+    # linalg.solve's solution (free variables zero) and the same infeasibility
+    rng = random.Random(max_orbits)
+    feasible = infeasible = 0
+    for seed in seeds:
+        inst = random_instance(seed, max_orbits=max_orbits)
+        C, rep = inst.complex, inst.representative
+        if rep.is_zero():
+            continue
+        w = build_window(C, rep.degree, *default_window_bounds(C, rep))
+        dense = [[col.get(g, F(0)) for col in w.matrix] for g in w.rows]
+        v, _ = _chain_vector(w, rep)
+        # the representative, and a boundary (feasible at every level)
+        mix = [F(rng.randint(-2, 2)) for _ in w.cols]
+        image = [sum((a * m for a, m in zip(row, mix)), F(0)) for row in dense]
+        reduction = _reduction(w)
+        for rhs in ([-c for c in v], image):
+            for level in sorted({g.action for g in w.rows}):
+                k = sum(1 for g in w.rows if g.action >= level)
+                x = reduction.solve(dict(enumerate(rhs)), k)
+                expected = linalg.solve(dense[:k], rhs[:k])
+                if expected is None:
+                    assert x is None, (seed, level)
+                    infeasible += 1
+                else:
+                    assert x is not None, (seed, level)
+                    assert [x.get(j, F(0)) for j in range(len(w.cols))] == expected
+                    feasible += 1
+    assert feasible > 20 and infeasible > 20

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -173,3 +174,15 @@ def test_cli_subprocess_oracle(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert report["results"]["oracle"]["failures"] == 0
+
+
+@pytest.mark.parametrize("command, digest", [
+    # the staircase witnesses that take a reduction step
+    ("spectra", "c6b2d6c8b1cd4805280179aad73da368c957598090756e37b9f8e0fb07555a5d"),
+    # the dual-vs-primal values
+    ("appendix", "0b9ab14f82e372e5afb700081a935c9cc74f65b5f3d0b1172f1c780e16b36532"),
+])
+def test_demo_report_bytes_pinned(command, digest):
+    ws = load_and_validate(REPO / "manifests" / "demo.json")
+    text = json.dumps(run(command, ws), indent=1, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

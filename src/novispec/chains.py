@@ -136,6 +136,26 @@ class NovikovChain:
         )
 
 
+def equivariant_image(matrix, terms, target: "FilteredComplex") -> dict:
+    """Image of {generator: coeff} under {src orbit: {dst orbit: scalar}}.
+
+    Scalar terms glue their caps onto the source caps; the image is a plain
+    {`target` generator: coeff} dict with cancelled terms dropped.
+    """
+    out = {}
+    for gen, coeff in terms.items():
+        for dst, scalar in matrix.get(gen.orbit, {}).items():
+            for label, c in scalar.terms.items():
+                g2 = target.generator(dst, vec_add(gen.cap, label))
+                acc = out.get(g2)
+                acc = coeff * c if acc is None else acc + coeff * c
+                if acc:
+                    out[g2] = acc
+                else:
+                    out.pop(g2, None)
+    return out
+
+
 def level_and_peak(chain: NovikovChain):
     """(level, peak generator).  Zero chain: (-inf, None).  Ties are rejected."""
     if chain.is_zero():
@@ -249,17 +269,10 @@ class FilteredComplex:
     def boundary(self, chain: NovikovChain) -> NovikovChain:
         if chain.complex is not self:
             raise StructuralError("chain does not live in this complex")
-        out = {}
-        for gen, coeff in chain.terms.items():
-            for dst, scalar in self.boundary_entries.get(gen.orbit, {}).items():
-                for label, c in scalar.terms.items():
-                    g2 = self.generator(dst, vec_add(gen.cap, label))
-                    acc = out.get(g2, Fraction(0)) + coeff * c
-                    if acc == 0:
-                        out.pop(g2, None)
-                    else:
-                        out[g2] = acc
-        return NovikovChain(self, out, chain.floor)
+        return NovikovChain(
+            self, equivariant_image(self.boundary_entries, chain.terms, self),
+            chain.floor,
+        )
 
     def entry_triples(self):
         """Flat iterator of (src, dst, label, coeff) over all boundary terms."""
@@ -425,15 +438,12 @@ def truncate_below(C: FilteredComplex, lam) -> FilteredComplex:
     boundary = {}
     inverse = {v: k for k, v in gens.items()}
     for fid, (orbit, cap) in sorted(gens.items()):
-        row = {}
-        for dst, scalar in C.boundary_entries.get(orbit, {}).items():
-            for label, coeff in scalar.terms.items():
-                key = (dst, vec_add(cap, label))
-                if key in inverse:
-                    tid = inverse[key]
-                    prev = row.get(tid, NovikovScalar.zero(trivial, DOWN))
-                    row[tid] = prev + NovikovScalar.monomial(trivial, DOWN, coeff, ())
-                # targets outside the window fall below the floor: truncated
+        image = equivariant_image(C.boundary_entries, {C.generator(orbit, cap): 1}, C)
+        # targets outside the window fall below the floor: truncated
+        row = {
+            inverse[g.orbit, g.cap]: NovikovScalar.monomial(trivial, DOWN, c, ())
+            for g, c in image.items() if (g.orbit, g.cap) in inverse
+        }
         if row:
             boundary[fid] = row
     out = FilteredComplex(trivial, orbit_rows, boundary, C.floor)

@@ -53,6 +53,11 @@ from .scalars import DOWN, UP, NEG_INF
 
 COMMANDS = ("spectra", "axioms", "appendix", "oracle", "all")
 
+# the JSON type of each typed manifest field, when present
+_FIELD_TYPES = {"seed": int, "oracle_cap": int, "out": (str, type(None))}
+_FIELD_TYPES.update(dict.fromkeys(("builtin", "manifolds", "complexes", "chain_maps",
+                                   "products", "shifts", "functionals"), list))
+
 
 @dataclass
 class Workspace:
@@ -79,6 +84,11 @@ def load_and_validate(manifest_path) -> Workspace:
     """Parse the manifest and every referenced fixture; aggregate failures."""
     path = Path(manifest_path)
     obj = jsonio.load_json(path)
+    if not isinstance(obj, dict):
+        raise InputError("the manifest must be a JSON object")
+    for key, kind in _FIELD_TYPES.items():
+        if key in obj and not isinstance(obj[key], kind):
+            raise InputError(f"manifest field {key!r} has the wrong type")
     if obj.get("schema", 1) != 1:
         raise InputError(f"unsupported manifest schema {obj.get('schema')!r}")
     ws = Workspace()
@@ -96,25 +106,32 @@ def load_and_validate(manifest_path) -> Workspace:
     def fail(code, where, message):
         errors.append({"code": code, "where": str(where), "message": message})
 
+    def path_entries(key, code):
+        for entry in obj.get(key, []):
+            if isinstance(entry, dict) and isinstance(entry.get("path"), str):
+                yield entry
+            else:
+                fail(code, entry, 'entry must be an object with a string "path"')
+
     for name in obj.get("builtin", []):
         try:
             ws.manifolds[name] = load_builtin(name)
-        except NovispecError as exc:
+        except (NovispecError, TypeError) as exc:
             fail("unknown-builtin", name, str(exc))
     base = path.parent
     for rel in obj.get("manifolds", []):
-        fpath = base / rel
         try:
+            fpath = base / rel
             raw = jsonio.load_json(fpath)
             fix = jsonio.manifold_from_json(raw)
             ws.manifolds[fix.name] = fix
             ws.fixture_hashes[str(rel)] = jsonio.file_hash(fpath)
         except (NovispecError, KeyError, TypeError, ValueError) as exc:
             fail("manifold-parse", rel, str(exc))
-    for entry in obj.get("complexes", []):
+    for entry in path_entries("complexes", "complex-parse"):
         rel, cname = entry["path"], entry.get("name")
-        fpath = base / rel
         try:
+            fpath = base / rel
             raw = jsonio.load_json(fpath)
             C = jsonio.complex_from_json(raw)
             cname = cname or Path(rel).stem
@@ -136,8 +153,8 @@ def load_and_validate(manifest_path) -> Workspace:
         except (NovispecError, KeyError, TypeError, ValueError) as exc:
             fail("complex-parse", rel, str(exc))
     for entry in obj.get("chain_maps", []):
-        fpath = base / entry
         try:
+            fpath = base / entry
             raw = jsonio.load_json(fpath)
             m = jsonio.chain_map_from_json(raw, ws.complexes)
             cert = m.certify()
@@ -149,8 +166,8 @@ def load_and_validate(manifest_path) -> Workspace:
         except (NovispecError, KeyError, TypeError, ValueError) as exc:
             fail("chain-map-parse", entry, str(exc))
     for entry in obj.get("products", []):
-        fpath = base / entry
         try:
+            fpath = base / entry
             raw = jsonio.load_json(fpath)
             P = jsonio.product_map_from_json(raw, ws.complexes)
             report = P.validate()
@@ -161,7 +178,7 @@ def load_and_validate(manifest_path) -> Workspace:
             ws.fixture_hashes[str(entry)] = jsonio.file_hash(fpath)
         except (NovispecError, KeyError, TypeError, ValueError) as exc:
             fail("product-parse", entry, str(exc))
-    for entry in obj.get("shifts", []):
+    for entry in path_entries("shifts", "shift-parse"):
         fpath = base / entry["path"]
         try:
             raw = jsonio.load_json(fpath)
@@ -169,8 +186,8 @@ def load_and_validate(manifest_path) -> Workspace:
             ws.shifts[Path(entry["path"]).stem] = (entry["complex"], s)
             ws.fixture_hashes[entry["path"]] = jsonio.file_hash(fpath)
         except (NovispecError, KeyError, TypeError, ValueError) as exc:
-            fail("shift-parse", entry.get("path"), str(exc))
-    for entry in obj.get("functionals", []):
+            fail("shift-parse", entry["path"], str(exc))
+    for entry in path_entries("functionals", "functional-parse"):
         fpath = base / entry["path"]
         try:
             raw = jsonio.load_json(fpath)
@@ -181,7 +198,7 @@ def load_and_validate(manifest_path) -> Workspace:
             ws.functionals[Path(entry["path"]).stem] = (cname, mu)
             ws.fixture_hashes[entry["path"]] = jsonio.file_hash(fpath)
         except (NovispecError, KeyError, TypeError, ValueError) as exc:
-            fail("functional-parse", entry.get("path"), str(exc))
+            fail("functional-parse", entry["path"], str(exc))
     for fix in ws.manifolds.values():
         try:
             _validate_manifold(fix, ws.eps)
@@ -621,13 +638,13 @@ def main(argv=None) -> int:
 
     try:
         ws = load_and_validate(manifest)
+        if opts.floor:
+            ws.floor = jsonio.parse_frac(opts.floor)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     if opts.mode:
         ws.mode = "rational-exact" if opts.mode == "rational" else "floating"
-    if opts.floor:
-        ws.floor = jsonio.parse_frac(opts.floor)
     if opts.seed is not None:
         ws.seed = opts.seed
     if opts.oracle_cap is not None:

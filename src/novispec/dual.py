@@ -9,6 +9,11 @@ one orbit with a constant value), which keeps the classification decidable:
 a ray diverges upward in omega iff it breaks every threshold, and the
 divergence is certified by the canonical prefix sequence whose evaluations
 step by one.
+
+The dual invariant reads one engine window, the one a degree down: its
+columns are the generators of the functional's degree with their boundary
+images, and reduced in ascending action their zero columns span the cycles
+at or below every level.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chains import FilteredComplex, Generator, NovikovChain
-from .engine import _degree_generators, build_window, default_window_bounds
+from .engine import _columns, _degree_generators, build_window, default_window_bounds
 from .errors import DomainError, StructuralError
 from .gamma import vec_add, vec_scale, vec_sub
 from .quantum import COHOMOLOGY, QuantumClass
@@ -251,33 +256,21 @@ def embed_class(a: QuantumClass, C: FilteredComplex, cochains: dict) -> DualFunc
     """
     if a.direction != COHOMOLOGY:
         raise StructuralError("embed_class takes a cohomology class")
-    atoms = {}
+    atoms = []  # DualFunctional sums repeated generators
     for (name, label), coeff in a.terms.items():
         if name not in cochains:
             raise StructuralError(f"no cochain representative for class {name!r}")
-        for pc, point in cochains[name]:
-            gen = C.generator(point, label)
-            acc = atoms.get(gen, Fraction(0)) + coeff * Fraction(pc)
-            if acc == 0:
-                atoms.pop(gen, None)
-            else:
-                atoms[gen] = acc
+        atoms += [(C.generator(point, label), coeff * Fraction(pc))
+                  for pc, point in cochains[name]]
     mu = DualFunctional(C, atoms, [])
-    cls = classify_functional(mu)
-    return DualFunctional(C, atoms, [], threshold=cls.threshold)
+    return DualFunctional(C, mu.atoms, [], threshold=classify_functional(mu).threshold)
 
 
 def point_cochain_functional(C: FilteredComplex, terms) -> DualFunctional:
     """Atom functional of a point cochain: (coeff, orbit, cap) triples."""
-    atoms = {}
-    for coeff, point, label in terms:
-        gen = C.generator(point, tuple(label))
-        acc = atoms.get(gen, Fraction(0)) + Fraction(coeff)
-        if acc == 0:
-            atoms.pop(gen, None)
-        else:
-            atoms[gen] = acc
-    return DualFunctional(C, atoms, [])
+    return DualFunctional(
+        C, [(C.generator(point, tuple(label)), coeff) for coeff, point, label in terms], []
+    )
 
 
 def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int,
@@ -302,14 +295,11 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int,
         lo, hi = default_window_bounds(C, probe)
     else:
         lo, hi = Fraction(window[0]), Fraction(window[1])
-    gens = build_window(C, degree, lo, hi).rows[::-1]
-    # the cycle condition is read on the rows of the window one degree down
-    below = build_window(C, degree - 1, lo, hi).row_index
-    columns = []
-    for gen in gens:
-        img = C.boundary(C.chain({gen: 1}, None))
-        columns.append({below[g]: c for g, c in img.terms.items() if g in below})
-    reduction = linalg.Reduction(columns)
+    # the window one degree down has the degree-`degree` generators as its
+    # columns, with their boundary images above `lo`
+    w = build_window(C, degree - 1, lo, hi)
+    gens = w.cols[::-1]
+    reduction = linalg.Reduction(_columns(w)[::-1])
     for gen, r, v in zip(gens, reduction.R, reduction.V):
         if not r and mu.evaluate(C.chain({gens[j]: c for j, c in v.items()}, None)) != 0:
             return gen.action

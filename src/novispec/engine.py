@@ -6,10 +6,12 @@ representatives is an affine space over Q inside a finite per-degree window
 of capped generators, and the infimum is computed exactly by repeated
 top-stratum elimination: solve for a boundary whose action >= level part
 cancels the current top stratum; when the linear system is infeasible the
-level is the invariant and the infeasibility is its certificate.  Every
-level's system is answered by one filtered column reduction of the window
-boundary (`linalg.Reduction`, pivots at the highest action), queried on the
-prefix of rows at or above the level.
+level is the invariant and the infeasibility is its certificate.  The
+window columns are the equivariant boundary images of the generators one
+degree up, and every level's system is answered by one filtered column
+reduction of them (`linalg.Reduction`, pivots at the highest action),
+queried on the prefix of rows at or above the level.  The representative
+stays sparse; the residual of each solve is the next representative.
 
 An independent oracle answers the same question bottom-up (smallest level
 whose strict-sublevel constraint system is feasible), which is also the
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .chains import FilteredComplex, Generator, NovikovChain
+from .chains import FilteredComplex, Generator, NovikovChain, equivariant_image
 from .errors import DomainError, IndeterminateError, SpectralLevelError, StructuralError
-from .gamma import vec_add
 from .morse import MorseData, build_small_complex
 from .quantum import HOMOLOGY, QuantumClass, flat, leading_data
 from .scalars import NEG_INF, POS_INF
@@ -83,82 +84,53 @@ def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     lo, hi = Fraction(lo), Fraction(hi)
     cols = _degree_generators(C, degree + 1, lo, hi)
     rows = _degree_generators(C, degree, lo, hi)
-    row_index = {g: i for i, g in enumerate(rows)}
-    # boundary targets of the columns may stick out above `hi` on invalid
-    # complexes; they must appear as constraint rows.
-    extra = []
-    columns = []
+    matrix = []
     truncated = False
     for col in cols:
-        image = {}
-        for dst, scalar in C.boundary_entries.get(col.orbit, {}).items():
-            for label, coeff in scalar.terms.items():
-                tgt = C.generator(dst, vec_add(col.cap, label))
-                if tgt.action <= lo:
-                    truncated = True  # target falls below the window floor
-                    continue
-                image[tgt] = image.get(tgt, Fraction(0)) + coeff
-        for tgt in image:
-            if tgt not in row_index and tgt not in extra:
-                extra.append(tgt)
-        columns.append(image)
+        image = equivariant_image(C.boundary_entries, {col: 1}, C)
+        column = {g: c for g, c in image.items() if g.action > lo}
+        # some target falls below the window floor
+        truncated = truncated or len(column) < len(image)
+        matrix.append(column)
+    # boundary targets of the columns may stick out above `hi` on invalid
+    # complexes; they must appear as constraint rows.
+    extra = {g for column in matrix for g in column}.difference(rows)
     if extra:
-        rows = sorted(rows + extra, key=lambda g: (-g.action, g.orbit, g.cap))
-        row_index = {g: i for i, g in enumerate(rows)}
-    matrix = [{g: c for g, c in image.items() if c != 0} for image in columns]
+        rows = sorted(rows + list(extra), key=lambda g: (-g.action, g.orbit, g.cap))
+    row_index = {g: i for i, g in enumerate(rows)}
     return Window(C, lo, hi, degree, rows, cols, matrix, row_index, truncated)
 
 
 def _chain_vector(window: Window, chain: NovikovChain):
-    """Coordinates of a chain in the window rows; below-window terms drop.
+    """Sparse coordinates {row: coeff} of a chain; below-window terms drop.
 
     Returns (vector, dropped): terms at or below the floor are truncated per
     the precision semantics, terms above the window top are a caller error.
     """
-    v = [Fraction(0)] * len(window.rows)
+    v = {}
     dropped = False
     for gen, coeff in chain.terms.items():
-        if gen not in window.row_index:
+        i = window.row_index.get(gen)
+        if i is None:
             if gen.action <= window.lo:
                 dropped = True
                 continue
             raise StructuralError(
                 f"chain term {gen.orbit}@{gen.cap} lies outside the window"
             )
-        v[window.row_index[gen]] = coeff
+        v[i] = coeff
     return v, dropped
 
 
-def _vector_chain(window: Window, v, floor=None) -> NovikovChain:
-    return window.complex.chain(
-        {g: c for g, c in zip(window.rows, v) if c != 0}, floor
-    )
-
-
-def _reduction(window: Window):
-    """The window boundary reduced once; row i of `linalg.Reduction` is rows[i]."""
+def _columns(window: Window):
+    """The window columns keyed by row index, as `linalg.Reduction` takes them."""
     index = window.row_index
-    return linalg.Reduction(
-        [{index[g]: c for g, c in col.items()} for col in window.matrix]
-    )
+    return [{index[g]: c for g, c in col.items()} for col in window.matrix]
 
 
 def _prefix(window: Window, level):
     """Number of rows at or above `level` (the rows are action descending)."""
     return sum(1 for g in window.rows if g.action >= level)
-
-
-def _cancel(reduction, v, k):
-    """x with (Dx) = -v on rows[:k], free variables zero; None if infeasible."""
-    return reduction.solve({i: -c for i, c in enumerate(v) if c != 0}, k)
-
-
-def _apply_columns(window: Window, v, x):
-    out = list(v)
-    for j, c in x.items():
-        for g, a in window.matrix[j].items():
-            out[window.row_index[g]] += a * c
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,64 +220,48 @@ def spectral_invariant(
 def _reduce_once(C, rep, lo, hi, hard_floor=None):
     window = build_window(C, rep.degree, lo, hi)
     v, dropped = _chain_vector(window, rep)
-    if dropped and not any(v):
+    if dropped and not v:
         raise IndeterminateError(
             "representative lies entirely at or below the precision floor"
         )
     inexact = dropped or window.truncated or hard_floor is not None
     result_floor = lo if inexact else None
-    reduction = _reduction(window)
+    reduction = linalg.Reduction(_columns(window))
     trace = []
-    while True:
-        live = [i for i, c in enumerate(v) if c != 0]
-        if not live:
-            if inexact:
-                # vanishes above the floor only: the value is an interval
-                cert = {
-                    "reason": "vanishes above the precision floor",
-                    "floor": result_floor,
-                    "interval": (NEG_INF, result_floor),
-                }
-                return SpectralResult(
-                    NEG_INF, C.chain({}, result_floor), trace,
-                    "indeterminate", None, cert,
-                )
-            return SpectralResult(
-                NEG_INF,
-                C.chain({}, None),
-                trace,
-                "zero-class",
-                None,
-                {"reason": "representative is a boundary"},
-            )
-        level = max(window.rows[i].action for i in live)
+    while v:
+        level = window.rows[min(v)].action
         if level <= lo:
             return None  # hit the floor: caller may widen
         constraint_rows = _prefix(window, level)
-        x = _cancel(reduction, v, constraint_rows)
+        stratum = [window.rows[i] for i in sorted(v) if i < constraint_rows]
+        x, r = reduction.solve(v, constraint_rows)
         if x is None:
-            stratum = [i for i in live if window.rows[i].action == level]
-            witness = _vector_chain(window, v, result_floor)
+            witness = C.chain({window.rows[i]: c for i, c in v.items()}, result_floor)
             cert = {
                 "level": level,
-                "stratum": [
-                    (window.rows[i].orbit, window.rows[i].cap) for i in stratum
-                ],
+                "stratum": [(g.orbit, g.cap) for g in stratum],
                 "constraint_rows": constraint_rows,
                 "columns": len(window.cols),
                 "unsolvable": True,
                 "window": (lo, hi),
             }
-            peak = window.rows[stratum[0]]
-            return SpectralResult(level, witness, trace, "attained", peak, cert)
-        stratum_size = sum(
-            1 for i in live if window.rows[i].action == level
-        )
-        v = _apply_columns(window, v, x)
-        trace.append(ReductionStep(level, stratum_size, len(x)))
-        new_live = [i for i, c in enumerate(v) if c != 0]
-        if new_live and max(window.rows[i].action for i in new_live) >= level:
+            return SpectralResult(level, witness, trace, "attained", stratum[0], cert)
+        trace.append(ReductionStep(level, len(stratum), len(x)))
+        if r and min(r) < constraint_rows:
             raise StructuralError("reduction failed to lower the level")
+        v = r
+    if inexact:
+        # vanishes above the floor only: the value is an interval
+        cert = {
+            "reason": "vanishes above the precision floor",
+            "floor": result_floor,
+            "interval": (NEG_INF, result_floor),
+        }
+        return SpectralResult(
+            NEG_INF, C.chain({}, result_floor), trace, "indeterminate", None, cert,
+        )
+    cert = {"reason": "representative is a boundary"}
+    return SpectralResult(NEG_INF, C.chain({}, None), trace, "zero-class", None, cert)
 
 
 def oracle_rho(C: FilteredComplex, representative: NovikovChain, *, window=None):
@@ -373,7 +329,8 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
         lo, hi = Fraction(window[0]), Fraction(window[1])
     w = build_window(C, rep.degree, lo, max(hi, lam))
     v, _ = _chain_vector(w, rep)
-    return _cancel(_reduction(w), v, _prefix(w, lam)) is not None
+    x, _ = linalg.Reduction(_columns(w)).solve(v, _prefix(w, lam))
+    return x is not None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import FilteredComplex, NovikovChain
+from .chains import FilteredComplex, NovikovChain, equivariant_image
 from .errors import FixtureError
 from .gamma import GammaGroup, vec_add
 from .morse import MorseData, build_small_complex
@@ -621,18 +621,8 @@ def _dress(rng, C: FilteredComplex, rep: NovikovChain, gamma_window):
             N.setdefault(src, {})[dst] = NovikovScalar.monomial(gamma, DOWN, coeff, cap)
 
     def apply_P(chain, inverse=False):
-        out = dict(chain.terms)
-        sign = -1 if inverse else 1
-        for g, c in chain.terms.items():
-            for dst, scalar in N.get(g.orbit, {}).items():
-                for label, cc in scalar.terms.items():
-                    g2 = C.generator(dst, vec_add(g.cap, label))
-                    acc = out.get(g2, Fraction(0)) + sign * c * cc
-                    if acc == 0:
-                        out.pop(g2, None)
-                    else:
-                        out[g2] = acc
-        return C.chain(out, chain.floor)
+        image = C.chain(equivariant_image(N, chain.terms, C), chain.floor)
+        return chain - image if inverse else chain + image
 
     # conjugated boundary: P d P^{-1} applied to base generators
     boundary = {}

@@ -7,6 +7,8 @@ has the highest action) and the pivot of a column is its first nonzero
 row.  Cut down to any row prefix, the reduced columns stay reduced, so one
 reduction answers the cancellation system at every action level; and the
 zero reduced columns carry a kernel basis of every column prefix.
+`Reduction.solve` returns the solution with its residual r = b - D x, so
+a caller reads the cancelled vector off the reduction itself.
 
 `solve` is dense Gauss-Jordan elimination, kept for the oracle, which
 cross-checks the reduction and so shares no code with it.
@@ -90,27 +92,28 @@ class Reduction:
             self.V.append(v)
 
     def solve(self, b, k):
-        """x with (D x)[i] = b[i] for all rows i < k, or None if infeasible.
+        """(x, r) with r = b - D x vanishing on every row i < k.
 
-        `b` and `x` are sparse dicts.  x is the solution that Gauss-Jordan
-        elimination of D[:k] gives with free variables zero: it combines
-        the V[j] with pivot row < k, and each V[j] involves only columns
-        with pivot rows above its own, so x vanishes on every column that
-        depends on the columns left of it over rows < k.
+        `b`, `x` and `r` are sparse dicts; x is None if no x cancels b on
+        the rows < k.  x is the solution that Gauss-Jordan elimination of
+        D[:k] gives with free variables zero: it combines the V[j] with
+        pivot row < k, and each V[j] involves only columns with pivot rows
+        above its own, so x vanishes on every column that depends on the
+        columns left of it over rows < k.
         """
-        b = {i: c for i, c in b.items() if c}
+        r = {i: c for i, c in b.items() if c}
         x = {}
-        while b:
-            p = min(b)
+        while r:
+            p = min(r)
             if p >= k:
                 break
             j = self.pivots.get(p)
             if j is None:
-                return None
-            f = b[p] / self.R[j][p]
-            _axpy(b, -f, self.R[j])
+                return None, r
+            f = r[p] / self.R[j][p]
+            _axpy(r, -f, self.R[j])
             _axpy(x, f, self.V[j])
-        return x
+        return x, r
 
 
 def rank(rows) -> int:

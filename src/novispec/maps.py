@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import FilteredComplex, NovikovChain, ValidationReport
+from .chains import FilteredComplex, NovikovChain, ValidationReport, equivariant_image
 from .engine import spectral_invariant
 from .errors import StructuralError
 from .gamma import vec_add, vec_neg, vec_sub
@@ -183,17 +183,8 @@ class ChainMap:
     def apply(self, chain: NovikovChain) -> NovikovChain:
         if chain.complex is not self.source:
             raise StructuralError("chain does not live in the source complex")
-        out = {}
-        for gen, coeff in chain.terms.items():
-            for dst, scalar in self.matrix.get(gen.orbit, {}).items():
-                for label, c in scalar.terms.items():
-                    g2 = self.target.generator(dst, vec_add(gen.cap, label))
-                    acc = out.get(g2, Fraction(0)) + coeff * c
-                    if acc == 0:
-                        out.pop(g2, None)
-                    else:
-                        out[g2] = acc
-        return self.target.chain(out, chain.floor)
+        image = equivariant_image(self.matrix, chain.terms, self.target)
+        return self.target.chain(image, chain.floor)
 
     def entry_triples(self):
         for src in sorted(self.matrix):

@@ -14,7 +14,7 @@ from novispec import (
     SpectralLevelError,
 )
 from novispec import linalg
-from novispec.engine import _chain_vector, _reduction, build_window, default_window_bounds
+from novispec.engine import _chain_vector, _columns, build_window, default_window_bounds
 from novispec.fixtures import calibration, random_instance, sphere
 
 G1 = GammaGroup((F(1),), (2,))
@@ -268,7 +268,8 @@ def test_valid_fixture_reduction_respects_monotone_formulation():
 @pytest.mark.parametrize("max_orbits, seeds", [(6, range(40)), (12, range(10))])
 def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
     # at every action prefix of a window the filtered reduction must give
-    # linalg.solve's solution (free variables zero) and the same infeasibility
+    # linalg.solve's solution (free variables zero) and the same
+    # infeasibility, and its residual r = rhs - D x must vanish on the prefix
     rng = random.Random(max_orbits)
     feasible = infeasible = 0
     for seed in seeds:
@@ -278,21 +279,29 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
             continue
         w = build_window(C, rep.degree, *default_window_bounds(C, rep))
         dense = [[col.get(g, F(0)) for col in w.matrix] for g in w.rows]
-        v, _ = _chain_vector(w, rep)
+        sparse, _ = _chain_vector(w, rep)
+        v = [sparse.get(i, F(0)) for i in range(len(w.rows))]
         # the representative, and a boundary (feasible at every level)
         mix = [F(rng.randint(-2, 2)) for _ in w.cols]
         image = [sum((a * m for a, m in zip(row, mix)), F(0)) for row in dense]
-        reduction = _reduction(w)
+        reduction = linalg.Reduction(_columns(w))
         for rhs in ([-c for c in v], image):
             for level in sorted({g.action for g in w.rows}):
                 k = sum(1 for g in w.rows if g.action >= level)
-                x = reduction.solve(dict(enumerate(rhs)), k)
+                x, r = reduction.solve(dict(enumerate(rhs)), k)
                 expected = linalg.solve(dense[:k], rhs[:k])
                 if expected is None:
                     assert x is None, (seed, level)
                     infeasible += 1
-                else:
-                    assert x is not None, (seed, level)
-                    assert [x.get(j, F(0)) for j in range(len(w.cols))] == expected
-                    feasible += 1
+                    continue
+                assert x is not None, (seed, level)
+                dense_x = [x.get(j, F(0)) for j in range(len(w.cols))]
+                assert dense_x == expected
+                residual = [
+                    b - sum((a * c for a, c in zip(row, dense_x)), F(0))
+                    for row, b in zip(dense, rhs)
+                ]
+                assert [r.get(i, F(0)) for i in range(len(w.rows))] == residual
+                assert all(i >= k for i in r), (seed, level)
+                feasible += 1
     assert feasible > 20 and infeasible > 20

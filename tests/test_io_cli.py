@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -55,11 +56,18 @@ def test_manifold_roundtrip():
         assert jsonio.manifold_to_json(back) == blob
 
 
-def test_shipped_fixture_files_match_builtins():
-    for name in ("s2", "cp2", "torus", "tilted", "czero"):
-        path = REPO / "fixtures" / f"{name}.json"
-        blob = jsonio.load_json(path)
-        assert blob == jsonio.manifold_to_json(load_builtin(name))
+def test_shipped_fixture_files_match_generator():
+    spec = importlib.util.spec_from_file_location(
+        "gen_fixtures", REPO / "tools" / "gen_fixtures.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    built = gen.build()
+    shipped = sorted(p.name for p in (REPO / "fixtures").iterdir())
+    assert shipped == sorted(built)
+    for name, obj in built.items():
+        blob = jsonio.load_json(REPO / "fixtures" / name)
+        assert blob == json.loads(json.dumps(obj)), name
 
 
 def test_chain_and_functional_roundtrip():
@@ -158,9 +166,24 @@ def test_cli_exit_codes_and_determinism(tmp_path):
     assert any(r["fixture"] == "s2" for r in rows)
 
 
-def test_cli_input_error_exit_two(tmp_path):
-    code = main([str(tmp_path / "missing.json")])
-    assert code == 2
+@pytest.mark.parametrize("manifest, flags", [
+    pytest.param(None, [], id="missing-file"),
+    pytest.param("[]", [], id="top-level-list"),
+    pytest.param('{"seed": "abc"}', [], id="seed-not-integer"),
+    pytest.param('{"oracle_cap": null}', [], id="oracle-cap-null"),
+    pytest.param('{"complexes": [{"name": "x"}]}', [], id="complex-without-path"),
+    pytest.param('{"complexes": ["staircase.json"]}', [], id="complex-entry-string"),
+    pytest.param('{"complexes": 5}', [], id="complexes-not-list"),
+    pytest.param('{"out": 5}', [], id="out-not-string"),
+    pytest.param('{"schema": 1}', ["--floor", "1/0"], id="floor-zero-denominator"),
+    pytest.param('{"schema": 1}', ["--floor", "x"], id="floor-not-rational"),
+])
+def test_cli_input_error_exit_two(tmp_path, capsys, manifest, flags):
+    path = tmp_path / "m.json"
+    if manifest is not None:
+        path.write_text(manifest)
+    assert main([str(path)] + flags) == 2
+    assert "input error:" in capsys.readouterr().err
 
 
 def test_cli_subprocess_oracle(tmp_path):
@@ -181,8 +204,13 @@ def test_cli_subprocess_oracle(tmp_path):
     ("spectra", "c6b2d6c8b1cd4805280179aad73da368c957598090756e37b9f8e0fb07555a5d"),
     # the dual-vs-primal values
     ("appendix", "0b9ab14f82e372e5afb700081a935c9cc74f65b5f3d0b1172f1c780e16b36532"),
+    # chain maps applied through the continuity checks
+    ("axioms", "55fd2a995b2088183ef546684a0951aae3a8db6113af7016ad949fd183417a5d"),
+    # dressed random instances against the oracle
+    ("oracle", "1a66bbd6d833c34c13b31f707e7f64e764834613f31e5c322a2fc455989af62f"),
 ])
 def test_demo_report_bytes_pinned(command, digest):
     ws = load_and_validate(REPO / "manifests" / "demo.json")
+    ws.oracle_cap = 10  # read by the oracle task only
     text = json.dumps(run(command, ws), indent=1, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -14,13 +14,12 @@ from novispec.gamma import GammaGroup
 from novispec.scalars import DOWN, NovikovScalar
 
 
-def main():
-    root = Path(__file__).resolve().parents[1] / "fixtures"
-    root.mkdir(exist_ok=True)
-
+def build():
+    """{file name: JSON object} for every shipped fixture file."""
+    out = {}
     for name in sorted(BUILTIN_FIXTURES):
         fix = load_builtin(name)
-        jsonio.dump_json(jsonio.manifold_to_json(fix), root / f"{name}.json")
+        out[f"{name}.json"] = jsonio.manifold_to_json(fix)
 
     # standalone complex: rank-one period group, trivial chern values
     G = GammaGroup((F(1),), (0,))
@@ -50,7 +49,7 @@ def main():
         "mixed": [["1", "f", [0]], ["1", "b", [0]], ["2", "d", [0]]],
         "boundary-class": [["1", "b", [0]], ["2", "d", [0]]],
     }
-    jsonio.dump_json(blob, root / "staircase.json")
+    out["staircase.json"] = blob
 
     # identity-shaped chain map to a uniformly lifted copy
     lifted = nv.FilteredComplex(
@@ -58,7 +57,7 @@ def main():
         [(o, a + F(1, 4), d) for o, (a, d) in sorted(C.orbits.items())],
         C.boundary_entries,
     )
-    jsonio.dump_json(jsonio.complex_to_json(lifted), root / "staircase_lifted.json")
+    out["staircase_lifted.json"] = jsonio.complex_to_json(lifted)
     m = nv.ChainMap(
         C,
         lifted,
@@ -66,10 +65,7 @@ def main():
         F(1, 4),
     )
     assert m.certify().ok
-    jsonio.dump_json(
-        jsonio.chain_map_to_json("staircase", "staircase_lifted", m),
-        root / "lift_map.json",
-    )
+    out["lift_map.json"] = jsonio.chain_map_to_json("staircase", "staircase_lifted", m)
 
     # pure deck transformation as a monodromy fixture
     deck = nv.MonodromyShift(
@@ -78,15 +74,15 @@ def main():
         F(-1),
         0,
     )
-    jsonio.dump_json(jsonio.monodromy_to_json(deck), root / "deck_shift.json")
+    out["deck_shift.json"] = jsonio.monodromy_to_json(deck)
 
     # one continuous and one divergent functional on the staircase
     mu = nv.DualFunctional(
         C, {C.generator("f"): F(1)}, [nv.Ray("e", (0,), (-1,), F(2))]
     )
-    jsonio.dump_json(jsonio.functional_to_json(mu), root / "functional_cont.json")
+    out["functional_cont.json"] = jsonio.functional_to_json(mu)
     bad = nv.DualFunctional(C, {}, [nv.Ray("f", (0,), (1,), F(1))])
-    jsonio.dump_json(jsonio.functional_to_json(bad), root / "functional_div.json")
+    out["functional_div.json"] = jsonio.functional_to_json(bad)
 
     # standalone chain-level product: the sphere's transported table
     from novispec.fixtures import transported_product
@@ -98,13 +94,19 @@ def main():
         "unit": [["1", "bot", [0]]],
         "point": [["1", "top", [0]]],
     }
-    jsonio.dump_json(blob, root / "s2_eps8.json")
-    jsonio.dump_json(jsonio.complex_to_json(C3), root / "s2_eps4.json")
-    jsonio.dump_json(
-        jsonio.product_map_to_json(("s2_eps8", "s2_eps8", "s2_eps4"), P),
-        root / "s2_pants.json",
+    out["s2_eps8.json"] = blob
+    out["s2_eps4.json"] = jsonio.complex_to_json(C3)
+    out["s2_pants.json"] = jsonio.product_map_to_json(
+        ("s2_eps8", "s2_eps8", "s2_eps4"), P
     )
+    return out
 
+
+def main():
+    root = Path(__file__).resolve().parents[1] / "fixtures"
+    root.mkdir(exist_ok=True)
+    for name, obj in build().items():
+        jsonio.dump_json(obj, root / name)
     print(f"wrote fixtures to {root}")
 
 

@@ -2,9 +2,16 @@
 
 A complex is a finite set of orbits, each with a base action and a base
 degree; the full generator set is orbit x cap.  Gluing a cap A onto a
-generator shifts its action by -omega(A) and its degree by -2*c1(A).  The
-boundary is stored equivariantly: one downward Novikov scalar per orbit pair,
-so one matrix presents the map on every cap simultaneously.
+generator shifts its action by -omega(A) and its degree by -2*c1(A).
+
+The boundary, certified chain maps, monodromy conjugations and the random
+dressing are all one kind of object, an orbit-pair matrix {src orbit: {dst
+orbit: downward Novikov scalar}}, which presents an equivariant map on every
+cap at once.  Each operation on such matrices is written once, here:
+`orbit_matrix` validates and drops zero entries, `matrix_entries` iterates
+in sorted orbit order, `entry_shifts` gives each term's action and degree
+shift, `compose_matrices` composes, and `equivariant_image` applies a
+matrix to capped generators.
 
 Chains are finite homogeneous combinations of generators with an optional
 action-space precision floor.  The level of a chain is the maximal action of
@@ -156,6 +163,68 @@ def equivariant_image(matrix, terms, target: "FilteredComplex") -> dict:
     return out
 
 
+def orbit_matrix(matrix, source: "FilteredComplex", target: "FilteredComplex",
+                 what: str) -> dict:
+    """Checked copy of a `what` matrix from `source` to `target` orbits.
+
+    Entries join existing orbits and are downward scalars over the shared
+    group; zero entries are dropped.
+    """
+    out = {}
+    for src, row in matrix.items():
+        if src not in source.orbits:
+            raise StructuralError(f"{what} source {src!r} is not an orbit")
+        for dst, scalar in row.items():
+            if dst not in target.orbits:
+                raise StructuralError(f"{what} target {dst!r} is not an orbit")
+            if scalar.direction != DOWN or scalar.group != source.gamma:
+                raise StructuralError(
+                    f"{what} entries must be downward scalars over the shared group"
+                )
+            if not scalar.is_zero():
+                out.setdefault(src, {})[dst] = scalar
+    return out
+
+
+def matrix_entries(matrix):
+    """(src, dst, scalar) over an orbit-pair matrix in sorted orbit order."""
+    for src in sorted(matrix):
+        row = matrix[src]
+        for dst in sorted(row):
+            yield src, dst, row[dst]
+
+
+def entry_shifts(matrix, source: "FilteredComplex", target: "FilteredComplex"):
+    """(src, dst, label, action shift, degree shift) over every matrix term.
+
+    The term at `label` sends base generator `src` to (dst, label), moving
+    its action by base(dst) - omega(label) - base(src) and its degree by
+    deg(dst) - 2*c1(label) - deg(src).
+    """
+    gamma = source.gamma
+    for src, dst, scalar in matrix_entries(matrix):
+        sa, sd = source.orbits[src]
+        da, dd = target.orbits[dst]
+        for label in scalar.terms:
+            yield (src, dst, label, da - gamma.omega(label) - sa,
+                   dd - 2 * gamma.c1(label) - sd)
+
+
+def compose_matrices(outer, inner) -> dict:
+    """The matrix of `outer` after `inner` (scalar or integer entries alike).
+
+    Entries that cancel stay in the result.
+    """
+    out = {}
+    for src, row in inner.items():
+        acc = out.setdefault(src, {})
+        for mid, s1 in row.items():
+            for dst, s2 in outer.get(mid, {}).items():
+                prev = acc.get(dst)
+                acc[dst] = s2 * s1 if prev is None else prev + s2 * s1
+    return out
+
+
 def level_and_peak(chain: NovikovChain):
     """(level, peak generator).  Zero chain: (-inf, None).  Ties are rejected."""
     if chain.is_zero():
@@ -218,20 +287,7 @@ class FilteredComplex:
             if oid in self.orbits:
                 raise StructuralError(f"duplicate orbit id {oid!r}")
             self.orbits[oid] = (Fraction(action), int(degree))
-        self.boundary_entries = {}
-        for src, row in (boundary or {}).items():
-            if src not in self.orbits:
-                raise StructuralError(f"boundary source {src!r} is not an orbit")
-            for dst, scalar in row.items():
-                if dst not in self.orbits:
-                    raise StructuralError(f"boundary target {dst!r} is not an orbit")
-                if scalar.direction != DOWN:
-                    raise StructuralError("boundary entries must be downward scalars")
-                if scalar.group != gamma:
-                    raise StructuralError("boundary entry over a different group")
-                if scalar.is_zero():
-                    continue
-                self.boundary_entries.setdefault(src, {})[dst] = scalar
+        self.boundary_entries = orbit_matrix(boundary or {}, self, self, "boundary")
         self.annotations = dict(annotations or {})
 
     # -- generators and chains ---------------------------------------------
@@ -274,25 +330,12 @@ class FilteredComplex:
             chain.floor,
         )
 
-    def entry_triples(self):
-        """Flat iterator of (src, dst, label, coeff) over all boundary terms."""
-        for src in sorted(self.boundary_entries):
-            for dst in sorted(self.boundary_entries[src]):
-                scalar = self.boundary_entries[src][dst]
-                for label, coeff in scalar.terms.items():
-                    yield src, dst, label, coeff
-
     def max_entry_slack(self) -> Fraction:
         """Largest action drop base(src) - (base(dst) - omega(label)) over entries."""
         best = Fraction(0)
-        for src, dst, label, _ in self.entry_triples():
-            drop = (
-                self.base_action(src)
-                - self.base_action(dst)
-                + self.gamma.omega(label)
-            )
-            if drop > best:
-                best = drop
+        for _, _, _, shift, _ in entry_shifts(self.boundary_entries, self, self):
+            if -shift > best:
+                best = -shift
         return best
 
     # -- validation -----------------------------------------------------------
@@ -300,38 +343,31 @@ class FilteredComplex:
     def validate(self, strict_level: bool = False,
                  explicit_generators=None, representatives=None) -> ValidationReport:
         report = ValidationReport()
-        for src, dst, label, coeff in self.entry_triples():
-            da, dd = self.orbits[dst]
+        for src, dst, label, shift, dshift in entry_shifts(self.boundary_entries, self, self):
             sa, sd = self.orbits[src]
-            target_degree = dd - 2 * self.gamma.c1(label)
-            if target_degree != sd - 1:
+            if dshift != -1:
                 report.add(
                     "degree",
                     (src, dst, label),
-                    f"entry {src}->{dst} at {label} maps degree {sd} to {target_degree}",
+                    f"entry {src}->{dst} at {label} maps degree {sd} to {sd + dshift}",
                 )
-            target_action = da - self.gamma.omega(label)
-            if target_action > sa or (strict_level and target_action >= sa):
+            if shift > 0 or (strict_level and shift >= 0):
                 report.add(
                     "level-increase",
                     (src, dst, label),
-                    f"entry {src}->{dst} at {label} raises action {sa} -> {target_action}",
+                    f"entry {src}->{dst} at {label} raises action {sa} -> {sa + shift}",
                 )
         # d(d(x)) = 0 for every base generator; equivariance makes this
         # sufficient for every cap.
-        for src in sorted(self.boundary_entries):
-            acc = {}
-            for mid, s1 in self.boundary_entries[src].items():
-                for dst, s2 in self.boundary_entries.get(mid, {}).items():
-                    acc[dst] = acc.get(dst, NovikovScalar.zero(self.gamma, DOWN)) + s2 * s1
-            for dst, scalar in sorted(acc.items()):
-                if not scalar.is_zero():
-                    label, coeff = next(iter(scalar.terms.items()))
-                    report.add(
-                        "square",
-                        (src, dst, label),
-                        f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}",
-                    )
+        square = compose_matrices(self.boundary_entries, self.boundary_entries)
+        for src, dst, scalar in matrix_entries(square):
+            if not scalar.is_zero():
+                label, coeff = next(iter(scalar.terms.items()))
+                report.add(
+                    "square",
+                    (src, dst, label),
+                    f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}",
+                )
         if explicit_generators:
             for orbit, cap, action, degree in explicit_generators:
                 try:
@@ -440,12 +476,10 @@ def truncate_below(C: FilteredComplex, lam) -> FilteredComplex:
     for fid, (orbit, cap) in sorted(gens.items()):
         image = equivariant_image(C.boundary_entries, {C.generator(orbit, cap): 1}, C)
         # targets outside the window fall below the floor: truncated
-        row = {
+        boundary[fid] = {
             inverse[g.orbit, g.cap]: NovikovScalar.monomial(trivial, DOWN, c, ())
             for g, c in image.items() if (g.orbit, g.cap) in inverse
         }
-        if row:
-            boundary[fid] = row
     out = FilteredComplex(trivial, orbit_rows, boundary, C.floor)
     out.annotations["truncated_from"] = dict(sorted(gens.items()))
     out.annotations["truncation_level"] = lam

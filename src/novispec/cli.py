@@ -28,7 +28,6 @@ from .dual import (
     in_ball,
 )
 from .engine import (
-    action_spectrum,
     check_valuation_bounds,
     image_membership,
     oracle_rho,
@@ -557,16 +556,12 @@ def task_oracle(ws: Workspace) -> TaskLog:
             log.check(False, task="oracle", seed=inst.seed, engine=r.rho,
                       oracle=o, expected=inst.expected_rho)
             continue
-        spec = action_spectrum(
-            inst.complex,
-            (r.rho - 2 if r.rho != NEG_INF else -3, inst.representative.level() + 2),
-        )
         probes = 0
         attempts = 0
         while probes < 10 and attempts < 200:
             attempts += 1
             lam = Fraction(rng.randint(-40, 40), 7) + Fraction(1, 13)
-            if spec.contains(lam):
+            if spectrality_check(lam, inst.complex):
                 continue
             probes += 1
             member = image_membership(inst.complex, inst.representative, lam)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .chains import FilteredComplex, Generator, NovikovChain
-from .engine import _columns, _degree_generators, build_window, default_window_bounds
+from .chains import FilteredComplex, Generator, NovikovChain, matrix_entries
+from .engine import _columns, _degree_generators, build_window
 from .errors import DomainError, StructuralError
 from .gamma import vec_add, vec_scale, vec_sub
 from .quantum import COHOMOLOGY, QuantumClass
@@ -207,20 +207,19 @@ def dual_boundary(mu: DualFunctional) -> DualFunctional:
         raise DomainError("dual boundary of a discontinuous functional is rejected")
     atoms = {}
     rays = []
-    for src in sorted(C.boundary_entries):
-        for dst, scalar in sorted(C.boundary_entries[src].items()):
-            for label, coeff in scalar.terms.items():
-                for gen, value in mu.atoms.items():
-                    if gen.orbit != dst:
-                        continue
-                    g2 = C.generator(src, vec_sub(gen.cap, label))
-                    atoms[g2] = atoms.get(g2, Fraction(0)) + coeff * value
-                for ray in mu.rays:
-                    if ray.orbit != dst:
-                        continue
-                    rays.append(
-                        Ray(src, vec_sub(ray.base, label), ray.direction, coeff * ray.value)
-                    )
+    for src, dst, scalar in matrix_entries(C.boundary_entries):
+        for label, coeff in scalar.terms.items():
+            for gen, value in mu.atoms.items():
+                if gen.orbit != dst:
+                    continue
+                g2 = C.generator(src, vec_sub(gen.cap, label))
+                atoms[g2] = atoms.get(g2, Fraction(0)) + coeff * value
+            for ray in mu.rays:
+                if ray.orbit != dst:
+                    continue
+                rays.append(
+                    Ray(src, vec_sub(ray.base, label), ray.direction, coeff * ray.value)
+                )
     atoms = {g: v for g, v in atoms.items() if v != 0}
     return DualFunctional(C, atoms, rays)
 
@@ -286,15 +285,9 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int,
     """
     if not classify_functional(mu).continuous:
         raise DomainError("the functional is not continuous")
-    if not is_cocycle(mu, degree, window=window):
+    lo, hi = window if window is not None else _default_dual_window(C)
+    if not is_cocycle(mu, degree, window=(lo, hi)):
         raise DomainError("the functional is not closed under the dual boundary")
-    if window is None:
-        probe = C.chain(
-            {C.generator(next(iter(C.orbits))): 1} if C.orbits else {}, None
-        )
-        lo, hi = default_window_bounds(C, probe)
-    else:
-        lo, hi = Fraction(window[0]), Fraction(window[1])
     # the window one degree down has the degree-`degree` generators as its
     # columns, with their boundary images above `lo`
     w = build_window(C, degree - 1, lo, hi)

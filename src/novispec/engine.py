@@ -158,15 +158,29 @@ class SpectralResult:
 
 
 def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
+    actions = [a for a, _ in C.orbits.values()] or [Fraction(0)]
     lam = rep.level()
     if lam == NEG_INF:
-        lam = max((a for a, _ in C.orbits.values()), default=Fraction(0))
-    slack = C.max_entry_slack()
+        lam = max(actions)
     g = C.gamma.period_generator()
-    actions = [a for a, _ in C.orbits.values()]
-    spread = (max(actions) - min(actions)) if actions else Fraction(0)
-    pad = 2 * slack + 3 * g + spread + 1
-    return lam - pad, lam + 2 * slack + 2 * g + spread + 1
+    pad = 2 * C.max_entry_slack() + 3 * g + (max(actions) - min(actions)) + 1
+    return lam - pad, lam + pad - g
+
+
+def _query_window(C: FilteredComplex, rep: NovikovChain, window):
+    """The (lo, hi) query window of the cycle `rep` (`window` if set).
+
+    None for the zero class, which each query answers itself.
+    """
+    if rep.complex is not C:
+        raise StructuralError("representative lives in a different complex")
+    if not C.boundary(rep).is_zero():
+        raise DomainError("representative is not a cycle")
+    if rep.is_zero():
+        return None
+    if window is not None:
+        return Fraction(window[0]), Fraction(window[1])
+    return default_window_bounds(C, rep)
 
 
 def spectral_invariant(
@@ -184,17 +198,12 @@ def spectral_invariant(
     reporting indeterminacy.
     """
     rep = representative
-    if rep.complex is not C:
-        raise StructuralError("representative lives in a different complex")
-    if not C.boundary(rep).is_zero():
-        raise DomainError("representative is not a cycle")
-    if rep.is_zero():
+    bounds = _query_window(C, rep, window)
+    if bounds is None:
         return SpectralResult(
             NEG_INF, rep, [], "zero-class", None, {"reason": "zero representative"}
         )
-    lo, hi = default_window_bounds(C, rep)
-    if window is not None:
-        lo, hi = Fraction(window[0]), Fraction(window[1])
+    lo, hi = bounds
     hard_floor = floor
     if hard_floor is None and rep.floor is not None:
         hard_floor = rep.floor
@@ -272,13 +281,10 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain, *, window=None)
     each candidate column, independently of the reduction path.
     """
     rep = representative
-    if not C.boundary(rep).is_zero():
-        raise DomainError("representative is not a cycle")
-    if rep.is_zero():
+    bounds = _query_window(C, rep, window)
+    if bounds is None:
         return NEG_INF
-    lo, hi = default_window_bounds(C, rep)
-    if window is not None:
-        lo, hi = Fraction(window[0]), Fraction(window[1])
+    lo, hi = bounds
     cols = _degree_generators(C, rep.degree + 1, lo, hi)
     images = [C.boundary(C.chain({g: 1}, None)) for g in cols]
     support = set(rep.terms)
@@ -320,13 +326,10 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
     if spectrality_check(lam, C):
         raise SpectralLevelError(f"{lam} lies on the action spectrum")
     rep = representative
-    if not C.boundary(rep).is_zero():
-        raise DomainError("representative is not a cycle")
-    if rep.is_zero():
+    bounds = _query_window(C, rep, window)
+    if bounds is None:
         return True
-    lo, hi = default_window_bounds(C, rep)
-    if window is not None:
-        lo, hi = Fraction(window[0]), Fraction(window[1])
+    lo, hi = bounds
     w = build_window(C, rep.degree, lo, max(hi, lam))
     v, _ = _chain_vector(w, rep)
     x, _ = linalg.Reduction(_columns(w)).solve(v, _prefix(w, lam))

@@ -18,7 +18,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import FilteredComplex, NovikovChain, equivariant_image
+from .chains import (
+    FilteredComplex,
+    NovikovChain,
+    compose_matrices,
+    entry_shifts,
+    equivariant_image,
+)
 from .errors import FixtureError
 from .gamma import GammaGroup, vec_add
 from .morse import MorseData, build_small_complex
@@ -49,10 +55,6 @@ class ManifoldFixture:
 
     def build(self, eps) -> FilteredComplex:
         return build_small_complex(self.morse, eps, self.gamma)
-
-
-def _mono(gamma, coeff, label=None):
-    return NovikovScalar.monomial(gamma, DOWN, coeff, label or gamma.zero)
 
 
 def sphere() -> ManifoldFixture:
@@ -268,8 +270,7 @@ def transported_product(fix: ManifoldFixture, eps) -> tuple:
                 prev = row.get(target)
                 term = NovikovScalar.monomial(fix.gamma, DOWN, coeff, label)
                 row[target] = term if prev is None else prev + term
-            if row:
-                table[(point_of[i], point_of[j])] = row
+            table[(point_of[i], point_of[j])] = row
     P = ProductMapData(C1, C1, C3, fix.morse.dim // 2, table)
     return C1, C3, P, class_of
 
@@ -435,11 +436,8 @@ def random_continuity_pair(seed: int, constant_shift: bool = False) -> Continuit
         rep = C.chain({C.generator(sorted(C.orbits)[0]): 1}, None)
         if not C.boundary(rep).is_zero():
             rep = C.chain({}, None)
-    slacks = [
-        C.base_action(src) - C.base_action(dst) + C.gamma.omega(label)
-        for src, dst, label, _ in C.entry_triples()
-    ]
-    min_slack = min(slacks) if slacks else Fraction(1)
+    shifts = entry_shifts(C.boundary_entries, C, C)
+    min_slack = min((-shift for _, _, _, shift, _ in shifts), default=Fraction(1))
     unit = min(Fraction(min_slack) / 4, Fraction(1, 4))
     if constant_shift:
         s = unit * rng.randint(-3, 3)
@@ -620,25 +618,14 @@ def _dress(rng, C: FilteredComplex, rep: NovikovChain, gamma_window):
             coeff = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
             N.setdefault(src, {})[dst] = NovikovScalar.monomial(gamma, DOWN, coeff, cap)
 
-    def apply_P(chain, inverse=False):
-        image = C.chain(equivariant_image(N, chain.terms, C), chain.floor)
-        return chain - image if inverse else chain + image
-
-    # conjugated boundary: P d P^{-1} applied to base generators
-    boundary = {}
-    for src in sorted(C.orbits):
-        base = C.chain({C.generator(src): 1}, None)
-        image = apply_P(C.boundary(apply_P(base, inverse=True)))
-        row = {}
-        for g, c in image.terms.items():
-            prev = row.get(g.orbit)
-            term = NovikovScalar.monomial(gamma, DOWN, c, g.cap)
-            row[g.orbit] = term if prev is None else prev + term
-        if row:
-            boundary[src] = row
+    one = NovikovScalar.one(gamma, DOWN)
+    P = {o: {o: one, **N.get(o, {})} for o in C.orbits}
+    P_inv = {o: {o: one, **{d: -s for d, s in N.get(o, {}).items()}} for o in C.orbits}
+    boundary = compose_matrices(P, compose_matrices(C.boundary_entries, P_inv))
     dressed = FilteredComplex(gamma, [(o,) + C.orbits[o] for o in sorted(C.orbits)], boundary)
     new_rep = dressed.chain(
-        {dressed.generator(g.orbit, g.cap): c for g, c in apply_P(rep).terms.items()},
+        {dressed.generator(g.orbit, g.cap): c
+         for g, c in equivariant_image(P, rep.terms, C).items()},
         rep.floor,
     )
     return dressed, new_rep

@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .chains import FilteredComplex, NovikovChain
+from .chains import FilteredComplex, NovikovChain, matrix_entries
 from .dual import DualFunctional, Ray
 from .errors import InputError
 from .fixtures import ManifoldFixture
@@ -78,6 +78,23 @@ def scalar_from_json(obj, gamma, direction, floor=None) -> NovikovScalar:
     return NovikovScalar(gamma, direction, terms, floor)
 
 
+def _matrix_to_json(matrix) -> list:
+    """An orbit-pair scalar matrix as sorted {"from", "to", "scalar"} rows."""
+    return [
+        {"from": src, "to": dst, "scalar": scalar_to_json(scalar)}
+        for src, dst, scalar in matrix_entries(matrix)
+    ]
+
+
+def _matrix_from_json(rows, gamma) -> dict:
+    matrix = {}
+    for row in rows:
+        matrix.setdefault(row["from"], {})[row["to"]] = scalar_from_json(
+            row["scalar"], gamma, DOWN
+        )
+    return matrix
+
+
 # ---------------------------------------------------------------------------
 # complexes and chains
 
@@ -89,11 +106,7 @@ def complex_to_json(C: FilteredComplex) -> dict:
             {"id": o, "action": frac_str(a), "degree": d}
             for o, (a, d) in sorted(C.orbits.items())
         ],
-        "boundary": [
-            {"from": src, "to": dst, "scalar": scalar_to_json(C.boundary_entries[src][dst])}
-            for src in sorted(C.boundary_entries)
-            for dst in sorted(C.boundary_entries[src])
-        ],
+        "boundary": _matrix_to_json(C.boundary_entries),
         "floor": None if C.floor is None else frac_str(C.floor),
     }
 
@@ -105,10 +118,7 @@ def complex_from_json(obj) -> FilteredComplex:
         for row in obj["orbits"]
     ]
     floor = None if obj.get("floor") is None else parse_frac(obj["floor"])
-    boundary = {}
-    for row in obj.get("boundary", []):
-        scalar = scalar_from_json(row["scalar"], gamma, DOWN)
-        boundary.setdefault(row["from"], {})[row["to"]] = scalar
+    boundary = _matrix_from_json(obj.get("boundary", []), gamma)
     return FilteredComplex(gamma, orbits, boundary, floor)
 
 
@@ -138,8 +148,7 @@ def morse_to_json(m: MorseData) -> dict:
         ],
         "boundary": [
             {"from": src, "to": dst, "coeff": coeff}
-            for src in sorted(m.boundary)
-            for dst, coeff in sorted(m.boundary[src].items())
+            for src, dst, coeff in matrix_entries(m.boundary)
         ],
         "betti": m.betti,
     }
@@ -283,11 +292,7 @@ def chain_map_to_json(name_src, name_dst, m: ChainMap) -> dict:
         "source": name_src,
         "target": name_dst,
         "bound": frac_str(m.shift_bound),
-        "matrix": [
-            {"from": src, "to": dst, "scalar": scalar_to_json(m.matrix[src][dst])}
-            for src in sorted(m.matrix)
-            for dst in sorted(m.matrix[src])
-        ],
+        "matrix": _matrix_to_json(m.matrix),
     }
 
 
@@ -297,12 +302,8 @@ def chain_map_from_json(obj, complexes) -> ChainMap:
         dst = complexes[obj["target"]]
     except KeyError as exc:
         raise InputError(f"chain map references unknown complex {exc}") from exc
-    matrix = {}
-    for row in obj["matrix"]:
-        matrix.setdefault(row["from"], {})[row["to"]] = scalar_from_json(
-            row["scalar"], src.gamma, DOWN
-        )
-    return ChainMap(src, dst, matrix, parse_frac(obj["bound"]))
+    return ChainMap(src, dst, _matrix_from_json(obj["matrix"], src.gamma),
+                    parse_frac(obj["bound"]))
 
 
 def product_map_to_json(names: tuple, P) -> dict:
@@ -314,8 +315,7 @@ def product_map_to_json(names: tuple, P) -> dict:
         "degree_shift": P.degree_shift,
         "table": [
             {"a": a, "b": b, "to": o3, "scalar": scalar_to_json(scalar)}
-            for (a, b) in sorted(P.table)
-            for o3, scalar in sorted(P.table[(a, b)].items())
+            for (a, b), o3, scalar in matrix_entries(P.table)
         ],
         "ledger": [
             {"a": a, "b": b, "to": c, "slack": frac_str(v)}

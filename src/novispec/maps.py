@@ -14,10 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import FilteredComplex, NovikovChain, ValidationReport, equivariant_image
+from .chains import (
+    FilteredComplex,
+    NovikovChain,
+    ValidationReport,
+    compose_matrices,
+    entry_shifts,
+    equivariant_image,
+    matrix_entries,
+    orbit_matrix,
+)
 from .engine import spectral_invariant
 from .errors import StructuralError
-from .gamma import vec_add, vec_neg, vec_sub
+from .gamma import vec_add, vec_neg
 from .scalars import DOWN, NEG_INF, NovikovScalar
 
 
@@ -168,17 +177,7 @@ class ChainMap:
         self.source = source
         self.target = target
         self.shift_bound = Fraction(shift_bound)
-        self.matrix = {}
-        for src, row in matrix.items():
-            if src not in source.orbits:
-                raise StructuralError(f"unknown source orbit {src!r}")
-            for dst, scalar in row.items():
-                if dst not in target.orbits:
-                    raise StructuralError(f"unknown target orbit {dst!r}")
-                if scalar.direction != DOWN or scalar.group != source.gamma:
-                    raise StructuralError("map entries must be downward scalars over the shared group")
-                if not scalar.is_zero():
-                    self.matrix.setdefault(src, {})[dst] = scalar
+        self.matrix = orbit_matrix(matrix, source, target, "map")
 
     def apply(self, chain: NovikovChain) -> NovikovChain:
         if chain.complex is not self.source:
@@ -186,26 +185,15 @@ class ChainMap:
         image = equivariant_image(self.matrix, chain.terms, self.target)
         return self.target.chain(image, chain.floor)
 
-    def entry_triples(self):
-        for src in sorted(self.matrix):
-            for dst in sorted(self.matrix[src]):
-                for label, coeff in self.matrix[src][dst].terms.items():
-                    yield src, dst, label, coeff
-
     def certify(self) -> ValidationReport:
         """Chain identity, degree zero, and the entry-wise shift bound."""
         report = ValidationReport()
-        for src, dst, label, _ in self.entry_triples():
-            sdeg = self.source.base_degree(src)
-            tdeg = self.target.base_degree(dst) - 2 * self.source.gamma.c1(label)
-            if tdeg != sdeg:
-                report.add("degree", (src, dst, label),
-                           f"entry {src}->{dst} at {label} shifts degree {sdeg} -> {tdeg}")
-            shift = (
-                self.target.base_action(dst)
-                - self.source.gamma.omega(label)
-                - self.source.base_action(src)
-            )
+        shifts = entry_shifts(self.matrix, self.source, self.target)
+        for src, dst, label, shift, dshift in shifts:
+            if dshift != 0:
+                sdeg = self.source.base_degree(src)
+                report.add("degree", (src, dst, label), f"entry {src}->{dst} at {label} "
+                           f"shifts degree {sdeg} -> {sdeg + dshift}")
             if shift > self.shift_bound:
                 report.add(
                     "shift-bound",
@@ -227,29 +215,16 @@ class ChainMap:
 
     def worst_slack(self):
         """Smallest margin bound - actual shift over entries (None if empty)."""
-        slacks = []
-        for src, dst, label, _ in self.entry_triples():
-            shift = (
-                self.target.base_action(dst)
-                - self.source.gamma.omega(label)
-                - self.source.base_action(src)
-            )
-            slacks.append(self.shift_bound - shift)
-        return min(slacks) if slacks else None
+        shifts = entry_shifts(self.matrix, self.source, self.target)
+        return min((self.shift_bound - shift for _, _, _, shift, _ in shifts), default=None)
 
     def compose(self, inner: "ChainMap") -> "ChainMap":
         """self after inner, with the additive certificate."""
         if inner.target is not self.source:
             raise StructuralError("maps are not composable")
-        matrix = {}
-        for src, row in inner.matrix.items():
-            for mid, s1 in row.items():
-                for dst, s2 in self.matrix.get(mid, {}).items():
-                    prev = matrix.setdefault(src, {}).get(dst)
-                    acc = s2 * s1 if prev is None else prev + s2 * s1
-                    matrix[src][dst] = acc
         return ChainMap(
-            inner.source, self.target, matrix, inner.shift_bound + self.shift_bound
+            inner.source, self.target, compose_matrices(self.matrix, inner.matrix),
+            inner.shift_bound + self.shift_bound,
         )
 
 
@@ -342,29 +317,28 @@ class ProductMapData:
 
     def validate(self) -> ValidationReport:
         report = ValidationReport()
-        for (o1, o2), row in sorted(self.table.items()):
+        for (o1, o2), o3, scalar in matrix_entries(self.table):
             d1 = self.source1.base_degree(o1)
             d2 = self.source2.base_degree(o2)
             a1 = self.source1.base_action(o1)
             a2 = self.source2.base_action(o2)
-            for o3, scalar in sorted(row.items()):
-                for label, _ in scalar.terms.items():
-                    d3 = self.target.base_degree(o3) - 2 * self.target.gamma.c1(label)
-                    if d3 != d1 + d2 - self.degree_shift:
-                        report.add(
-                            "degree",
-                            (o1, o2, o3, label),
-                            f"triple ({o1},{o2})->{o3} at {label}: degree {d3} != "
-                            f"{d1} + {d2} - {self.degree_shift}",
-                        )
-                    a3 = self.target.base_action(o3) - self.target.gamma.omega(label)
-                    if a3 > a1 + a2 + self.slack(o1, o2, o3):
-                        report.add(
-                            "ledger",
-                            (o1, o2, o3, label),
-                            f"triple ({o1},{o2})->{o3} at {label}: level {a3} exceeds "
-                            f"{a1} + {a2} + {self.slack(o1, o2, o3)}",
-                        )
+            for label in scalar.terms:
+                d3 = self.target.base_degree(o3) - 2 * self.target.gamma.c1(label)
+                if d3 != d1 + d2 - self.degree_shift:
+                    report.add(
+                        "degree",
+                        (o1, o2, o3, label),
+                        f"triple ({o1},{o2})->{o3} at {label}: degree {d3} != "
+                        f"{d1} + {d2} - {self.degree_shift}",
+                    )
+                a3 = self.target.base_action(o3) - self.target.gamma.omega(label)
+                if a3 > a1 + a2 + self.slack(o1, o2, o3):
+                    report.add(
+                        "ledger",
+                        (o1, o2, o3, label),
+                        f"triple ({o1},{o2})->{o3} at {label}: level {a3} exceeds "
+                        f"{a1} + {a2} + {self.slack(o1, o2, o3)}",
+                    )
         return report
 
     def max_slack(self):
@@ -469,36 +443,23 @@ def monodromy_shift(C: FilteredComplex, s: MonodromyShift,
         raise StructuralError("orbit map is not a bijection")
     gamma = C.gamma
     i_omega = Fraction(s.i_omega)
-    orbits = []
-    for o in sorted(C.orbits):
-        kappa = gamma.check_element(s.cap_shift.get(o, gamma.zero))
-        base, deg = C.orbits[o]
-        orbits.append(
-            (
-                s.orbit_map[o],
-                base + i_omega + gamma.omega(kappa),
-                deg + s.degree_shift + 2 * gamma.c1(kappa),
-            )
-        )
-    boundary = {}
-    for src, row in C.boundary_entries.items():
-        ksrc = gamma.check_element(s.cap_shift.get(src, gamma.zero))
-        for dst, scalar in row.items():
-            kdst = gamma.check_element(s.cap_shift.get(dst, gamma.zero))
-            boundary.setdefault(s.orbit_map[src], {})[s.orbit_map[dst]] = scalar.shift(
-                vec_sub(kdst, ksrc)
-            )
+    kappa = {o: gamma.check_element(s.cap_shift.get(o, gamma.zero)) for o in C.orbits}
+    orbits = [
+        (s.orbit_map[o], base + i_omega + gamma.omega(kappa[o]),
+         deg + s.degree_shift + 2 * gamma.c1(kappa[o]))
+        for o, (base, deg) in sorted(C.orbits.items())
+    ]
+    # S sends orbit o to its image glued with kappa[o]; the boundary is conjugated
+    S = {o: {s.orbit_map[o]: NovikovScalar.monomial(gamma, DOWN, 1, kappa[o])}
+         for o in C.orbits}
+    S_inv = {s.orbit_map[o]: {o: NovikovScalar.monomial(gamma, DOWN, 1, vec_neg(kappa[o]))}
+             for o in C.orbits}
+    boundary = compose_matrices(S, compose_matrices(C.boundary_entries, S_inv))
     shifted = FilteredComplex(gamma, orbits, boundary, C.floor)
 
     def transport(chain: NovikovChain) -> NovikovChain:
         return shifted.chain(
-            {
-                shifted.generator(
-                    s.orbit_map[g.orbit],
-                    vec_add(g.cap, gamma.check_element(s.cap_shift.get(g.orbit, gamma.zero))),
-                ): c
-                for g, c in chain.terms.items()
-            },
+            equivariant_image(S, chain.terms, shifted),
             None if chain.floor is None else chain.floor + i_omega,
         )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chains import FilteredComplex
+from .chains import FilteredComplex, compose_matrices
 from .errors import StructuralError
 from .gamma import GammaGroup
 from .scalars import DOWN, NovikovScalar
@@ -64,12 +64,8 @@ class MorseData:
             self._check_morse_inequalities()
 
     def _check_square_zero(self):
-        for src in self.boundary:
-            acc = {}
-            for mid, c1 in self.boundary[src].items():
-                for dst, c2 in self.boundary.get(mid, {}).items():
-                    acc[dst] = acc.get(dst, 0) + c1 * c2
-            bad = {d: c for d, c in acc.items() if c != 0}
+        for src, row in compose_matrices(self.boundary, self.boundary).items():
+            bad = {d: c for d, c in row.items() if c != 0}
             if bad:
                 raise StructuralError(f"Morse boundary does not square to zero at {src!r}: {bad}")
 

@@ -10,8 +10,10 @@ from novispec import (
     DomainError,
     GammaGroup,
     IndeterminateError,
+    UP,
     NovikovScalar,
     SpectralLevelError,
+    StructuralError,
 )
 from novispec.fixtures import random_instance, sphere
 
@@ -173,6 +175,36 @@ def test_strict_mode_flags_zero_drop():
     )
     assert C.validate().ok
     assert "level-increase" in C.validate(strict_level=True).codes()
+
+
+ORBITS = [("a", F(1), 1), ("b", F(0), 0)]
+
+# the two owners of an orbit-pair matrix, each returning its validated copy
+MATRIX_OWNERS = {
+    "complex": lambda m: nv.FilteredComplex(G1, ORBITS, m).boundary_entries,
+    "chain-map": lambda m: nv.ChainMap(
+        nv.FilteredComplex(G1, ORBITS, {}), nv.FilteredComplex(G1, ORBITS, {}), m, 0
+    ).matrix,
+}
+
+
+@pytest.mark.parametrize("owner", sorted(MATRIX_OWNERS))
+@pytest.mark.parametrize("matrix", [
+    {"x": {"b": mono(1)}},
+    {"a": {"x": mono(1)}},
+    {"a": {"b": NovikovScalar.monomial(G1, UP, 1, (0,))}},
+    {"a": {"b": mono(1, g=GammaGroup((F(2),), (2,)))}},
+], ids=["unknown-source", "unknown-target", "upward", "other-group"])
+def test_orbit_matrix_rejects_bad_entries(owner, matrix):
+    with pytest.raises(StructuralError):
+        MATRIX_OWNERS[owner](matrix)
+
+
+@pytest.mark.parametrize("owner", sorted(MATRIX_OWNERS))
+def test_orbit_matrix_drops_zero_entries(owner):
+    zero = NovikovScalar.zero(G1, DOWN)
+    matrix = {"a": {"a": zero, "b": mono(2)}, "b": {"b": zero}}
+    assert MATRIX_OWNERS[owner](matrix) == {"a": {"b": mono(2)}}
 
 
 def test_truncation_examples():

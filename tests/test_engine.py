@@ -230,6 +230,7 @@ def test_truncation_image_membership_both_directions():
         spec = nv.action_spectrum(inst.complex, (-10, 10))
         for _ in range(6):
             lam = F(rng.randint(-30, 30), 7) + F(1, 13)
+            assert spec.contains(lam) == nv.spectrality_check(lam, inst.complex)
             if spec.contains(lam):
                 continue
             member = nv.image_membership(inst.complex, inst.representative, lam)

@@ -31,7 +31,8 @@ from .errors import (
     StructuralError,
 )
 from .gamma import GammaElement, GammaGroup, vec_add
-from .scalars import DOWN, NEG_INF, NovikovScalar
+from .linalg import add_terms
+from .scalars import DOWN, NEG_INF, NovikovScalar, merge_floor
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,10 @@ class Generator:
 class NovikovChain:
     """Finite homogeneous combination of generators.
 
-    A finite floor truncates: terms at or below it are dropped on
-    construction (scalars, by contrast, reject such input).
+    `terms` is a {generator: coeff} dict or a list of (generator, coeff)
+    pairs; repeated generators sum.  The summed terms must share one
+    degree.  A finite floor then truncates: terms at or below it are
+    dropped (scalars, by contrast, reject such input).
     """
 
     __slots__ = ("complex", "terms", "floor", "degree")
@@ -56,24 +59,18 @@ class NovikovChain:
     def __init__(self, complex: "FilteredComplex", terms=None, floor=None):
         self.complex = complex
         self.floor = None if floor is None else Fraction(floor)
-        clean = {}
-        degree = None
         items = terms.items() if isinstance(terms, dict) else (terms or [])
-        for gen, coeff in items:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
+        clean = add_terms({}, ((gen, Fraction(coeff)) for gen, coeff in items))
+        degree = None
+        for gen in clean:
             if degree is None:
                 degree = gen.degree
             elif gen.degree != degree:
                 raise StructuralError(
                     f"mixed degrees {degree} and {gen.degree} in one chain"
                 )
-            if self.floor is not None and gen.action <= self.floor:
-                continue
-            clean[gen] = clean.get(gen, Fraction(0)) + coeff
-            if clean[gen] == 0:
-                del clean[gen]
+        if self.floor is not None:
+            clean = {g: c for g, c in clean.items() if g.action > self.floor}
         self.terms = dict(
             sorted(clean.items(), key=lambda kv: (-kv[0].action, kv[0].orbit, kv[0].cap))
         )
@@ -99,17 +96,8 @@ class NovikovChain:
     def __add__(self, other: "NovikovChain") -> "NovikovChain":
         if self.complex is not other.complex:
             raise StructuralError("chains live in different complexes")
-        floor = self.floor
-        if other.floor is not None:
-            floor = other.floor if floor is None else max(floor, other.floor)
-        merged = dict(self.terms)
-        for g, c in other.terms.items():
-            acc = merged.get(g, Fraction(0)) + c
-            if acc == 0:
-                merged.pop(g, None)
-            else:
-                merged[g] = acc
-        return NovikovChain(self.complex, merged, floor)
+        return NovikovChain(self.complex, [*self.terms.items(), *other.terms.items()],
+                            merge_floor(self.floor, other.floor))
 
     def __neg__(self):
         return self.scale(-1)
@@ -119,8 +107,6 @@ class NovikovChain:
 
     def scale(self, rational) -> "NovikovChain":
         r = Fraction(rational)
-        if r == 0:
-            return NovikovChain(self.complex, {}, self.floor)
         return NovikovChain(
             self.complex, {g: r * c for g, c in self.terms.items()}, self.floor
         )
@@ -149,18 +135,12 @@ def equivariant_image(matrix, terms, target: "FilteredComplex") -> dict:
     Scalar terms glue their caps onto the source caps; the image is a plain
     {`target` generator: coeff} dict with cancelled terms dropped.
     """
-    out = {}
-    for gen, coeff in terms.items():
-        for dst, scalar in matrix.get(gen.orbit, {}).items():
-            for label, c in scalar.terms.items():
-                g2 = target.generator(dst, vec_add(gen.cap, label))
-                acc = out.get(g2)
-                acc = coeff * c if acc is None else acc + coeff * c
-                if acc:
-                    out[g2] = acc
-                else:
-                    out.pop(g2, None)
-    return out
+    return add_terms({}, (
+        (target.generator(dst, vec_add(gen.cap, label)), coeff * c)
+        for gen, coeff in terms.items()
+        for dst, scalar in matrix.get(gen.orbit, {}).items()
+        for label, c in scalar.terms.items()
+    ))
 
 
 def orbit_matrix(matrix, source: "FilteredComplex", target: "FilteredComplex",

@@ -53,9 +53,12 @@ from .scalars import DOWN, UP, NEG_INF
 COMMANDS = ("spectra", "axioms", "appendix", "oracle", "all")
 
 # the JSON type of each typed manifest field, when present
-_FIELD_TYPES = {"seed": int, "oracle_cap": int, "out": (str, type(None))}
+_FIELD_TYPES = {"out": (str, type(None))}
 _FIELD_TYPES.update(dict.fromkeys(("builtin", "manifolds", "complexes", "chain_maps",
                                    "products", "shifts", "functionals"), list))
+
+# what parsing a malformed fixture raises (AttributeError: a list for an object)
+_PARSE_ERRORS = (NovispecError, AttributeError, KeyError, TypeError, ValueError)
 
 
 @dataclass
@@ -96,8 +99,8 @@ def load_and_validate(manifest_path) -> Workspace:
         raise InputError(f"unknown mode {ws.mode!r}")
     if obj.get("floor") is not None:
         ws.floor = jsonio.parse_frac(obj["floor"])
-    ws.seed = int(obj.get("seed", 17))
-    ws.oracle_cap = int(obj.get("oracle_cap", 100))
+    ws.seed = jsonio.parse_int(obj.get("seed", 17))
+    ws.oracle_cap = jsonio.parse_int(obj.get("oracle_cap", 100))
     ws.eps = jsonio.parse_frac(obj.get("eps", "1/8"))
     ws.out = obj.get("out")
     errors = []
@@ -125,7 +128,7 @@ def load_and_validate(manifest_path) -> Workspace:
             fix = jsonio.manifold_from_json(raw)
             ws.manifolds[fix.name] = fix
             ws.fixture_hashes[str(rel)] = jsonio.file_hash(fpath)
-        except (NovispecError, KeyError, TypeError, ValueError) as exc:
+        except _PARSE_ERRORS as exc:
             fail("manifold-parse", rel, str(exc))
     for entry in path_entries("complexes", "complex-parse"):
         rel, cname = entry["path"], entry.get("name")
@@ -149,7 +152,7 @@ def load_and_validate(manifest_path) -> Workspace:
             for rname, terms in raw.get("representatives", {}).items():
                 reps[rname] = jsonio.chain_from_json(terms, C, ws.floor)
             ws.representatives[cname] = reps
-        except (NovispecError, KeyError, TypeError, ValueError) as exc:
+        except _PARSE_ERRORS as exc:
             fail("complex-parse", rel, str(exc))
     for entry in obj.get("chain_maps", []):
         try:
@@ -162,7 +165,7 @@ def load_and_validate(manifest_path) -> Workspace:
                 continue
             ws.chain_maps[Path(entry).stem] = m
             ws.fixture_hashes[str(entry)] = jsonio.file_hash(fpath)
-        except (NovispecError, KeyError, TypeError, ValueError) as exc:
+        except _PARSE_ERRORS as exc:
             fail("chain-map-parse", entry, str(exc))
     for entry in obj.get("products", []):
         try:
@@ -175,16 +178,19 @@ def load_and_validate(manifest_path) -> Workspace:
                 continue
             ws.products[Path(entry).stem] = P
             ws.fixture_hashes[str(entry)] = jsonio.file_hash(fpath)
-        except (NovispecError, KeyError, TypeError, ValueError) as exc:
+        except _PARSE_ERRORS as exc:
             fail("product-parse", entry, str(exc))
     for entry in path_entries("shifts", "shift-parse"):
         fpath = base / entry["path"]
         try:
             raw = jsonio.load_json(fpath)
+            cname = entry["complex"]
+            if cname not in ws.complexes:
+                raise InputError(f"shift references unknown complex {cname!r}")
             s = jsonio.monodromy_from_json(raw)
-            ws.shifts[Path(entry["path"]).stem] = (entry["complex"], s)
+            ws.shifts[Path(entry["path"]).stem] = (cname, s)
             ws.fixture_hashes[entry["path"]] = jsonio.file_hash(fpath)
-        except (NovispecError, KeyError, TypeError, ValueError) as exc:
+        except _PARSE_ERRORS as exc:
             fail("shift-parse", entry["path"], str(exc))
     for entry in path_entries("functionals", "functional-parse"):
         fpath = base / entry["path"]
@@ -196,7 +202,7 @@ def load_and_validate(manifest_path) -> Workspace:
             mu = jsonio.functional_from_json(raw, ws.complexes[cname])
             ws.functionals[Path(entry["path"]).stem] = (cname, mu)
             ws.fixture_hashes[entry["path"]] = jsonio.file_hash(fpath)
-        except (NovispecError, KeyError, TypeError, ValueError) as exc:
+        except _PARSE_ERRORS as exc:
             fail("functional-parse", entry["path"], str(exc))
     for fix in ws.manifolds.values():
         try:

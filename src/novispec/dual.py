@@ -23,9 +23,10 @@ from fractions import Fraction
 
 from . import linalg
 from .chains import FilteredComplex, Generator, NovikovChain, matrix_entries
-from .engine import _columns, _degree_generators, build_window
+from .engine import _columns, _degree_generators, _window_pad, build_window
 from .errors import DomainError, StructuralError
 from .gamma import vec_add, vec_scale, vec_sub
+from .linalg import add_terms
 from .quantum import COHOMOLOGY, QuantumClass
 from .scalars import NEG_INF
 
@@ -58,22 +59,6 @@ def ball_intersection_radius(b1: BallSpec, b2: BallSpec, alpha: NovikovChain):
     if not (d1 < b1.radius and d2 < b2.radius):
         raise DomainError("the base point is not in the intersection")
     return min(b1.radius, b2.radius)
-
-
-def ball_image_contained(C: FilteredComplex, alpha: NovikovChain, R,
-                         samples) -> bool:
-    """Boundary image containment: d(U(alpha, R)) inside U(d(alpha), R).
-
-    Checked literally on supplied sample chains from the ball.
-    """
-    R = Fraction(R)
-    target = BallSpec(C.boundary(alpha), R)
-    for beta in samples:
-        if not in_ball(beta, BallSpec(alpha, R)):
-            raise DomainError("sample outside the source ball")
-        if not in_ball(C.boundary(beta), target):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +102,8 @@ class DualFunctional:
 
     def __init__(self, C: FilteredComplex, atoms=None, rays=None, threshold=None):
         self.complex = C
-        self.atoms = {}
-        for gen, value in (atoms or {}).items() if isinstance(atoms, dict) else (atoms or []):
-            value = Fraction(value)
-            if value == 0:
-                continue
-            self.atoms[gen] = self.atoms.get(gen, Fraction(0)) + value
-            if self.atoms[gen] == 0:
-                del self.atoms[gen]
+        items = atoms.items() if isinstance(atoms, dict) else (atoms or [])
+        self.atoms = add_terms({}, ((gen, Fraction(value)) for gen, value in items))
         self.rays = []
         for ray in rays or []:
             if ray.orbit not in C.orbits:
@@ -205,22 +184,18 @@ def dual_boundary(mu: DualFunctional) -> DualFunctional:
     cls = classify_functional(mu)
     if not cls.continuous:
         raise DomainError("dual boundary of a discontinuous functional is rejected")
-    atoms = {}
+    atoms = []  # DualFunctional sums repeated generators
     rays = []
     for src, dst, scalar in matrix_entries(C.boundary_entries):
         for label, coeff in scalar.terms.items():
-            for gen, value in mu.atoms.items():
-                if gen.orbit != dst:
-                    continue
-                g2 = C.generator(src, vec_sub(gen.cap, label))
-                atoms[g2] = atoms.get(g2, Fraction(0)) + coeff * value
+            atoms += [(C.generator(src, vec_sub(gen.cap, label)), coeff * value)
+                      for gen, value in mu.atoms.items() if gen.orbit == dst]
             for ray in mu.rays:
                 if ray.orbit != dst:
                     continue
                 rays.append(
                     Ray(src, vec_sub(ray.base, label), ray.direction, coeff * ray.value)
                 )
-    atoms = {g: v for g, v in atoms.items() if v != 0}
     return DualFunctional(C, atoms, rays)
 
 
@@ -236,10 +211,8 @@ def is_cocycle(mu: DualFunctional, degree: int, window=None) -> bool:
 
 
 def _default_dual_window(C: FilteredComplex):
-    actions = [a for a, _ in C.orbits.values()] or [Fraction(0)]
-    g = C.gamma.period_generator()
-    pad = 2 * C.max_entry_slack() + 3 * g + (max(actions) - min(actions)) + 1
-    return min(actions) - pad, max(actions) + pad
+    lo, hi, pad = _window_pad(C)
+    return lo - pad, hi + pad
 
 
 # ---------------------------------------------------------------------------

@@ -157,14 +157,20 @@ class SpectralResult:
         return self.rho != NEG_INF
 
 
-def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
+def _window_pad(C: FilteredComplex):
+    """(lowest base action, highest base action, pad) of the default windows."""
     actions = [a for a, _ in C.orbits.values()] or [Fraction(0)]
+    lo, hi = min(actions), max(actions)
+    pad = 2 * C.max_entry_slack() + 3 * C.gamma.period_generator() + (hi - lo) + 1
+    return lo, hi, pad
+
+
+def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
+    _, top, pad = _window_pad(C)
     lam = rep.level()
     if lam == NEG_INF:
-        lam = max(actions)
-    g = C.gamma.period_generator()
-    pad = 2 * C.max_entry_slack() + 3 * g + (max(actions) - min(actions)) + 1
-    return lam - pad, lam + pad - g
+        lam = top
+    return lam - pad, lam + pad - C.gamma.period_generator()
 
 
 def _query_window(C: FilteredComplex, rep: NovikovChain, window):
@@ -408,17 +414,12 @@ def realize_flat(b: QuantumClass, C: FilteredComplex, pd_chains: dict) -> Noviko
     """
     if b.direction != HOMOLOGY:
         raise StructuralError("realize_flat takes a homology class")
-    terms = {}
+    terms = []
     for (name, label), coeff in b.terms.items():
         if name not in pd_chains:
             raise StructuralError(f"no chain representative for class {name!r}")
-        for pc, point in pd_chains[name]:
-            g = C.generator(point, label)
-            acc = terms.get(g, Fraction(0)) + coeff * Fraction(pc)
-            if acc == 0:
-                terms.pop(g, None)
-            else:
-                terms[g] = acc
+        terms += [(C.generator(point, label), coeff * Fraction(pc))
+                  for pc, point in pd_chains[name]]
     return C.chain(terms)
 
 

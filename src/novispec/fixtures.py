@@ -27,6 +27,7 @@ from .chains import (
 )
 from .errors import FixtureError
 from .gamma import GammaGroup, vec_add
+from .linalg import add_terms
 from .morse import MorseData, build_small_complex
 from .quantum import (
     COHOMOLOGY,
@@ -266,11 +267,11 @@ def transported_product(fix: ManifoldFixture, eps) -> tuple:
             prod = fix.product.lookup(i, j)
             row = {}
             for (name, label), coeff in prod.terms.items():
-                target = point_of[name]
-                prev = row.get(target)
-                term = NovikovScalar.monomial(fix.gamma, DOWN, coeff, label)
-                row[target] = term if prev is None else prev + term
-            table[(point_of[i], point_of[j])] = row
+                row.setdefault(point_of[name], []).append((label, coeff))
+            table[(point_of[i], point_of[j])] = {
+                o: NovikovScalar(fix.gamma, DOWN, add_terms({}, pairs))
+                for o, pairs in row.items()
+            }
     P = ProductMapData(C1, C1, C3, fix.morse.dim // 2, table)
     return C1, C3, P, class_of
 
@@ -358,7 +359,7 @@ def random_instance(seed: int, max_orbits: int = 6, gamma_window: int = 3) -> Ra
         pairs.append((x, y, cap, coeff))
     C = FilteredComplex(gamma, orbits, boundary)
 
-    rep_terms = {}
+    rep_terms = []
     expected = NEG_INF
     for name in singles:
         if rng.random() < 0.7:
@@ -367,7 +368,7 @@ def random_instance(seed: int, max_orbits: int = 6, gamma_window: int = 3) -> Ra
             g = C.generator(name, cap)
             if g.degree != degree:
                 continue
-            rep_terms[g] = rep_terms.get(g, Fraction(0)) + c
+            rep_terms.append((g, c))
             expected = max(expected, g.action)
     for x, y, cap, coeff in pairs:
         if rng.random() < 0.6:
@@ -375,8 +376,7 @@ def random_instance(seed: int, max_orbits: int = 6, gamma_window: int = 3) -> Ra
             g = C.generator(y, vec_add(cap, shift))
             if g.degree != degree:
                 continue
-            c = Fraction(rng.choice([1, -1, 2]), 1)
-            rep_terms[g] = rep_terms.get(g, Fraction(0)) + c
+            rep_terms.append((g, Fraction(rng.choice([1, -1, 2]), 1)))
     rep = C.chain(rep_terms, None)
     if rep.is_zero() or rep.degree != degree:
         rep = C.chain({}, None)
@@ -389,13 +389,11 @@ def random_instance(seed: int, max_orbits: int = 6, gamma_window: int = 3) -> Ra
 def random_scalar(rng: random.Random, gamma: GammaGroup, direction, max_terms=4,
                   coord_span=3):
     """Exact random scalar with small integer exponent coordinates."""
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        label = tuple(rng.randint(-coord_span, coord_span) for _ in range(gamma.rank))
-        coeff = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
-        if coeff != 0:
-            terms[label] = terms.get(label, Fraction(0)) + coeff
-    terms = {l: c for l, c in terms.items() if c != 0}
+    terms = add_terms({}, (
+        (tuple(rng.randint(-coord_span, coord_span) for _ in range(gamma.rank)),
+         Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])))
+        for _ in range(rng.randint(0, max_terms))
+    ))
     return NovikovScalar(gamma, direction, terms)
 
 
@@ -579,15 +577,12 @@ def random_chain(rng: random.Random, C: FilteredComplex, degree, max_terms=4,
                 cap = C.gamma.solve(m * quantum, (base_deg - degree) // 2)
                 if cap is not None:
                     candidates.append(C.generator(orbit, cap))
-    terms = {}
     if not candidates:
         return C.chain({}, None)
-    for _ in range(rng.randint(1, max_terms)):
-        g = rng.choice(candidates)
-        c = Fraction(rng.randint(-5, 5), rng.choice([1, 2]))
-        if c != 0:
-            terms[g] = terms.get(g, Fraction(0)) + c
-    return C.chain({g: c for g, c in terms.items() if c != 0}, None)
+    return C.chain([
+        (rng.choice(candidates), Fraction(rng.randint(-5, 5), rng.choice([1, 2])))
+        for _ in range(rng.randint(1, max_terms))
+    ], None)
 
 
 def _dress(rng, C: FilteredComplex, rep: NovikovChain, gamma_window):

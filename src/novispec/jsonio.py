@@ -42,6 +42,13 @@ def parse_frac(s) -> Fraction:
         raise InputError(f"not a rational: {s!r}") from exc
 
 
+def parse_int(x) -> int:
+    """A JSON integer; floats, bools and strings are rejected, not coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"not an integer: {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # groups and scalars
 
@@ -56,7 +63,7 @@ def gamma_to_json(g: GammaGroup) -> dict:
 
 def gamma_from_json(obj) -> GammaGroup:
     omega = [parse_frac(v) for v in obj.get("omega", [])]
-    c1 = [int(v) for v in obj.get("c1", [])]
+    c1 = [parse_int(v) for v in obj.get("c1", [])]
     if "rank" in obj and obj["rank"] != len(omega):
         raise InputError("rank field disagrees with generator lists")
     return GammaGroup(tuple(omega), tuple(c1))
@@ -72,9 +79,7 @@ def scalar_to_json(s: NovikovScalar) -> list:
 
 
 def scalar_from_json(obj, gamma, direction, floor=None) -> NovikovScalar:
-    terms = {}
-    for coeff, label in obj:
-        terms[tuple(int(x) for x in label)] = parse_frac(coeff)
+    terms = [(tuple(map(parse_int, label)), parse_frac(coeff)) for coeff, label in obj]
     return NovikovScalar(gamma, direction, terms, floor)
 
 
@@ -114,7 +119,7 @@ def complex_to_json(C: FilteredComplex) -> dict:
 def complex_from_json(obj) -> FilteredComplex:
     gamma = gamma_from_json(obj["gamma"])
     orbits = [
-        (row["id"], parse_frac(row["action"]), int(row["degree"]))
+        (row["id"], parse_frac(row["action"]), parse_int(row["degree"]))
         for row in obj["orbits"]
     ]
     floor = None if obj.get("floor") is None else parse_frac(obj["floor"])
@@ -129,10 +134,8 @@ def chain_to_json(chain: NovikovChain) -> list:
 
 
 def chain_from_json(obj, C: FilteredComplex, floor=None) -> NovikovChain:
-    terms = {}
-    for coeff, orbit, cap in obj:
-        g = C.generator(orbit, tuple(int(x) for x in cap))
-        terms[g] = terms.get(g, Fraction(0)) + parse_frac(coeff)
+    terms = [(C.generator(orbit, tuple(map(parse_int, cap))), parse_frac(coeff))
+             for coeff, orbit, cap in obj]
     return C.chain(terms, floor)
 
 
@@ -157,10 +160,11 @@ def morse_to_json(m: MorseData) -> dict:
 def morse_from_json(obj) -> MorseData:
     boundary = {}
     for row in obj.get("boundary", []):
-        boundary.setdefault(row["from"], {})[row["to"]] = int(row["coeff"])
+        boundary.setdefault(row["from"], {})[row["to"]] = parse_int(row["coeff"])
     return MorseData(
-        dim=int(obj["dim"]),
-        points=[(r["id"], parse_frac(r["value"]), int(r["index"])) for r in obj["points"]],
+        dim=parse_int(obj["dim"]),
+        points=[(r["id"], parse_frac(r["value"]), parse_int(r["index"]))
+                for r in obj["points"]],
         boundary=boundary,
         betti=obj.get("betti"),
     )
@@ -178,7 +182,7 @@ def qclass_from_json(obj, basis: ClassBasis, gamma: GammaGroup) -> QuantumClass:
     if direction not in (COHOMOLOGY, HOMOLOGY):
         raise InputError(f"unknown class direction {direction!r}")
     terms = [
-        (parse_frac(c), name, tuple(int(x) for x in label))
+        (parse_frac(c), name, tuple(map(parse_int, label)))
         for c, name, label in obj["terms"]
     ]
     return QuantumClass(basis, gamma, direction, terms)
@@ -236,8 +240,8 @@ def manifold_from_json(obj) -> ManifoldFixture:
         for row in braw.get("pairing", [])
     } or None
     basis = ClassBasis(
-        int(braw["half_dim"]),
-        [(r["id"], int(r["degree"])) for r in braw["classes"]],
+        parse_int(braw["half_dim"]),
+        [(r["id"], parse_int(r["degree"])) for r in braw["classes"]],
         pairing,
     )
     product = None
@@ -344,7 +348,7 @@ def product_map_from_json(obj, complexes):
         (row["a"], row["b"], row["to"]): parse_frac(row["slack"])
         for row in obj.get("ledger", [])
     }
-    return ProductMapData(s1, s2, tgt, int(obj["degree_shift"]), table, ledger)
+    return ProductMapData(s1, s2, tgt, parse_int(obj["degree_shift"]), table, ledger)
 
 
 def monodromy_to_json(s: MonodromyShift) -> dict:
@@ -359,9 +363,9 @@ def monodromy_to_json(s: MonodromyShift) -> dict:
 def monodromy_from_json(obj) -> MonodromyShift:
     return MonodromyShift(
         dict(obj["orbit_map"]),
-        {o: tuple(int(x) for x in c) for o, c in obj.get("cap_shift", {}).items()},
+        {o: tuple(map(parse_int, c)) for o, c in obj.get("cap_shift", {}).items()},
         parse_frac(obj.get("i_omega", 0)),
-        int(obj.get("degree_shift", 0)),
+        parse_int(obj.get("degree_shift", 0)),
     )
 
 
@@ -385,15 +389,16 @@ def functional_to_json(mu: DualFunctional) -> dict:
 
 
 def functional_from_json(obj, C: FilteredComplex) -> DualFunctional:
-    atoms = {}
-    for row in obj.get("atoms", []):
-        g = C.generator(row["orbit"], tuple(int(x) for x in row["cap"]))
-        atoms[g] = parse_frac(row["value"])
+    atoms = [
+        (C.generator(row["orbit"], tuple(map(parse_int, row["cap"]))),
+         parse_frac(row["value"]))
+        for row in obj.get("atoms", [])
+    ]
     rays = [
         Ray(
             row["orbit"],
-            tuple(int(x) for x in row["base"]),
-            tuple(int(x) for x in row["direction"]),
+            tuple(map(parse_int, row["base"])),
+            tuple(map(parse_int, row["direction"])),
             parse_frac(row["value"]),
         )
         for row in obj.get("rays", [])

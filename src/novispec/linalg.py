@@ -10,6 +10,10 @@ zero reduced columns carry a kernel basis of every column prefix.
 `Reduction.solve` returns the solution with its residual r = b - D x, so
 a caller reads the cancelled vector off the reduction itself.
 
+`add_terms` is the one sparse sum of the package: chains, scalars,
+quantum classes, dual functionals and reduction columns are all finite
+combinations whose equal keys add and whose cancelled terms drop.
+
 `solve` is dense Gauss-Jordan elimination, kept for the oracle, which
 cross-checks the reduction and so shares no code with it.
 """
@@ -54,14 +58,19 @@ def solve(rows, rhs):
     return x
 
 
-def _axpy(y, a, x):
-    """y += a * x on sparse {index: value} dicts; cancelled entries drop."""
-    for i, c in x.items():
-        s = y.get(i, 0) + a * c
+def add_terms(y, pairs):
+    """Add (key, value) pairs into the sparse dict y and return y.
+
+    Values of equal keys sum; an entry whose sum cancels is dropped.
+    """
+    for k, v in pairs:
+        s = y.get(k)
+        s = v if s is None else s + v
         if s:
-            y[i] = s
+            y[k] = s
         else:
-            y.pop(i, None)
+            y.pop(k, None)
+    return y
 
 
 class Reduction:
@@ -86,8 +95,8 @@ class Reduction:
                     self.pivots[p] = j
                     break
                 f = -r[p] / self.R[i][p]
-                _axpy(r, f, self.R[i])
-                _axpy(v, f, self.V[i])
+                add_terms(r, ((k, f * c) for k, c in self.R[i].items()))
+                add_terms(v, ((k, f * c) for k, c in self.V[i].items()))
             self.R.append(r)
             self.V.append(v)
 
@@ -111,8 +120,9 @@ class Reduction:
             if j is None:
                 return None, r
             f = r[p] / self.R[j][p]
-            _axpy(r, -f, self.R[j])
-            _axpy(x, f, self.V[j])
+            a = -f
+            add_terms(r, ((k, a * c) for k, c in self.R[j].items()))
+            add_terms(x, ((k, f * c) for k, c in self.V[j].items()))
         return x, r
 
 

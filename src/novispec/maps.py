@@ -27,7 +27,7 @@ from .chains import (
 from .engine import spectral_invariant
 from .errors import StructuralError
 from .gamma import vec_add, vec_neg
-from .scalars import DOWN, NEG_INF, NovikovScalar
+from .scalars import DOWN, NEG_INF, NovikovScalar, merge_floor
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,9 @@ class ChainMap:
                     f"entry {src}->{dst} at {label} shifts action by {shift} "
                     f"> bound {self.shift_bound}",
                 )
+        if "degree" in report.codes():
+            # a degree-shifting row can map a generator to mixed degrees
+            return report
         # chain identity on base generators (equivariance covers all caps)
         for src in sorted(self.source.orbits):
             chain = self.source.chain({self.source.generator(src): 1}, None)
@@ -351,7 +354,7 @@ def pants_product(alpha: NovikovChain, beta: NovikovChain, P: ProductMapData) ->
         raise StructuralError("factors do not live in the product's sources")
     if alpha.is_zero() or beta.is_zero():
         return P.target.chain({})
-    out = {}
+    out = []
     for g1, c1 in alpha.terms.items():
         for g2, c2 in beta.terms.items():
             row = P.table.get((g1.orbit, g2.orbit))
@@ -371,16 +374,8 @@ def pants_product(alpha: NovikovChain, beta: NovikovChain, P: ProductMapData) ->
                             f"ledger violation on triple ({g1.orbit}, {g2.orbit}, {o3})"
                         )
                     cap = vec_add(vec_add(g1.cap, g2.cap), label)
-                    g3 = P.target.generator(o3, cap)
-                    acc = out.get(g3, Fraction(0)) + c1 * c2 * c
-                    if acc == 0:
-                        out.pop(g3, None)
-                    else:
-                        out[g3] = acc
-    floor = alpha.floor
-    if beta.floor is not None:
-        floor = beta.floor if floor is None else max(floor, beta.floor)
-    result = P.target.chain(out, floor)
+                    out.append((P.target.generator(o3, cap), c1 * c2 * c))
+    result = P.target.chain(out, merge_floor(alpha.floor, beta.floor))
     if not result.is_zero():
         expected = alpha.degree + beta.degree - P.degree_shift
         if result.degree != expected:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from .chains import FilteredComplex, compose_matrices
 from .errors import StructuralError
 from .gamma import GammaGroup
+from .linalg import add_terms
 from .scalars import DOWN, NovikovScalar
 
 
@@ -127,14 +128,12 @@ def cochain_differential(m: MorseData, terms) -> list:
     is the independent route against pulling functionals back through the
     built complex.
     """
-    out = {}
-    for coeff, point, label in terms:
-        for dst, k in m.boundary.get(point, {}).items():
-            key = (dst, tuple(label))
-            out[key] = out.get(key, Fraction(0)) + Fraction(coeff) * k
-    return [
-        (c, p, l) for (p, l), c in sorted(out.items()) if c != 0
-    ]
+    out = add_terms({}, (
+        ((dst, tuple(label)), Fraction(coeff) * k)
+        for coeff, point, label in terms
+        for dst, k in m.boundary.get(point, {}).items()
+    ))
+    return [(c, p, l) for (p, l), c in sorted(out.items())]
 
 
 def index_of(C: FilteredComplex, gen) -> int:

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from .errors import DomainError, FixtureError, StructuralError
 from .gamma import GammaGroup, vec_add
+from .linalg import add_terms
 from .scalars import POS_INF
 
 COHOMOLOGY = "cohomology"
@@ -83,7 +84,7 @@ class QuantumClass:
         self.basis = basis
         self.gamma = gamma
         self.direction = direction
-        clean = {}
+        pairs = []
         degree = None
         for coeff, name, label in terms:
             coeff = Fraction(coeff)
@@ -106,11 +107,8 @@ class QuantumClass:
                     f"inhomogeneous class: term ({name}, {label}) has total degree "
                     f"{total}, expected {degree}"
                 )
-            key = (name, label)
-            clean[key] = clean.get(key, Fraction(0)) + coeff
-            if clean[key] == 0:
-                del clean[key]
-        self.terms = dict(sorted(clean.items()))
+            pairs.append(((name, label), coeff))
+        self.terms = dict(sorted(add_terms({}, pairs).items()))
         self.degree = degree if self.terms else None
 
     def is_zero(self):

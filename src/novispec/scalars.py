@@ -19,12 +19,18 @@ from fractions import Fraction
 
 from .errors import DomainError, IndeterminateError, StructuralError
 from .gamma import GammaGroup, vec_add, vec_neg
+from .linalg import add_terms
 
 DOWN = "downward"
 UP = "upward"
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+
+def merge_floor(a, b):
+    """The higher of two precision floors; None means exact."""
+    return max((f for f in (a, b) if f is not None), default=None)
 
 
 class NovikovScalar:
@@ -97,24 +103,10 @@ class NovikovScalar:
 
     # -- ring operations ----------------------------------------------------
 
-    @staticmethod
-    def _merge_floor(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return max(a, b)
-
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check_compatible(other)
-        floor = self._merge_floor(self.floor, other.floor)
-        terms = dict(self.terms)
-        for label, coeff in other.terms.items():
-            acc = terms.get(label, Fraction(0)) + coeff
-            if acc == 0:
-                terms.pop(label, None)
-            else:
-                terms[label] = acc
+        floor = merge_floor(self.floor, other.floor)
+        terms = add_terms(dict(self.terms), other.terms.items())
         if floor is not None:
             terms = {l: c for l, c in terms.items() if self.group.omega(l) > floor}
         return NovikovScalar(self.group, self.direction, terms, floor)
@@ -146,23 +138,16 @@ class NovikovScalar:
         if self.floor is not None and other.floor is not None:
             candidates.append(self.floor + other.floor)
         floor = max(candidates) if candidates else None
-        terms = {}
-        for la, ca in self.terms.items():
-            for lb, cb in other.terms.items():
-                label = vec_add(la, lb)
-                acc = terms.get(label, Fraction(0)) + ca * cb
-                if acc == 0:
-                    terms.pop(label, None)
-                else:
-                    terms[label] = acc
+        terms = add_terms({}, (
+            (vec_add(la, lb), ca * cb)
+            for la, ca in self.terms.items() for lb, cb in other.terms.items()
+        ))
         if floor is not None:
             terms = {l: c for l, c in terms.items() if self.group.omega(l) > floor}
         return NovikovScalar(self.group, self.direction, terms, floor)
 
     def scale(self, rational) -> "NovikovScalar":
         r = Fraction(rational)
-        if r == 0:
-            return NovikovScalar.zero(self.group, self.direction, self.floor)
         return NovikovScalar(
             self.group, self.direction, {l: r * c for l, c in self.terms.items()}, self.floor
         )

@@ -35,6 +35,20 @@ def test_generator_cap_shifts_action_and_degree():
     assert g.degree == 0 - 2 * 4  # c1((2,)) = 4, shift -2*c1
 
 
+def test_chain_sums_terms_before_degree_check_and_floor():
+    C = two_generator_complex()
+    hi, lo, far = C.generator("hi"), C.generator("lo"), C.generator("lo", (1,))
+    assert far.degree != hi.degree
+    # a cancelled term carries no degree, as pairs or as a dict
+    pairs = C.chain([(far, 1), (hi, 2), (far, -1), (hi, 1), (lo, 1)], None)
+    assert pairs == C.chain({far: 0, hi: 3, lo: 1}, None)
+    assert pairs.terms == {hi: 3, lo: 1} and pairs.degree == hi.degree
+    # a surviving term is checked before the floor drops it
+    with pytest.raises(StructuralError, match="mixed degrees"):
+        C.chain([(hi, 1), (far, 1)], F(0))
+    assert C.chain([(hi, 1), (lo, 1), (lo, 1)], F(0)).terms == {hi: 1}
+
+
 def test_level_and_peak_zero_chain():
     C = two_generator_complex()
     assert nv.level_and_peak(C.chain({}, None)) == (NEG_INF, None)

@@ -1,14 +1,19 @@
+import hashlib
+import json
+import random
 from fractions import Fraction as F
 
 import novispec as nv
-from novispec import NEG_INF
+from novispec import DOWN, NEG_INF, UP, GammaGroup, jsonio
 from novispec.cli import _validate_manifold
 from novispec.fixtures import (
     BUILTIN_FIXTURES,
     load_builtin,
+    random_chain,
     random_continuity_pair,
     random_instance,
     random_monodromy,
+    random_scalar,
 )
 
 
@@ -55,3 +60,33 @@ def test_monodromy_fixture_decks():
             shifted, _, _ = nv.monodromy_shift(C, shift, None)
             assert shifted.orbits == C.orbits
     assert decks >= 1
+
+
+def _seeded_draws():
+    """JSON of seeded random instances, chains and scalars, in draw order."""
+    out = []
+    for max_orbits in (6, 12):
+        for k in range(40):
+            inst = random_instance(k, max_orbits=max_orbits)
+            rho = inst.expected_rho
+            out.append([
+                jsonio.complex_to_json(inst.complex),
+                jsonio.chain_to_json(inst.representative),
+                "-inf" if rho == NEG_INF else jsonio.frac_str(rho),
+            ])
+    rng = random.Random(5)
+    for k in range(20):
+        C = random_instance(k).complex
+        out.append([jsonio.chain_to_json(random_chain(rng, C, d)) for d in range(-2, 3)])
+    groups = [GammaGroup((), ()), GammaGroup((F(1),), (2,)),
+              GammaGroup((F(1), F(3, 2)), (0, 1))]
+    for _ in range(60):
+        g = rng.choice(groups)
+        out.append(jsonio.scalar_to_json(random_scalar(rng, g, rng.choice([DOWN, UP]))))
+    return out
+
+
+def test_seeded_generators_pinned():
+    # any change to a seeded draw, the random dressing included, moves the digest
+    blob = json.dumps(_seeded_draws(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == "fa4dc5e6a08fb5820029b1c4ea9772388087c4bed7e42d5bc3652ae3f13f8990"

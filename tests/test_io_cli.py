@@ -177,6 +177,9 @@ def test_cli_exit_codes_and_determinism(tmp_path):
     pytest.param('{"out": 5}', [], id="out-not-string"),
     pytest.param('{"schema": 1}', ["--floor", "1/0"], id="floor-zero-denominator"),
     pytest.param('{"schema": 1}', ["--floor", "x"], id="floor-not-rational"),
+    pytest.param(json.dumps({"shifts": [{
+        "complex": "nowhere", "path": str(REPO / "fixtures" / "deck_shift.json")}]}),
+        [], id="shift-on-unknown-complex"),
 ])
 def test_cli_input_error_exit_two(tmp_path, capsys, manifest, flags):
     path = tmp_path / "m.json"
@@ -184,6 +187,69 @@ def test_cli_input_error_exit_two(tmp_path, capsys, manifest, flags):
         path.write_text(manifest)
     assert main([str(path)] + flags) == 2
     assert "input error:" in capsys.readouterr().err
+
+
+def _set(path, value):
+    """Mutation of a loaded fixture: replace the field at `path` by `value`."""
+    def mutate(obj):
+        if not path:
+            return value
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return obj
+    return mutate
+
+
+# the manifest entry of a fixture file f.json, per section
+_ENTRIES = {
+    "complexes": {"name": "c", "path": "f.json"},
+    "functionals": {"complex": "staircase", "path": "f.json"},
+    "shifts": {"complex": "staircase", "path": "f.json"},
+    "manifolds": "f.json",
+}
+
+
+@pytest.mark.parametrize("section, shipped, mutate, code", [
+    # JSON lists where the loader reads objects
+    ("complexes", "staircase", _set(["representatives"], [1]), "complex-parse"),
+    ("complexes", "staircase", _set(["gamma"], [1]), "complex-parse"),
+    ("functionals", "functional_cont", _set([], [1]), "functional-parse"),
+    ("shifts", "deck_shift", _set(["cap_shift"], [1]), "shift-parse"),
+    ("manifolds", "s2", _set(["morse"], [1]), "manifold-parse"),
+    ("manifolds", "s2", _set(["basis"], [1]), "manifold-parse"),
+    # integer fields that int() used to truncate or coerce
+    ("complexes", "staircase", _set(["representatives", "free", 0, 2], [1.5]),
+     "complex-parse"),
+    ("complexes", "staircase", _set(["orbits", 0, "degree"], 3.7), "complex-parse"),
+    ("complexes", "staircase", _set(["gamma", "c1"], [1.5]), "complex-parse"),
+    ("complexes", "staircase", _set(["boundary", 0, "scalar", 0, 1], [True]),
+     "complex-parse"),
+    ("shifts", "deck_shift", _set(["degree_shift"], "2"), "shift-parse"),
+    ("functionals", "functional_cont", _set(["rays", 0, "direction"], [-1.0]),
+     "functional-parse"),
+    ("manifolds", "s2", _set(["morse", "dim"], 2.0), "manifold-parse"),
+    ("manifolds", "s2", _set(["morse", "points", 0, "index"], "2"), "manifold-parse"),
+    ("manifolds", "tilted", _set(["morse", "boundary", 0, "coeff"], 1.5),
+     "manifold-parse"),
+    ("manifolds", "s2", _set(["basis", "half_dim"], 1.0), "manifold-parse"),
+    # two terms on one exponent: rejected, not the last one kept
+    ("complexes", "staircase", _set(["boundary", 0, "scalar"], [["1", [0]], ["2", [0]]]),
+     "complex-parse"),
+])
+def test_cli_malformed_fixture_exit_two(tmp_path, capsys, section, shipped, mutate, code):
+    raw = mutate(json.loads((REPO / "fixtures" / f"{shipped}.json").read_text()))
+    (tmp_path / "f.json").write_text(json.dumps(raw))
+    staircase = {"name": "staircase", "path": str(REPO / "fixtures" / "staircase.json")}
+    manifest = {"complexes": [staircase]}
+    manifest.setdefault(section, []).append(_ENTRIES[section])
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    assert main([str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    rows = json.loads(err[len("input error: "):])
+    assert [r["code"] for r in rows] == [code]
 
 
 def test_cli_subprocess_oracle(tmp_path):

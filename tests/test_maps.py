@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -9,9 +10,12 @@ from novispec import (
     NEG_INF,
     GammaGroup,
     HamiltonianData,
+    InputError,
     NovikovScalar,
     StructuralError,
+    jsonio,
 )
+from novispec.cli import load_and_validate
 from novispec.fixtures import (
     random_continuity_pair,
     random_instance,
@@ -145,6 +149,23 @@ def test_chain_identity_violation_detected():
     one = {o: {o: NovikovScalar.one(G1, DOWN)} for o in C.orbits}
     m = nv.ChainMap(C, D, one, 0)
     assert "chain-identity" in m.certify().codes()
+
+
+def test_degree_violation_reported_before_chain_identity(tmp_path):
+    # a sends a to a at cap (1,) (degree -3) and to b (degree 2): the image
+    # of a mixes degrees, so only the degree violations can be reported
+    C = nv.FilteredComplex(G1, [("a", F(0), 1), ("b", F(-1), 2)], {})
+    m = nv.ChainMap(C, C, {"a": {"a": mono(1, (1,)), "b": mono(1)}}, 1)
+    assert m.certify().codes() == ["degree"]
+    (tmp_path / "c.json").write_text(json.dumps(jsonio.complex_to_json(C)))
+    (tmp_path / "m.json").write_text(json.dumps(jsonio.chain_map_to_json("c", "c", m)))
+    (tmp_path / "w.json").write_text(json.dumps(
+        {"complexes": [{"name": "c", "path": "c.json"}], "chain_maps": ["m.json"]}
+    ))
+    with pytest.raises(InputError) as err:
+        load_and_validate(tmp_path / "w.json")
+    rows = json.loads(str(err.value))
+    assert [(r["code"], r["message"]) for r in rows] == [("uncertified-map", "degree")]
 
 
 # -- continuity ----------------------------------------------------------------

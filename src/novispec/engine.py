@@ -54,28 +54,12 @@ class Window:
 def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
     """All capped generators of one degree with action in (lo, hi]."""
     out = []
-    g = C.gamma.period_generator()
-    for orbit in sorted(C.orbits):
-        base, bdeg = C.orbits[orbit]
+    for orbit, (base, bdeg) in C.orbits.items():
         if (bdeg - degree) % 2 != 0:
             continue
-        c_target = (bdeg - degree) // 2
-        if g == 0:
-            # omega vanishes on every cap; the degree pins the cap uniquely
-            cap = C.gamma.solve(Fraction(0), c_target)
-            if cap is not None and lo < base <= hi:
-                out.append(C.generator(orbit, cap))
-            continue
-        lo_m = (base - hi) / g
-        hi_m = (base - lo) / g
-        for m in range(math.ceil(lo_m), math.floor(hi_m) + 1):
-            w = m * g
-            action = base - w
-            if not (lo < action <= hi):
-                continue
-            cap = C.gamma.solve(w, c_target)
-            if cap is not None:
-                out.append(C.generator(orbit, cap))
+        # action = base - omega(cap) in (lo, hi]
+        for cap in C.gamma.caps((bdeg - degree) // 2, base - hi, base - lo):
+            out.append(Generator(orbit, cap, base - C.gamma.omega(cap), degree))
     out.sort(key=lambda gen: (-gen.action, gen.orbit, gen.cap))
     return out
 
@@ -348,18 +332,11 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
 
 @dataclass
 class SpectrumDescription:
-    bases: dict  # orbit -> base action
+    """The spectrum points inside a window; `spectrality_check` tests membership."""
+
     period: Fraction  # generator of the period group (0 if trivial)
     points: list  # spectrum inside the window, ascending
     rational: bool
-
-    def contains(self, value) -> bool:
-        value = Fraction(value)
-        if self.period == 0:
-            return any(value == a for a in self.bases.values())
-        return any(
-            ((a - value) / self.period).denominator == 1 for a in self.bases.values()
-        )
 
 
 def action_spectrum(C: FilteredComplex, window, *, mode: str = "rational-exact"):
@@ -379,7 +356,6 @@ def action_spectrum(C: FilteredComplex, window, *, mode: str = "rational-exact")
         for m in range(m_lo, m_hi + 1):
             points.add(base - m * g)
     return SpectrumDescription(
-        bases={o: C.base_action(o) for o in sorted(C.orbits)},
         period=g,
         points=sorted(points),
         rational=(mode == "rational-exact"),

@@ -563,20 +563,16 @@ def random_chain(rng: random.Random, C: FilteredComplex, degree, max_terms=4,
                  cap_span=2):
     """Random homogeneous chain in one degree (not necessarily a cycle)."""
     candidates = []
+    quantum = C.gamma.period_generator()
     for orbit in sorted(C.orbits):
         base_deg = C.base_degree(orbit)
         if (base_deg - degree) % 2 != 0:
             continue
-        cap = C.gamma.solve(Fraction(0), (base_deg - degree) // 2)
-        g0 = C.generator(orbit, cap) if cap is not None else None
-        if g0 is not None:
-            candidates.append(g0)
-        quantum = C.gamma.period_generator()
-        if quantum != 0:
-            for m in range(-cap_span, cap_span + 1):
-                cap = C.gamma.solve(m * quantum, (base_deg - degree) // 2)
-                if cap is not None:
-                    candidates.append(C.generator(orbit, cap))
+        c = (base_deg - degree) // 2
+        # the omega-0 cap, then the caps of omega m * quantum, |m| <= cap_span
+        caps = C.gamma.caps(c, 0, quantum or 1)
+        caps += C.gamma.caps(c, -cap_span * quantum, (cap_span + 1) * quantum)
+        candidates.extend(C.generator(orbit, cap) for cap in caps)
     if not candidates:
         return C.chain({}, None)
     return C.chain([

@@ -1,17 +1,23 @@
 """The coefficient group: a lattice with an area and a Chern homomorphism.
 
-Elements are integer coordinate vectors; omega extends linearly with exact
-rational values, c1 with integer values.  Construction rejects any
+Elements (caps) are integer coordinate vectors; omega extends linearly with
+exact rational values, c1 with integer values.  Construction rejects any
 representation in which a nonzero lattice vector is killed by both
 homomorphisms, so (omega, c1) is injective on the group.  With rational
 omega values this forces rank <= 2.
+
+Gluing a cap shifts a generator's degree by -2 c1, so the caps of one degree
+are the solutions of c1(A) = c.  These form a cap line: empty, one point, or
+A0 + t K over the integers with c1(K) = 0.  Injectivity makes omega(K) != 0,
+so the caps of one Chern number in an area range are a run of consecutive t,
+found in closed form by `GammaGroup.caps`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 from .errors import StructuralError
 
@@ -126,39 +132,49 @@ class GammaGroup:
         q = value / g
         return q.denominator == 1
 
-    def solve(self, omega_target, c1_target: int):
-        """The unique element with given (omega, c1) values, or None.
+    def _cap_line(self, c1: int):
+        """(A0, K) with {A : c1(A) = c1} = {A0 + t K}, K None for one point.
 
-        Uniqueness is construction-time: the joint kernel is trivial.
+        None if no cap has Chern number c1.  Rank 0 and 1 solve directly;
+        rank 2 solves d1 x + d2 y = c1 by one extended gcd.  A zero c1 row
+        on rank 2 was rejected at construction.
         """
-        w = Fraction(omega_target)
-        c = int(c1_target)
-        k = self.rank
-        if k == 0:
-            return () if (w == 0 and c == 0) else None
-        if k == 1:
-            w1, c1 = self.omega_values[0], self.c1_values[0]
-            if w1 != 0:
-                t = w / w1
-                if t.denominator != 1:
-                    return None
-                n = int(t)
-                return (n,) if c1 * n == c else None
-            # w1 == 0 forces c1 != 0 by nondegeneracy
-            if w != 0 or c % c1 != 0:
+        d = self.c1_values
+        if not any(d):
+            if c1 != 0:
                 return None
-            return (c // c1,)
-        if k == 2:
-            w1, w2 = self.omega_values
-            d1, d2 = self.c1_values
-            det = w1 * d2 - w2 * d1
-            if det == 0:
-                # [omega; c1] has rank 2 but the 2x2 determinant can only
-                # vanish if a kernel vector existed, rejected at construction.
-                raise StructuralError("unexpected singular generator matrix")
-            x = (w * d2 - Fraction(c) * w2) / det
-            y = (Fraction(c) * w1 - w * d1) / det
-            if x.denominator != 1 or y.denominator != 1:
-                return None
-            return (int(x), int(y))
-        raise StructuralError("rank > 2 groups are rejected at construction")
+            return self.zero, ((1,) if self.rank else None)
+        if self.rank == 1:
+            return ((c1 // d[0],), None) if c1 % d[0] == 0 else None
+        g, u, v = _extended_gcd(*d)
+        if c1 % g != 0:
+            return None
+        return (u * (c1 // g), v * (c1 // g)), (d[1] // g, -d[0] // g)
+
+    def caps(self, c1: int, lo, hi) -> list:
+        """Every cap A with c1(A) = c1 and lo <= omega(A) < hi, omega ascending."""
+        line = self._cap_line(int(c1))
+        if line is None:
+            return []
+        start, step = line
+        w0 = self.omega(start)
+        if step is None:
+            return [start] if lo <= w0 < hi else []
+        dw = self.omega(step)
+        if dw < 0:
+            step, dw = vec_neg(step), -dw
+        first, stop = ceil((Fraction(lo) - w0) / dw), ceil((Fraction(hi) - w0) / dw)
+        return [vec_add(start, vec_scale(t, step)) for t in range(first, stop)]
+
+
+def _extended_gcd(a: int, b: int):
+    """(g, u, v) with a u + b v = g = gcd(a, b) >= 0."""
+    r0, r1, u0, u1, v0, v1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0 < 0:
+        return -r0, -u0, -v0
+    return r0, u0, v0

@@ -91,12 +91,19 @@ def _matrix_to_json(matrix) -> list:
     ]
 
 
+def _put_entry(matrix: dict, key, to, value) -> None:
+    """matrix[key][to] = value; a second row for one (key, to) is rejected."""
+    row = matrix.setdefault(key, {})
+    if to in row:
+        raise InputError(f"two rows for the entry {key!r} -> {to!r}")
+    row[to] = value
+
+
 def _matrix_from_json(rows, gamma) -> dict:
     matrix = {}
     for row in rows:
-        matrix.setdefault(row["from"], {})[row["to"]] = scalar_from_json(
-            row["scalar"], gamma, DOWN
-        )
+        _put_entry(matrix, row["from"], row["to"],
+                   scalar_from_json(row["scalar"], gamma, DOWN))
     return matrix
 
 
@@ -160,7 +167,7 @@ def morse_to_json(m: MorseData) -> dict:
 def morse_from_json(obj) -> MorseData:
     boundary = {}
     for row in obj.get("boundary", []):
-        boundary.setdefault(row["from"], {})[row["to"]] = parse_int(row["coeff"])
+        _put_entry(boundary, row["from"], row["to"], parse_int(row["coeff"]))
     return MorseData(
         dim=parse_int(obj["dim"]),
         points=[(r["id"], parse_frac(r["value"]), parse_int(r["index"]))
@@ -340,10 +347,8 @@ def product_map_from_json(obj, complexes):
         raise InputError(f"product references unknown complex {exc}") from exc
     table = {}
     for row in obj["table"]:
-        key = (row["a"], row["b"])
-        table.setdefault(key, {})[row["to"]] = scalar_from_json(
-            row["scalar"], tgt.gamma, DOWN
-        )
+        _put_entry(table, (row["a"], row["b"]), row["to"],
+                   scalar_from_json(row["scalar"], tgt.gamma, DOWN))
     ledger = {
         (row["a"], row["b"], row["to"]): parse_frac(row["slack"])
         for row in obj.get("ledger", [])

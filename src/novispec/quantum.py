@@ -85,14 +85,17 @@ class QuantumClass:
         self.gamma = gamma
         self.direction = direction
         pairs = []
-        degree = None
         for coeff, name, label in terms:
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             if name not in basis.classes:
                 raise FixtureError(f"unknown basis class {name!r}")
-            label = gamma.check_element(label)
+            pairs.append(((name, gamma.check_element(label)), coeff))
+        # homogeneity is a property of the sum: cancelled terms carry no degree
+        self.terms = dict(sorted(add_terms({}, pairs).items()))
+        degree = None
+        for name, label in self.terms:
             d = basis.degree(name)
             shift = 2 * gamma.c1(label)
             if direction == COHOMOLOGY:
@@ -107,9 +110,7 @@ class QuantumClass:
                     f"inhomogeneous class: term ({name}, {label}) has total degree "
                     f"{total}, expected {degree}"
                 )
-            pairs.append(((name, label), coeff))
-        self.terms = dict(sorted(add_terms({}, pairs).items()))
-        self.degree = degree if self.terms else None
+        self.degree = degree
 
     def is_zero(self):
         return not self.terms

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,8 +16,14 @@ from novispec import (
     SpectralLevelError,
 )
 from novispec import linalg
-from novispec.engine import _chain_vector, _columns, build_window, default_window_bounds
-from novispec.fixtures import calibration, random_instance, sphere
+from novispec.engine import (
+    _chain_vector,
+    _columns,
+    _degree_generators,
+    build_window,
+    default_window_bounds,
+)
+from novispec.fixtures import BUILTIN_FIXTURES, calibration, random_instance, sphere
 
 G1 = GammaGroup((F(1),), (2,))
 G0 = GammaGroup((), ())
@@ -227,11 +235,9 @@ def test_truncation_image_membership_both_directions():
         if inst.representative.is_zero():
             continue
         r = nv.spectral_invariant(inst.complex, inst.representative).rho
-        spec = nv.action_spectrum(inst.complex, (-10, 10))
         for _ in range(6):
             lam = F(rng.randint(-30, 30), 7) + F(1, 13)
-            assert spec.contains(lam) == nv.spectrality_check(lam, inst.complex)
-            if spec.contains(lam):
+            if nv.spectrality_check(lam, inst.complex):
                 continue
             member = nv.image_membership(inst.complex, inst.representative, lam)
             assert member == (r < lam), (seed, lam, r, member)
@@ -306,3 +312,25 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
                 assert all(i >= k for i in r), (seed, level)
                 feasible += 1
     assert feasible > 20 and infeasible > 20
+
+
+def test_degree_generators_pinned():
+    # any change to which capped generators a degree window holds, their
+    # actions or their order moves the digest
+    complexes = [
+        random_instance(k, max_orbits=6 if k % 3 else 12).complex for k in range(60)
+    ]
+    for make in BUILTIN_FIXTURES.values():
+        fix = make()
+        complexes.append(fix.build(min(F(1, 8), fix.max_eps)))
+    windows = [(F(-5), F(5)), (F(-37, 3), F(11, 2)), (F(-1, 7), F(40, 3))]
+    calls = [
+        [[g.orbit, list(g.cap), str(g.action), g.degree]
+         for g in _degree_generators(C, degree, lo, hi)]
+        for C in complexes
+        for degree in range(-6, 7)
+        for lo, hi in windows
+    ]
+    assert sum(map(len, calls)) == 27964
+    digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
+    assert digest == "f2625ed7c744c0146bc5fd0d22843a5bac14d7db6a11c9f417b2ff452f3da8fa"

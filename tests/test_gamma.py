@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -66,19 +67,63 @@ def test_in_period_group():
     assert not trivial.in_period_group(1)
 
 
-def test_solve_unique_element():
+def _at(g, omega, c1):
+    """The caps of exactly one (omega, c1): a window narrower than any period."""
+    return g.caps(c1, omega, omega + F(1, 10**6))
+
+
+def test_caps_unique_element():
     g = GammaGroup((F(1), F(3, 2)), (0, 1))
     for target in [(F(1, 2), -1), (F(0), 0), (F(5), 2)]:
-        v = g.solve(*target)
-        if v is not None:
-            assert g.evaluate(v) == target
-    assert g.solve(F(1, 2), -1) == (2, -1)
-    assert g.solve(F(1, 3), 0) is None  # off the period lattice
+        found = _at(g, *target)
+        assert len(found) == 1 and g.evaluate(found[0]) == target
+    assert _at(g, F(1, 2), -1) == [(2, -1)]
+    assert _at(g, F(1, 3), 0) == []  # off the period lattice
 
     r1 = GammaGroup((F(1),), (2,))
-    assert r1.solve(F(3), 6) == (3,)
-    assert r1.solve(F(3), 5) is None
+    assert _at(r1, F(3), 6) == [(3,)]
+    assert _at(r1, F(3), 5) == []
 
+    # rank 1 with omega = 0: c1 pins the cap, every other area misses
     z = GammaGroup((F(0),), (1,))
-    assert z.solve(F(0), 4) == (4,)
-    assert z.solve(F(1), 4) is None
+    assert _at(z, F(0), 4) == [(4,)]
+    assert _at(z, F(1), 4) == []
+    assert z.caps(4, -10, 10) == [(4,)]
+
+    # rank 1 with c1 = 0: the caps of c1 = 0 are the whole line
+    flat_c1 = GammaGroup((F(-3, 2),), (0,))
+    assert _at(flat_c1, F(3), 0) == [(-2,)]
+    assert flat_c1.caps(0, -3, 3) == [(2,), (1,), (0,), (-1,)]
+    assert flat_c1.caps(1, -100, 100) == []
+
+
+CAP_GROUPS = [
+    ((), ()),
+    ((1,), (2,)),
+    ((F(-3, 2),), (0,)),
+    ((0,), (3,)),
+    ((1, F(3, 2)), (0, 1)),
+    ((1, F(3, 2)), (2, -3)),
+    ((F(-1, 2), F(1, 3)), (4, 6)),  # gcd 2: no cap has odd c1
+]
+CAP_WINDOWS = [(F(-5), F(5)), (F(-37, 3), F(11, 2)), (F(-1, 7), F(40, 3)), (F(2), F(2))]
+
+
+@pytest.mark.parametrize("omega, c1", CAP_GROUPS)
+def test_caps_match_brute_force(omega, c1):
+    g = GammaGroup(omega, c1)
+    box = list(itertools.product(range(-40, 41), repeat=g.rank))
+    values = [(a, *g.evaluate(a)) for a in box]
+    total = 0
+    for c in range(-7, 8):
+        for lo, hi in CAP_WINDOWS:
+            found = g.caps(c, lo, hi)
+            total += len(found)
+            expected = {a for a, w, k in values if k == c and lo <= w < hi}
+            assert set(found) == expected and len(found) == len(expected), (c, lo, hi)
+            # the box holds every cap of the window with room to spare
+            assert all(max(map(abs, a), default=0) < 40 for a in found)
+            areas = [g.omega(a) for a in found]
+            assert areas == sorted(areas) and len(set(areas)) == len(areas)
+    assert total > 0
+

@@ -202,12 +202,24 @@ def _set(path, value):
     return mutate
 
 
+def _append(path, row):
+    """Mutation of a loaded fixture: append `row` to the list at `path`."""
+    def mutate(obj):
+        node = obj
+        for key in path:
+            node = node[key]
+        node.append(row)
+        return obj
+    return mutate
+
+
 # the manifest entry of a fixture file f.json, per section
 _ENTRIES = {
     "complexes": {"name": "c", "path": "f.json"},
     "functionals": {"complex": "staircase", "path": "f.json"},
     "shifts": {"complex": "staircase", "path": "f.json"},
     "manifolds": "f.json",
+    "products": "f.json",
 }
 
 
@@ -237,12 +249,28 @@ _ENTRIES = {
     # two terms on one exponent: rejected, not the last one kept
     ("complexes", "staircase", _set(["boundary", 0, "scalar"], [["1", [0]], ["2", [0]]]),
      "complex-parse"),
+    # two rows for one matrix entry: rejected, not the last one kept
+    pytest.param("complexes", "staircase",
+                 _append(["boundary"], {"from": "a", "to": "b", "scalar": [["3", [0]]]}),
+                 "complex-parse", id="duplicate-boundary-row"),
+    pytest.param("manifolds", "tilted",
+                 _append(["morse", "boundary"], {"from": "s", "to": "m1", "coeff": 2}),
+                 "manifold-parse", id="duplicate-morse-row"),
+    pytest.param("products", "s2_pants",
+                 _append(["table"], {"a": "bot", "b": "bot", "to": "bot",
+                                     "scalar": [["2", [0]]]}),
+                 "product-parse", id="duplicate-product-row"),
 ])
 def test_cli_malformed_fixture_exit_two(tmp_path, capsys, section, shipped, mutate, code):
     raw = mutate(json.loads((REPO / "fixtures" / f"{shipped}.json").read_text()))
     (tmp_path / "f.json").write_text(json.dumps(raw))
     staircase = {"name": "staircase", "path": str(REPO / "fixtures" / "staircase.json")}
     manifest = {"complexes": [staircase]}
+    if section == "products":  # the pants product maps s2_eps8 x s2_eps8 to s2_eps4
+        manifest["complexes"] += [
+            {"name": n, "path": str(REPO / "fixtures" / f"{n}.json")}
+            for n in ("s2_eps8", "s2_eps4")
+        ]
     manifest.setdefault(section, []).append(_ENTRIES[section])
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     assert main([str(tmp_path / "m.json")]) == 2

@@ -174,6 +174,17 @@ def test_homogeneity_enforced():
         )
 
 
+def test_homogeneity_checked_after_summing():
+    # the pt terms cancel, so the class is homogeneous: it is the class of one
+    fix = sphere()
+    a = QuantumClass(
+        fix.basis, fix.gamma, COHOMOLOGY,
+        [(1, "one", (0,)), (1, "pt", (0,)), (-1, "pt", (0,))],
+    )
+    assert a == fix.cls("one")
+    assert a.degree == fix.cls("one").degree
+
+
 def test_flat_realization_lands_in_complementary_degree():
     # a class of total degree d realizes as a chain of degree half_dim - d
     from novispec.fixtures import load_builtin

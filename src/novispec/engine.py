@@ -13,16 +13,30 @@ reduction of them (`linalg.Reduction`, pivots at the highest action),
 queried on the prefix of rows at or above the level.  The representative
 stays sparse; the residual of each solve is the next representative.
 
-An independent oracle answers the same question bottom-up (smallest level
-whose strict-sublevel constraint system is feasible), which is also the
-membership test for truncated-complex images used by the probe API.
+Complexes are never mutated after construction, so a window is a function
+of (complex, degree, lo, hi).  `build_window` keeps the last few windows in
+a small LRU cache keyed by the complex's identity, and each window reduces
+its columns once, lazily (`Window.reduction`).  The invariant and every
+membership probe of one class on one window thus share one build and one
+reduction.  The cache is bounded, so it holds at most a few complexes
+alive, and windows are frozen, so a shared one cannot be reassigned.
+
+An independent oracle answers the same question bottom-up: the smallest
+level whose strict-superlevel cancellation system is feasible, found by
+dense `linalg.solve` on a matrix it builds itself.  Feasibility is monotone
+in the level, because a higher level keeps a subset of the constraint rows,
+so the oracle bisects the sorted candidate levels.  Membership in the image
+of a truncated complex, the probe API, is a prefix query on the window's
+reduction.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from . import linalg
 from .chains import FilteredComplex, Generator, NovikovChain, equivariant_image
@@ -36,9 +50,12 @@ from .scalars import NEG_INF, POS_INF
 # window model
 
 
-@dataclass
+@dataclass(frozen=True)
 class Window:
-    """Per-degree exact matrix model of a complex on an action window."""
+    """Per-degree exact matrix model of a complex on an action window.
+
+    Windows are cached and shared by `build_window`: never mutate one.
+    """
 
     complex: FilteredComplex
     lo: Fraction
@@ -49,6 +66,11 @@ class Window:
     matrix: list  # per column: {row generator: nonzero coefficient}
     row_index: dict = field(default_factory=dict)
     truncated: bool = False  # some boundary target fell below the window
+
+    @cached_property
+    def reduction(self) -> linalg.Reduction:
+        """The columns reduced in engine order (pivots at the highest action)."""
+        return linalg.Reduction(_columns(self))
 
 
 def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
@@ -64,7 +86,9 @@ def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
     return out
 
 
+@lru_cache(maxsize=4)
 def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
+    """The degree-`degree` window of C on (lo, hi]; the last few are cached."""
     lo, hi = Fraction(lo), Fraction(hi)
     cols = _degree_generators(C, degree + 1, lo, hi)
     rows = _degree_generators(C, degree, lo, hi)
@@ -141,6 +165,7 @@ class SpectralResult:
         return self.rho != NEG_INF
 
 
+@lru_cache(maxsize=4)
 def _window_pad(C: FilteredComplex):
     """(lowest base action, highest base action, pad) of the default windows."""
     actions = [a for a, _ in C.orbits.values()] or [Fraction(0)]
@@ -225,7 +250,7 @@ def _reduce_once(C, rep, lo, hi, hard_floor=None):
         )
     inexact = dropped or window.truncated or hard_floor is not None
     result_floor = lo if inexact else None
-    reduction = linalg.Reduction(_columns(window))
+    reduction = window.reduction
     trace = []
     while v:
         level = window.rows[min(v)].action
@@ -268,7 +293,9 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain, *, window=None)
 
     Feasibility of a level is the solvability of the strict-superlevel
     cancellation system; the matrix is rebuilt from boundary evaluation on
-    each candidate column, independently of the reduction path.
+    each candidate column, independently of the reduction path.  A higher
+    level keeps a subset of the rows, so feasibility is monotone and the
+    smallest feasible level is found by bisection.
     """
     rep = representative
     bounds = _query_window(C, rep, window)
@@ -299,10 +326,10 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain, *, window=None)
     if linalg.solve(mat, [-c for c in vec]) is not None:
         return NEG_INF
     levels = sorted({g.action for g in rows if g.action > lo})
-    for level in levels:
-        if feasible(level):
-            return level
-    raise IndeterminateError("no feasible level inside the oracle window")
+    i = bisect_left(levels, True, key=feasible)
+    if i == len(levels):
+        raise IndeterminateError("no feasible level inside the oracle window")
+    return levels[i]
 
 
 def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
@@ -322,7 +349,7 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
     lo, hi = bounds
     w = build_window(C, rep.degree, lo, max(hi, lam))
     v, _ = _chain_vector(w, rep)
-    x, _ = linalg.Reduction(_columns(w)).solve(v, _prefix(w, lam))
+    x, _ = w.reduction.solve(v, _prefix(w, lam))
     return x is not None
 
 

@@ -15,7 +15,7 @@ found in closed form by `GammaGroup.caps`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
 
@@ -61,6 +61,8 @@ class GammaGroup:
 
     omega_values: tuple
     c1_values: tuple
+    # derived from omega_values, so kept out of equality, hashing and repr
+    _period: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         omega = tuple(Fraction(v) for v in self.omega_values)
@@ -69,6 +71,7 @@ class GammaGroup:
             raise StructuralError("omega and c1 generator lists differ in length")
         object.__setattr__(self, "omega_values", omega)
         object.__setattr__(self, "c1_values", chern)
+        object.__setattr__(self, "_period", fraction_gcd(omega))
         if self._joint_kernel_nontrivial():
             raise StructuralError(
                 "degenerate generators: a nonzero vector has omega = 0 and c1 = 0"
@@ -122,11 +125,11 @@ class GammaGroup:
 
     def period_generator(self) -> Fraction:
         """Generator of the period group omega(Gamma) inside Q (0 if trivial)."""
-        return fraction_gcd(self.omega_values)
+        return self._period
 
     def in_period_group(self, value) -> bool:
         value = Fraction(value)
-        g = self.period_generator()
+        g = self._period
         if g == 0:
             return value == 0
         q = value / g

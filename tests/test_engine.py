@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +22,7 @@ from novispec.engine import (
     _chain_vector,
     _columns,
     _degree_generators,
+    _window_pad,
     build_window,
     default_window_bounds,
 )
@@ -334,3 +337,111 @@ def test_degree_generators_pinned():
     assert sum(map(len, calls)) == 27964
     digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
     assert digest == "f2625ed7c744c0146bc5fd0d22843a5bac14d7db6a11c9f417b2ff452f3da8fa"
+
+
+def _oracle_system(C, rep):
+    """The oracle's dense cancellation system, rebuilt independently:
+    (rows, matrix, right-hand side, candidate levels)."""
+    lo, hi = default_window_bounds(C, rep)
+    images = [C.boundary(C.chain({g: 1}, None))
+              for g in _degree_generators(C, rep.degree + 1, lo, hi)]
+    rows = sorted(set(rep.terms).union(*(img.terms for img in images)),
+                  key=lambda g: (-g.action, g.orbit, g.cap))
+    mat = [[img.terms.get(g, F(0)) for img in images] for g in rows]
+    rhs = [-rep.terms.get(g, F(0)) for g in rows]
+    levels = sorted({g.action for g in rows if g.action > lo})
+    return rows, mat, rhs, levels
+
+
+@pytest.mark.parametrize("max_orbits", [6, 12])
+def test_oracle_feasibility_is_monotone(max_orbits):
+    # bisection in oracle_rho is valid only if feasibility is upward-closed
+    # over the sorted levels; check it at every level, and check the
+    # bisected answer against a plain linear scan
+    checked = 0
+    for k in range(40):
+        inst = random_instance(k, max_orbits=max_orbits)
+        C, rep = inst.complex, inst.representative
+        if rep.is_zero():
+            continue
+        rows, mat, rhs, levels = _oracle_system(C, rep)
+
+        def feasible(level):
+            picked = [i for i, g in enumerate(rows) if g.action > level]
+            return linalg.solve([mat[i] for i in picked],
+                                [rhs[i] for i in picked]) is not None
+
+        feasibility = [feasible(level) for level in levels]
+        assert feasibility == sorted(feasibility), (k, feasibility)
+        if linalg.solve(mat, rhs) is not None:
+            scan = NEG_INF
+        else:
+            scan = next(level for level, ok in zip(levels, feasibility) if ok)
+        assert nv.oracle_rho(C, rep) == scan == inst.expected_rho, k
+        checked += 1
+    assert checked >= 30
+
+
+def _answers(inst, lams, cold):
+    """Invariant, oracle and membership answers, each from a cold or warm cache."""
+    C, rep = inst.complex, inst.representative
+
+    def call(func, *args):
+        if cold:
+            build_window.cache_clear()
+            _window_pad.cache_clear()
+        return func(C, rep, *args)
+
+    r = call(nv.spectral_invariant)
+    invariant = (r.rho, r.witness, r.reduced_trace, r.certificate)
+    return invariant, call(nv.oracle_rho), [call(nv.image_membership, lam) for lam in lams]
+
+
+def _nonzero_instance(seed):
+    while True:
+        inst = random_instance(seed)
+        if not inst.representative.is_zero():
+            return inst
+        seed += 1
+
+
+def _first_window_ref(C, rep):
+    build_window(C, rep.degree, *default_window_bounds(C, rep))
+    return weakref.ref(C)
+
+
+def test_window_cache_is_transparent_and_bounded():
+    inst = _nonzero_instance(3)
+    C, rep = inst.complex, inst.representative
+    bounds = default_window_bounds(C, rep)
+    w = build_window(C, rep.degree, *bounds)
+    assert build_window(C, rep.degree, *bounds) is w
+    assert w.reduction is w.reduction
+
+    rng = random.Random(7)
+    compared = 0
+    for seed in range(25):
+        inst = random_instance(seed)
+        if inst.representative.is_zero():
+            continue
+        lams = [F(rng.randint(-30, 30), 7) + F(1, 13) for _ in range(6)]
+        lams = [lam for lam in lams if not nv.spectrality_check(lam, inst.complex)]
+        assert _answers(inst, lams, cold=True) == _answers(inst, lams, cold=False), seed
+        compared += 1
+    assert compared >= 15
+
+    # the caches are bounded: once more than `maxsize` other complexes have
+    # been queried, nothing keeps the first one alive
+    first = _nonzero_instance(5)
+    ref = _first_window_ref(first.complex, first.representative)
+    del first
+    sizes = [build_window.cache_info().maxsize, _window_pad.cache_info().maxsize]
+    assert None not in sizes
+    seed = 100
+    for _ in range(max(sizes) + 1):
+        inst = _nonzero_instance(seed)
+        nv.spectral_invariant(inst.complex, inst.representative)
+        seed = inst.seed + 1
+    del inst
+    gc.collect()
+    assert ref() is None

@@ -56,6 +56,10 @@ def test_period_generator():
     assert GammaGroup((F(1), F(3, 2)), (0, 1)).period_generator() == F(1, 2)
     assert GammaGroup((), ()).period_generator() == 0
     assert fraction_gcd([F(2, 3), F(1, 2)]) == F(1, 6)
+    # the stored generator stays out of equality, hashing and repr
+    g, h = GammaGroup((F(1), F(3, 2)), (0, 1)), GammaGroup((1, F(3, 2)), (0, 1))
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == "GammaGroup(omega_values=(Fraction(1, 1), Fraction(3, 2)), c1_values=(0, 1))"
 
 
 def test_in_period_group():

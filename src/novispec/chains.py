@@ -37,12 +37,19 @@ from .scalars import DOWN, NEG_INF, NovikovScalar, merge_floor
 
 @dataclass(frozen=True)
 class Generator:
-    """A capped orbit with its derived action and degree."""
+    """A capped orbit with its derived action and degree.
+
+    Equality compares every field; the hash reads only (orbit, cap), which
+    determine the rest, so it never hashes the `Fraction` action.
+    """
 
     orbit: str
     cap: GammaElement
     action: Fraction
     degree: int
+
+    def __hash__(self):
+        return hash((self.orbit, self.cap))
 
 
 class NovikovChain:
@@ -309,14 +316,6 @@ class FilteredComplex:
             self, equivariant_image(self.boundary_entries, chain.terms, self),
             chain.floor,
         )
-
-    def max_entry_slack(self) -> Fraction:
-        """Largest action drop base(src) - (base(dst) - omega(label)) over entries."""
-        best = Fraction(0)
-        for _, _, _, shift, _ in entry_shifts(self.boundary_entries, self, self):
-            if -shift > best:
-                best = -shift
-        return best
 
     # -- validation -----------------------------------------------------------
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chains import FilteredComplex, Generator, NovikovChain, matrix_entries
-from .engine import _columns, _degree_generators, _window_pad, build_window
+from .engine import _columns, _complex_record, _degree_generators, build_window
 from .errors import DomainError, StructuralError
 from .gamma import vec_add, vec_scale, vec_sub
 from .linalg import add_terms
@@ -211,8 +211,8 @@ def is_cocycle(mu: DualFunctional, degree: int, window=None) -> bool:
 
 
 def _default_dual_window(C: FilteredComplex):
-    lo, hi, pad = _window_pad(C)
-    return lo - pad, hi + pad
+    record = _complex_record(C)
+    return record.bottom - record.pad, record.top + record.pad
 
 
 # ---------------------------------------------------------------------------

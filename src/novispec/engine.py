@@ -10,8 +10,24 @@ level is the invariant and the infeasibility is its certificate.  The
 window columns are the equivariant boundary images of the generators one
 degree up, and every level's system is answered by one filtered column
 reduction of them (`linalg.Reduction`, pivots at the highest action),
-queried on the prefix of rows at or above the level.  The representative
-stays sparse; the residual of each solve is the next representative.
+queried on the prefix of rows at or above the level, which a bisection of
+the action-sorted rows finds.  The representative stays sparse; the
+residual of each solve is the next representative.
+
+A window derives every action from data already known, never from a
+per-generator omega.  `GammaGroup.caps` returns each cap with its omega,
+stepped along the cap line, so a generator's action is one subtraction.
+Generators sort by an integer key: every action is a multiple of one
+denominator per complex, the lcm of the base-action and omega-value
+denominators.  Each column's boundary terms come from a per-complex shift
+table {src orbit: [(dst, label, coeff, action shift, degree shift)]}: by
+equivariance the term at `label` sends (src, cap) to (dst, cap + label),
+shifted by the table's action and degree.  A target inside the window is
+looked up among the rows by (orbit, cap), so rows and columns share their
+generators.  The table, the denominator, the default window pad and the
+base actions modulo the period generator, as integers over the denominator
+(which answer `spectrality_check` with one lookup), form one record per
+complex, kept in a small LRU cache (`_complex_record`).
 
 Complexes are never mutated after construction, so a window is a function
 of (complex, degree, lo, hi).  `build_window` keeps the last few windows in
@@ -23,9 +39,10 @@ alive, and windows are frozen, so a shared one cannot be reassigned.
 
 An independent oracle answers the same question bottom-up: the smallest
 level whose strict-superlevel cancellation system is feasible, found by
-dense `linalg.solve` on a matrix it builds itself.  Feasibility is monotone
-in the level, because a higher level keeps a subset of the constraint rows,
-so the oracle bisects the sorted candidate levels.  Membership in the image
+dense `linalg.solve` on a matrix it builds itself through
+`FilteredComplex.boundary`, apart from the shift table.  Feasibility is
+monotone in the level, because a higher level keeps a subset of the
+constraint rows, so the oracle bisects the sorted candidate levels.  Membership in the image
 of a truncated complex, the probe API, is a prefix query on the window's
 reduction.
 """
@@ -33,14 +50,15 @@ reduction.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import linalg
-from .chains import FilteredComplex, Generator, NovikovChain, equivariant_image
+from .chains import FilteredComplex, Generator, NovikovChain, entry_shifts
 from .errors import DomainError, IndeterminateError, SpectralLevelError, StructuralError
+from .gamma import vec_add
 from .morse import MorseData, build_small_complex
 from .quantum import HOMOLOGY, QuantumClass, flat, leading_data
 from .scalars import NEG_INF, POS_INF
@@ -73,6 +91,66 @@ class Window:
         return linalg.Reduction(_columns(self))
 
 
+@dataclass(frozen=True)
+class _ComplexRecord:
+    """What the windows and queries of one complex derive from its data."""
+
+    bottom: Fraction  # lowest base action
+    top: Fraction  # highest base action
+    pad: Fraction  # half-width of the default windows
+    denom: int  # lcm of the base-action and omega-value denominators
+    shifts: dict  # {src orbit: [(dst, label, coeff, action shift, degree shift)]}
+    period: int  # the period generator times denom
+    residues: frozenset  # base actions times denom, modulo period if nonzero
+
+
+@lru_cache(maxsize=4)
+def _complex_record(C: FilteredComplex) -> _ComplexRecord:
+    """The per-complex record; the last few are cached."""
+    gamma = C.gamma
+    bases = [a for a, _ in C.orbits.values()]
+    shifts = {}
+    slack = Fraction(0)  # largest action drop of a boundary term
+    for src, dst, label, shift, dshift in entry_shifts(C.boundary_entries, C, C):
+        coeff = C.boundary_entries[src][dst].terms[label]
+        shifts.setdefault(src, []).append((dst, label, coeff, shift, dshift))
+        slack = max(slack, -shift)
+    bottom, top = min(bases, default=Fraction(0)), max(bases, default=Fraction(0))
+    g = gamma.period_generator()
+    denom = math.lcm(*(v.denominator for v in (*bases, *gamma.omega_values)))
+    period = _scaled(g, denom)
+    keys = [_scaled(a, denom) for a in bases]
+    return _ComplexRecord(
+        bottom,
+        top,
+        2 * slack + 3 * g + (top - bottom) + 1,
+        denom,
+        shifts,
+        period,
+        frozenset(k % period for k in keys) if period else frozenset(keys),
+    )
+
+
+def _scaled(value: Fraction, denom: int) -> int:
+    """`value` times `denom`, for a multiple of 1/`denom`: an exact integer.
+
+    Every action and omega of a complex is such a multiple of its record's
+    denominator, so they compare and reduce as integers.
+    """
+    return value.numerator * (denom // value.denominator)
+
+
+def _in_action_order(gens, denom: int) -> list:
+    """`gens` by action descending, then (orbit, cap).
+
+    No two generators share (orbit, cap), so the tuples never compare the
+    generators themselves.
+    """
+    keyed = [(-_scaled(g.action, denom), g.orbit, g.cap, g) for g in gens]
+    keyed.sort()
+    return [k[3] for k in keyed]
+
+
 def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
     """All capped generators of one degree with action in (lo, hi]."""
     out = []
@@ -80,31 +158,42 @@ def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
         if (bdeg - degree) % 2 != 0:
             continue
         # action = base - omega(cap) in (lo, hi]
-        for cap in C.gamma.caps((bdeg - degree) // 2, base - hi, base - lo):
-            out.append(Generator(orbit, cap, base - C.gamma.omega(cap), degree))
-    out.sort(key=lambda gen: (-gen.action, gen.orbit, gen.cap))
-    return out
+        for cap, w in C.gamma.caps((bdeg - degree) // 2, base - hi, base - lo):
+            out.append(Generator(orbit, cap, base - w, degree))
+    return _in_action_order(out, _complex_record(C).denom)
 
 
 @lru_cache(maxsize=4)
 def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     """The degree-`degree` window of C on (lo, hi]; the last few are cached."""
     lo, hi = Fraction(lo), Fraction(hi)
+    record = _complex_record(C)
     cols = _degree_generators(C, degree + 1, lo, hi)
     rows = _degree_generators(C, degree, lo, hi)
+    # (orbit, cap) determines a generator: image terms inside the window are
+    # rows already, the others are shifted from their column by equivariance
+    known = {(g.orbit, g.cap): g for g in rows}
+    extra = []
     matrix = []
     truncated = False
     for col in cols:
-        image = equivariant_image(C.boundary_entries, {col: 1}, C)
-        column = {g: c for g, c in image.items() if g.action > lo}
-        # some target falls below the window floor
-        truncated = truncated or len(column) < len(image)
+        column = {}
+        for dst, label, coeff, shift, dshift in record.shifts.get(col.orbit, ()):
+            cap = vec_add(col.cap, label)
+            g = known.get((dst, cap))
+            if g is None:
+                action = col.action + shift
+                if action <= lo:
+                    truncated = True  # the target falls below the window floor
+                    continue
+                # above `hi` (or off-degree) on invalid complexes: it must
+                # appear as a constraint row
+                g = known[dst, cap] = Generator(dst, cap, action, col.degree + dshift)
+                extra.append(g)
+            column[g] = coeff
         matrix.append(column)
-    # boundary targets of the columns may stick out above `hi` on invalid
-    # complexes; they must appear as constraint rows.
-    extra = {g for column in matrix for g in column}.difference(rows)
     if extra:
-        rows = sorted(rows + list(extra), key=lambda g: (-g.action, g.orbit, g.cap))
+        rows = _in_action_order(rows + extra, record.denom)
     row_index = {g: i for i, g in enumerate(rows)}
     return Window(C, lo, hi, degree, rows, cols, matrix, row_index, truncated)
 
@@ -138,7 +227,7 @@ def _columns(window: Window):
 
 def _prefix(window: Window, level):
     """Number of rows at or above `level` (the rows are action descending)."""
-    return sum(1 for g in window.rows if g.action >= level)
+    return bisect_right(window.rows, -level, key=lambda g: -g.action)
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +254,12 @@ class SpectralResult:
         return self.rho != NEG_INF
 
 
-@lru_cache(maxsize=4)
-def _window_pad(C: FilteredComplex):
-    """(lowest base action, highest base action, pad) of the default windows."""
-    actions = [a for a, _ in C.orbits.values()] or [Fraction(0)]
-    lo, hi = min(actions), max(actions)
-    pad = 2 * C.max_entry_slack() + 3 * C.gamma.period_generator() + (hi - lo) + 1
-    return lo, hi, pad
-
-
 def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
-    _, top, pad = _window_pad(C)
+    record = _complex_record(C)
     lam = rep.level()
     if lam == NEG_INF:
-        lam = top
-    return lam - pad, lam + pad - C.gamma.period_generator()
+        lam = record.top
+    return lam - record.pad, lam + record.pad - C.gamma.period_generator()
 
 
 def _query_window(C: FilteredComplex, rep: NovikovChain, window):
@@ -399,10 +479,14 @@ def spectrality_check(rho, C: FilteredComplex, *, mode: str = "rational-exact") 
         return False
     if rho in (NEG_INF, POS_INF) or isinstance(rho, float):
         return False
+    # base - rho lies in the period group g Z iff rho = base mod g, and
+    # every point of the spectrum is a multiple of 1/denom
     rho = Fraction(rho)
-    return any(
-        C.gamma.in_period_group(C.base_action(o) - rho) for o in C.orbits
-    )
+    record = _complex_record(C)
+    if record.denom % rho.denominator:
+        return False
+    key = _scaled(rho, record.denom)
+    return (key % record.period if record.period else key) in record.residues
 
 
 # ---------------------------------------------------------------------------

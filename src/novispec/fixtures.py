@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .chains import (
     FilteredComplex,
+    Generator,
     NovikovChain,
     compose_matrices,
     entry_shifts,
@@ -572,7 +573,8 @@ def random_chain(rng: random.Random, C: FilteredComplex, degree, max_terms=4,
         # the omega-0 cap, then the caps of omega m * quantum, |m| <= cap_span
         caps = C.gamma.caps(c, 0, quantum or 1)
         caps += C.gamma.caps(c, -cap_span * quantum, (cap_span + 1) * quantum)
-        candidates.extend(C.generator(orbit, cap) for cap in caps)
+        base = C.base_action(orbit)
+        candidates.extend(Generator(orbit, cap, base - w, degree) for cap, w in caps)
     if not candidates:
         return C.chain({}, None)
     return C.chain([

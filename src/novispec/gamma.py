@@ -10,7 +10,8 @@ Gluing a cap shifts a generator's degree by -2 c1, so the caps of one degree
 are the solutions of c1(A) = c.  These form a cap line: empty, one point, or
 A0 + t K over the integers with c1(K) = 0.  Injectivity makes omega(K) != 0,
 so the caps of one Chern number in an area range are a run of consecutive t,
-found in closed form by `GammaGroup.caps`.
+found in closed form by `GammaGroup.caps`, which returns each cap with its
+omega: stepping along the line adds omega(K) once per cap.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd
+from operator import add, sub
 
 from .errors import StructuralError
 
@@ -28,10 +30,10 @@ def vec_zero(rank: int) -> GammaElement:
     return (0,) * rank
 
 def vec_add(a: GammaElement, b: GammaElement) -> GammaElement:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 def vec_sub(a: GammaElement, b: GammaElement) -> GammaElement:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 def vec_neg(a: GammaElement) -> GammaElement:
     return tuple(-x for x in a)
@@ -155,19 +157,28 @@ class GammaGroup:
         return (u * (c1 // g), v * (c1 // g)), (d[1] // g, -d[0] // g)
 
     def caps(self, c1: int, lo, hi) -> list:
-        """Every cap A with c1(A) = c1 and lo <= omega(A) < hi, omega ascending."""
+        """(A, omega(A)) for every cap A with c1(A) = c1 and lo <= omega(A) < hi.
+
+        Omega ascending.  Along the cap line A0 + t K, each step adds K to
+        the cap and omega(K) to its omega.
+        """
         line = self._cap_line(int(c1))
         if line is None:
             return []
         start, step = line
         w0 = self.omega(start)
         if step is None:
-            return [start] if lo <= w0 < hi else []
+            return [(start, w0)] if lo <= w0 < hi else []
         dw = self.omega(step)
         if dw < 0:
             step, dw = vec_neg(step), -dw
         first, stop = ceil((Fraction(lo) - w0) / dw), ceil((Fraction(hi) - w0) / dw)
-        return [vec_add(start, vec_scale(t, step)) for t in range(first, stop)]
+        out = []
+        cap, w = vec_add(start, vec_scale(first, step)), w0 + first * dw
+        for _ in range(first, stop):
+            out.append((cap, w))
+            cap, w = vec_add(cap, step), w + dw
+        return out
 
 
 def _extended_gcd(a: int, b: int):

@@ -35,6 +35,21 @@ def test_generator_cap_shifts_action_and_degree():
     assert g.degree == 0 - 2 * 4  # c1((2,)) = 4, shift -2*c1
 
 
+def test_generator_hash_agrees_with_equality():
+    C = two_generator_complex()
+    g = C.generator("hi", (2,))
+    same = nv.Generator("hi", (2,), F(-1), -8)
+    assert g == same and hash(g) == hash(same) == hash(("hi", (2,)))
+    assert {g: 1}[same] == 1 and len({g, same}) == 1
+    # equality still reads every field; the hash reads (orbit, cap) only
+    for other in [nv.Generator("hi", (2,), F(0), -8), nv.Generator("hi", (2,), F(-1), 0),
+                  C.generator("hi", (1,)), C.generator("lo", (2,))]:
+        assert other != g
+        assert len({g, other}) == 2
+    gens = [C.generator(o, (k,)) for o in C.orbits for k in range(-3, 4)]
+    assert len(set(gens)) == len(gens)
+
+
 def test_chain_sums_terms_before_degree_check_and_floor():
     C = two_generator_complex()
     hi, lo, far = C.generator("hi"), C.generator("lo"), C.generator("lo", (1,))

@@ -18,11 +18,13 @@ from novispec import (
     SpectralLevelError,
 )
 from novispec import linalg
+from novispec.chains import equivariant_image
 from novispec.engine import (
     _chain_vector,
     _columns,
+    _complex_record,
     _degree_generators,
-    _window_pad,
+    _prefix,
     build_window,
     default_window_bounds,
 )
@@ -166,6 +168,29 @@ def test_spectrality_membership():
     C = nv.FilteredComplex(G1, [("a", F(1, 3), 0)], {})
     assert nv.spectrality_check(F(1, 3) - 4, C)
     assert not nv.spectrality_check(F(1, 2), C)
+
+
+def test_spectrality_check_matches_period_group_scan():
+    # the residue lookup must agree with its definition: some base - rho
+    # lies in the period group; g == 0 groups compare with the bases
+    rng = random.Random(11)
+    complexes = [random_instance(k).complex for k in range(40)]
+    complexes.append(nv.FilteredComplex(G0, [("a", F(1, 3), 0), ("b", F(-2), 1)], {}))
+    complexes.append(nv.FilteredComplex(GammaGroup((F(0),), (1,)), [("a", F(5, 2), 0)], {}))
+    complexes.append(nv.FilteredComplex(G1, [], {}))  # no orbits: an empty spectrum
+    on = off = trivial = 0
+    for C in complexes:
+        g = C.gamma.period_generator()
+        bases = [C.base_action(o) for o in sorted(C.orbits)]
+        lams = [F(0)] + [F(rng.randint(-60, 60), rng.choice([1, 2, 3, 7])) for _ in range(15)]
+        lams += [rng.choice(bases) - rng.randint(-5, 5) * g for _ in range(10 if bases else 0)]
+        for lam in lams:
+            scan = any(C.gamma.in_period_group(b - lam) for b in bases)
+            assert nv.spectrality_check(lam, C) == scan, (C.gamma, bases, lam)
+            on += scan
+            off += not scan
+            trivial += g == 0
+    assert on > 300 and off > 100 and trivial > 50
 
 
 def test_spectrality_of_engine_results():
@@ -339,6 +364,56 @@ def test_degree_generators_pinned():
     assert digest == "f2625ed7c744c0146bc5fd0d22843a5bac14d7db6a11c9f417b2ff452f3da8fa"
 
 
+def _window_from_images(C, degree, lo, hi):
+    """A window rebuilt term by term through `equivariant_image`:
+    (rows, columns, matrix, truncated)."""
+    cols = _degree_generators(C, degree + 1, lo, hi)
+    matrix, truncated = [], False
+    for col in cols:
+        image = equivariant_image(C.boundary_entries, {col: 1}, C)
+        column = {g: c for g, c in image.items() if g.action > lo}
+        truncated = truncated or len(column) < len(image)
+        matrix.append(column)
+    rows = set(_degree_generators(C, degree, lo, hi)).union(*matrix)
+    return sorted(rows, key=lambda g: (-g.action, g.orbit, g.cap)), cols, matrix, truncated
+
+
+def test_window_columns_match_equivariant_images():
+    # build_window shifts each column's boundary terms from a per-complex
+    # table; it must give the same window as the images term by term.  The
+    # reversed copies list their orbits out of order, so ties in action
+    # must still break on (orbit, cap).  The last complex is invalid: a -> b
+    # raises the action (above `hi` for the window topped at 2) and a -> c
+    # misses the degree, so both land in extra rows.
+    complexes = [random_instance(k, max_orbits=6 if k % 3 else 12).complex
+                 for k in range(30)]
+    complexes += [nv.FilteredComplex(C.gamma, [(o, *C.orbits[o]) for o in sorted(C.orbits)[::-1]],
+                                     C.boundary_entries) for C in complexes[:10]]
+    for make in BUILTIN_FIXTURES.values():
+        fix = make()
+        complexes.append(fix.build(min(F(1, 8), fix.max_eps)))
+    complexes.append(nv.FilteredComplex(
+        G1, [("a", F(0), 1), ("b", F(3), 0), ("c", F(1, 2), 3)],
+        {"a": {"b": mono(1, (0,), G1), "c": mono(2, (1,), G1)}},
+    ))
+    windows = [(F(-5), F(5)), (F(-37, 3), F(11, 2)), (F(-1, 7), F(40, 3)), (F(-4), F(2))]
+    truncated = extra = columns = 0
+    for C in complexes:
+        for degree in range(-3, 4):
+            for lo, hi in windows:
+                w = build_window(C, degree, lo, hi)
+                rows, cols, matrix, cut = _window_from_images(C, degree, lo, hi)
+                assert (w.rows, w.cols, w.matrix, w.truncated) == (rows, cols, matrix, cut)
+                assert w.row_index == {g: i for i, g in enumerate(rows)}
+                levels = {g.action for g in rows} | {lo, hi, lo - 1, hi + 1}
+                for level in levels | {lam + F(1, 97) for lam in levels}:
+                    assert _prefix(w, level) == sum(1 for g in rows if g.action >= level)
+                truncated += cut
+                extra += len(rows) - len(_degree_generators(C, degree, lo, hi))
+                columns += len(cols)
+    assert truncated > 100 and extra >= 2 and columns > 1000
+
+
 def _oracle_system(C, rep):
     """The oracle's dense cancellation system, rebuilt independently:
     (rows, matrix, right-hand side, candidate levels)."""
@@ -389,7 +464,7 @@ def _answers(inst, lams, cold):
     def call(func, *args):
         if cold:
             build_window.cache_clear()
-            _window_pad.cache_clear()
+            _complex_record.cache_clear()
         return func(C, rep, *args)
 
     r = call(nv.spectral_invariant)
@@ -435,7 +510,7 @@ def test_window_cache_is_transparent_and_bounded():
     first = _nonzero_instance(5)
     ref = _first_window_ref(first.complex, first.representative)
     del first
-    sizes = [build_window.cache_info().maxsize, _window_pad.cache_info().maxsize]
+    sizes = [build_window.cache_info().maxsize, _complex_record.cache_info().maxsize]
     assert None not in sizes
     seed = 100
     for _ in range(max(sizes) + 1):

@@ -71,9 +71,16 @@ def test_in_period_group():
     assert not trivial.in_period_group(1)
 
 
+def _caps(g, c1, lo, hi):
+    """The caps of `g.caps`, after checking the omega returned with each."""
+    found = g.caps(c1, lo, hi)
+    assert all(w == g.omega(a) and isinstance(w, F) for a, w in found)
+    return [a for a, _ in found]
+
+
 def _at(g, omega, c1):
     """The caps of exactly one (omega, c1): a window narrower than any period."""
-    return g.caps(c1, omega, omega + F(1, 10**6))
+    return _caps(g, c1, omega, omega + F(1, 10**6))
 
 
 def test_caps_unique_element():
@@ -92,13 +99,13 @@ def test_caps_unique_element():
     z = GammaGroup((F(0),), (1,))
     assert _at(z, F(0), 4) == [(4,)]
     assert _at(z, F(1), 4) == []
-    assert z.caps(4, -10, 10) == [(4,)]
+    assert _caps(z, 4, -10, 10) == [(4,)]
 
     # rank 1 with c1 = 0: the caps of c1 = 0 are the whole line
     flat_c1 = GammaGroup((F(-3, 2),), (0,))
     assert _at(flat_c1, F(3), 0) == [(-2,)]
-    assert flat_c1.caps(0, -3, 3) == [(2,), (1,), (0,), (-1,)]
-    assert flat_c1.caps(1, -100, 100) == []
+    assert flat_c1.caps(0, -3, 3) == [((2,), -3), ((1,), F(-3, 2)), ((0,), 0), ((-1,), F(3, 2))]
+    assert _caps(flat_c1, 1, -100, 100) == []
 
 
 CAP_GROUPS = [
@@ -121,7 +128,7 @@ def test_caps_match_brute_force(omega, c1):
     total = 0
     for c in range(-7, 8):
         for lo, hi in CAP_WINDOWS:
-            found = g.caps(c, lo, hi)
+            found = _caps(g, c, lo, hi)
             total += len(found)
             expected = {a for a, w, k in values if k == c and lo <= w < hi}
             assert set(found) == expected and len(found) == len(expected), (c, lo, hi)

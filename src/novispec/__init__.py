@@ -27,7 +27,6 @@ from .dual import (
 from .engine import (
     BoundReport,
     SpectralResult,
-    SpectrumDescription,
     action_spectrum,
     check_valuation_bounds,
     image_membership,

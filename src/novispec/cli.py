@@ -279,7 +279,8 @@ class TaskLog:
 
 
 def _spectra_row(log: TaskLog, ws: Workspace, C, result, **where):
-    cert = spectrality_check(result.rho, C, mode=ws.mode)
+    # floating mode certifies nothing
+    cert = ws.mode == "rational-exact" and spectrality_check(result.rho, C)
     log.check(
         result.rho == NEG_INF or cert or ws.mode != "rational-exact",
         task="spectra",

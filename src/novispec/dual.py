@@ -199,12 +199,11 @@ def dual_boundary(mu: DualFunctional) -> DualFunctional:
     return DualFunctional(C, atoms, rays)
 
 
-def is_cocycle(mu: DualFunctional, degree: int, window=None) -> bool:
-    """d* mu = 0, tested by evaluation on a window of degree+1 generators."""
+def is_cocycle(mu: DualFunctional, degree: int) -> bool:
+    """d* mu = 0, tested by evaluation on the dual window's degree+1 generators."""
     C = mu.complex
     dual = dual_boundary(mu)
-    lo, hi = window if window is not None else _default_dual_window(C)
-    for gen in _degree_generators(C, degree + 1, lo, hi):
+    for gen in _degree_generators(C, degree + 1, *_default_dual_window(C)):
         if dual.evaluate(C.chain({gen: 1}, None)) != 0:
             return False
     return True
@@ -245,8 +244,7 @@ def point_cochain_functional(C: FilteredComplex, terms) -> DualFunctional:
     )
 
 
-def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int,
-                            *, window=None):
+def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int):
     """Smallest truncation level at which the functional detects a cycle.
 
     The boundary out of degree `degree` is reduced once with its columns in
@@ -258,12 +256,11 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int,
     """
     if not classify_functional(mu).continuous:
         raise DomainError("the functional is not continuous")
-    lo, hi = window if window is not None else _default_dual_window(C)
-    if not is_cocycle(mu, degree, window=(lo, hi)):
+    if not is_cocycle(mu, degree):
         raise DomainError("the functional is not closed under the dual boundary")
     # the window one degree down has the degree-`degree` generators as its
-    # columns, with their boundary images above `lo`
-    w = build_window(C, degree - 1, lo, hi)
+    # columns, with their boundary images above its floor
+    w = build_window(C, degree - 1, *_default_dual_window(C))
     gens = w.cols[::-1]
     reduction = linalg.Reduction(_columns(w)[::-1])
     for gen, r, v in zip(gens, reduction.R, reduction.V):

@@ -14,6 +14,12 @@ queried on the prefix of rows at or above the level, which a bisection of
 the action-sorted rows finds.  The representative stays sparse; the
 residual of each solve is the next representative.
 
+Each query reads one window, `default_window_bounds`; no lower floor is
+tried.  Every row lies above the floor, so a class that vanishes there is
+reported indeterminate with the interval (-inf, floor).  The window spans
+a pad around the representative's level, so a representative whose terms
+span more than the pad can be indeterminate although its invariant is finite.
+
 A window derives every action from data already known, never from a
 per-generator omega.  `GammaGroup.caps` returns each cap with its omega,
 stepped along the cap line, so a generator's action is one subtraction.
@@ -262,8 +268,8 @@ def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
     return lam - record.pad, lam + record.pad - C.gamma.period_generator()
 
 
-def _query_window(C: FilteredComplex, rep: NovikovChain, window):
-    """The (lo, hi) query window of the cycle `rep` (`window` if set).
+def _query_window(C: FilteredComplex, rep: NovikovChain):
+    """The (lo, hi) query window of the cycle `rep`.
 
     None for the zero class, which each query answers itself.
     """
@@ -273,55 +279,29 @@ def _query_window(C: FilteredComplex, rep: NovikovChain, window):
         raise DomainError("representative is not a cycle")
     if rep.is_zero():
         return None
-    if window is not None:
-        return Fraction(window[0]), Fraction(window[1])
     return default_window_bounds(C, rep)
 
 
-def spectral_invariant(
-    C: FilteredComplex,
-    representative: NovikovChain,
-    *,
-    window=None,
-    floor=None,
-    max_widenings: int = 3,
-) -> SpectralResult:
+def spectral_invariant(C: FilteredComplex, representative: NovikovChain, *,
+                       floor=None) -> SpectralResult:
     """Infimum of levels over the class of `representative`, with witness.
 
-    The representative must be a cycle.  `floor` pins the precision floor
-    (no widening below it); otherwise the window widens a few times before
-    reporting indeterminacy.
+    The representative must be a cycle.  The query reads one window,
+    `default_window_bounds`, and `floor` (else the representative's own
+    floor) may raise its floor; no lower floor is ever tried.  A class that
+    vanishes above the floor is reported indeterminate, with the interval
+    (-inf, floor).
     """
     rep = representative
-    bounds = _query_window(C, rep, window)
+    bounds = _query_window(C, rep)
     if bounds is None:
         return SpectralResult(
             NEG_INF, rep, [], "zero-class", None, {"reason": "zero representative"}
         )
     lo, hi = bounds
-    hard_floor = floor
-    if hard_floor is None and rep.floor is not None:
-        hard_floor = rep.floor
+    hard_floor = floor if floor is not None else rep.floor
     if hard_floor is not None:
         lo = max(lo, Fraction(hard_floor))
-        max_widenings = 0
-    if hi < rep.level():
-        raise StructuralError("window top lies below the representative level")
-
-    widenings = 0
-    while True:
-        result = _reduce_once(C, rep, lo, hi, hard_floor)
-        if result is not None:
-            return result
-        if widenings >= max_widenings:
-            raise IndeterminateError(
-                f"reduction reached the precision floor {lo} before stabilizing"
-            )
-        lo = lo - 2 * (hi - lo)
-        widenings += 1
-
-
-def _reduce_once(C, rep, lo, hi, hard_floor=None):
     window = build_window(C, rep.degree, lo, hi)
     v, dropped = _chain_vector(window, rep)
     if dropped and not v:
@@ -332,10 +312,9 @@ def _reduce_once(C, rep, lo, hi, hard_floor=None):
     result_floor = lo if inexact else None
     reduction = window.reduction
     trace = []
+    # every row lies above `lo`, so each level does too
     while v:
         level = window.rows[min(v)].action
-        if level <= lo:
-            return None  # hit the floor: caller may widen
         constraint_rows = _prefix(window, level)
         stratum = [window.rows[i] for i in sorted(v) if i < constraint_rows]
         x, r = reduction.solve(v, constraint_rows)
@@ -368,7 +347,7 @@ def _reduce_once(C, rep, lo, hi, hard_floor=None):
     return SpectralResult(NEG_INF, C.chain({}, None), trace, "zero-class", None, cert)
 
 
-def oracle_rho(C: FilteredComplex, representative: NovikovChain, *, window=None):
+def oracle_rho(C: FilteredComplex, representative: NovikovChain):
     """Bottom-up brute-force answer: the smallest feasible level.
 
     Feasibility of a level is the solvability of the strict-superlevel
@@ -378,7 +357,7 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain, *, window=None)
     smallest feasible level is found by bisection.
     """
     rep = representative
-    bounds = _query_window(C, rep, window)
+    bounds = _query_window(C, rep)
     if bounds is None:
         return NEG_INF
     lo, hi = bounds
@@ -407,13 +386,14 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain, *, window=None)
         return NEG_INF
     levels = sorted({g.action for g in rows if g.action > lo})
     i = bisect_left(levels, True, key=feasible)
-    if i == len(levels):
+    # feasible at the floor itself: the answer lies at or below the window
+    # (with no row at or below the floor, that is the full system above)
+    if i == len(levels) or (i == 0 and rows[-1].action <= lo and feasible(lo)):
         raise IndeterminateError("no feasible level inside the oracle window")
     return levels[i]
 
 
-def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
-                     window=None) -> bool:
+def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> bool:
     """Is the class visible in the strict sublevel complex at `lam`?
 
     `lam` must avoid the action spectrum; the test solves for a boundary
@@ -423,7 +403,7 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
     if spectrality_check(lam, C):
         raise SpectralLevelError(f"{lam} lies on the action spectrum")
     rep = representative
-    bounds = _query_window(C, rep, window)
+    bounds = _query_window(C, rep)
     if bounds is None:
         return True
     lo, hi = bounds
@@ -437,16 +417,8 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam, *,
 # spectrum
 
 
-@dataclass
-class SpectrumDescription:
-    """The spectrum points inside a window; `spectrality_check` tests membership."""
-
-    period: Fraction  # generator of the period group (0 if trivial)
-    points: list  # spectrum inside the window, ascending
-    rational: bool
-
-
-def action_spectrum(C: FilteredComplex, window, *, mode: str = "rational-exact"):
+def action_spectrum(C: FilteredComplex, window) -> list:
+    """The spectrum points {base action - period lattice} in [lo, hi], ascending."""
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if hi < lo:
         raise StructuralError("empty spectrum window")
@@ -462,21 +434,14 @@ def action_spectrum(C: FilteredComplex, window, *, mode: str = "rational-exact")
         m_hi = math.floor((base - lo) / g)
         for m in range(m_lo, m_hi + 1):
             points.add(base - m * g)
-    return SpectrumDescription(
-        period=g,
-        points=sorted(points),
-        rational=(mode == "rational-exact"),
-    )
+    return sorted(points)
 
 
-def spectrality_check(rho, C: FilteredComplex, *, mode: str = "rational-exact") -> bool:
+def spectrality_check(rho, C: FilteredComplex) -> bool:
     """Exact membership of a computed value in {base action - period lattice}.
 
-    The zero class (-inf) is outside the spectrum; floating mode is never
-    certified.
+    The zero class (-inf) is outside the spectrum.
     """
-    if mode != "rational-exact":
-        return False
     if rho in (NEG_INF, POS_INF) or isinstance(rho, float):
         return False
     # base - rho lies in the period group g Z iff rho = base mod g, and
@@ -527,7 +492,7 @@ class BoundReport:
 
 
 def check_valuation_bounds(
-    m: MorseData, eps, a: QuantumClass, gamma, pd_chains, *, window=None
+    m: MorseData, eps, a: QuantumClass, gamma, pd_chains
 ) -> BoundReport:
     """Bounds of the small-complex invariant around the class valuation.
 
@@ -544,7 +509,7 @@ def check_valuation_bounds(
         return BoundReport(False, None, v, gap, None, None, None, None)
     C = build_small_complex(m, eps, gamma)
     rep = realize_flat(flat(a), C, pd_chains)
-    result = spectral_invariant(C, rep, window=window)
+    result = spectral_invariant(C, rep)
     rho = result.rho
     if rho == NEG_INF:
         raise DomainError("class realized to a boundary; bounds are undefined")

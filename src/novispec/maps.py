@@ -486,7 +486,7 @@ def check_local_constancy(complexes, representatives, step_bounds, *, window=(-1
 
     if not (len(complexes) == len(representatives) == len(step_bounds) + 1):
         raise StructuralError("family lengths are inconsistent")
-    spectra = [tuple(action_spectrum(C, window).points) for C in complexes]
+    spectra = [action_spectrum(C, window) for C in complexes]
     same_spectrum = all(s == spectra[0] for s in spectra)
     points = spectra[0]
     gaps = [b - a for a, b in zip(points, points[1:])]

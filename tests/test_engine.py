@@ -116,10 +116,32 @@ def test_infinite_descent_is_indeterminate():
     )
     assert C.validate().ok
     rep = C.chain({C.generator("y"): 1}, None)
-    r = nv.spectral_invariant(C, rep, max_widenings=1)
+    r = nv.spectral_invariant(C, rep)
     assert r.spectrality == "indeterminate"
     assert r.certificate["interval"][0] == NEG_INF
     assert r.certificate["floor"] is not None
+
+
+def test_oracle_raises_below_its_window_floor():
+    # y q^-50 + s is homologous to s, so rho = -1/2, but the default window
+    # around level 50 stops above -1/2: the class cancels at the floor.  The
+    # oracle must not answer its lowest candidate level, and the engine's
+    # interval must contain the true value.
+    GZ = GammaGroup((F(1),), (0,))
+    C = nv.FilteredComplex(
+        GZ,
+        [("x", F(1), 1), ("y", F(0), 0), ("s", F(-1, 2), 0)],
+        {"x": {"y": mono(1, (0,), GZ)}},
+    )
+    assert C.validate().ok
+    rep = C.chain({C.generator("y", (-50,)): 1, C.generator("s"): 1}, None)
+    assert rep.level() == 50
+    with pytest.raises(IndeterminateError):
+        nv.oracle_rho(C, rep)
+    r = nv.spectral_invariant(C, rep)
+    assert r.spectrality == "indeterminate"
+    low, high = r.certificate["interval"]
+    assert low < F(-1, 2) < high
 
 
 def test_indeterminate_below_floor():
@@ -136,32 +158,18 @@ def test_indeterminate_below_floor():
 
 def test_action_spectrum_trivial_group():
     C = nv.FilteredComplex(G0, [("a", F(1, 3), 0), ("b", F(-2), 1)], {})
-    spec = nv.action_spectrum(C, (-3, 3))
-    assert spec.points == [F(-2), F(1, 3)]
-    assert spec.period == 0
-    assert spec.rational
+    assert nv.action_spectrum(C, (-3, 3)) == [F(-2), F(1, 3)]
 
 
 def test_action_spectrum_integer_lattice():
     C = nv.FilteredComplex(G1, [("a", F(0), 0)], {})
-    spec = nv.action_spectrum(C, (F(-5, 2), F(5, 2)))
-    assert spec.points == [F(-2), F(-1), F(0), F(1), F(2)]
+    assert nv.action_spectrum(C, (F(-5, 2), F(5, 2))) == [F(-2), F(-1), F(0), F(1), F(2)]
 
 
 def test_action_spectrum_half_integer_period():
     G = GammaGroup((F(1), F(3, 2)), (0, 1))
     C = nv.FilteredComplex(G, [("a", F(0), 0)], {})
-    spec = nv.action_spectrum(C, (0, 1))
-    assert spec.period == F(1, 2)
-    assert spec.points == [F(0), F(1, 2), F(1)]
-    assert spec.rational
-
-
-def test_floating_mode_not_certified():
-    C = nv.FilteredComplex(G1, [("a", F(0), 0)], {})
-    spec = nv.action_spectrum(C, (0, 1), mode="floating")
-    assert not spec.rational
-    assert not nv.spectrality_check(F(0), C, mode="floating")
+    assert nv.action_spectrum(C, (0, 1)) == [F(0), F(1, 2), F(1)]
 
 
 def test_spectrality_membership():
@@ -226,8 +234,8 @@ def test_uniform_shift_moves_spectra_and_rho():
         else:
             assert r2 == r1 + shift
             assert nv.spectrality_check(r2, D)
-        s1 = nv.action_spectrum(C, (-2, 2)).points
-        s2 = nv.action_spectrum(D, (-2 + shift, 2 + shift)).points
+        s1 = nv.action_spectrum(C, (-2, 2))
+        s2 = nv.action_spectrum(D, (-2 + shift, 2 + shift))
         assert s2 == [p + shift for p in s1]
 
 
@@ -405,6 +413,8 @@ def test_window_columns_match_equivariant_images():
                 rows, cols, matrix, cut = _window_from_images(C, degree, lo, hi)
                 assert (w.rows, w.cols, w.matrix, w.truncated) == (rows, cols, matrix, cut)
                 assert w.row_index == {g: i for i, g in enumerate(rows)}
+                # extra rows included: no reduction level can reach the floor
+                assert all(g.action > lo for g in w.rows)
                 levels = {g.action for g in rows} | {lo, hi, lo - 1, hi + 1}
                 for level in levels | {lam + F(1, 97) for lam in levels}:
                     assert _prefix(w, level) == sum(1 for g in rows if g.action >= level)

@@ -293,18 +293,31 @@ def test_cli_subprocess_oracle(tmp_path):
     assert report["results"]["oracle"]["failures"] == 0
 
 
-@pytest.mark.parametrize("command, digest", [
+REPORT_PINS = [
     # the staircase witnesses that take a reduction step
-    ("spectra", "c6b2d6c8b1cd4805280179aad73da368c957598090756e37b9f8e0fb07555a5d"),
+    ("spectra", "rational-exact",
+     "c6b2d6c8b1cd4805280179aad73da368c957598090756e37b9f8e0fb07555a5d"),
     # the dual-vs-primal values
-    ("appendix", "0b9ab14f82e372e5afb700081a935c9cc74f65b5f3d0b1172f1c780e16b36532"),
+    ("appendix", "rational-exact",
+     "0b9ab14f82e372e5afb700081a935c9cc74f65b5f3d0b1172f1c780e16b36532"),
     # chain maps applied through the continuity checks
-    ("axioms", "55fd2a995b2088183ef546684a0951aae3a8db6113af7016ad949fd183417a5d"),
+    ("axioms", "rational-exact",
+     "55fd2a995b2088183ef546684a0951aae3a8db6113af7016ad949fd183417a5d"),
     # dressed random instances against the oracle
-    ("oracle", "1a66bbd6d833c34c13b31f707e7f64e764834613f31e5c322a2fc455989af62f"),
-])
-def test_demo_report_bytes_pinned(command, digest):
+    ("oracle", "rational-exact",
+     "1a66bbd6d833c34c13b31f707e7f64e764834613f31e5c322a2fc455989af62f"),
+    # floating mode: every row passes and none is certified spectral
+    ("spectra", "floating",
+     "447047c153bff321722ace931e0ad39b911691e139ee4b9cfd0b2b26e612e3af"),
+]
+
+
+# the ids name a pin by command and digest, so a new mode adds a case
+@pytest.mark.parametrize("command, mode, digest", REPORT_PINS,
+                         ids=[f"{command}-{digest}" for command, _, digest in REPORT_PINS])
+def test_demo_report_bytes_pinned(command, mode, digest):
     ws = load_and_validate(REPO / "manifests" / "demo.json")
+    ws.mode = mode
     ws.oracle_cap = 10  # read by the oracle task only
     text = json.dumps(run(command, ws), indent=1, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest

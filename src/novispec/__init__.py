@@ -5,11 +5,9 @@ from .chains import (
     Generator,
     NovikovChain,
     ValidationReport,
-    gamma_shift,
     include_truncation,
     level_and_peak,
     truncate_below,
-    validate_complex,
 )
 from .dual import (
     BallSpec,
@@ -62,7 +60,6 @@ from .morse import (
     MorseData,
     build_small_complex,
     cochain_differential,
-    index_of,
     morse_index_of,
 )
 from .quantum import (

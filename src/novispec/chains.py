@@ -304,9 +304,6 @@ class FilteredComplex:
             floor = self.floor
         return NovikovChain(self, terms, floor)
 
-    def zero_chain(self) -> NovikovChain:
-        return self.chain({})
-
     # -- boundary ------------------------------------------------------------
 
     def boundary(self, chain: NovikovChain) -> NovikovChain:
@@ -395,14 +392,6 @@ class FilteredComplex:
             {other.generator(mapping[g.orbit], g.cap): c for g, c in chain.terms.items()},
             chain.floor,
         )
-
-
-def gamma_shift(chain: NovikovChain, cap: GammaElement) -> NovikovChain:
-    return chain.shift(cap)
-
-
-def validate_complex(C: FilteredComplex, **kwargs) -> ValidationReport:
-    return C.validate(**kwargs)
 
 
 def truncate_below(C: FilteredComplex, lam) -> FilteredComplex:

@@ -52,13 +52,84 @@ from .scalars import DOWN, UP, NEG_INF
 
 COMMANDS = ("spectra", "axioms", "appendix", "oracle", "all")
 
-# the JSON type of each typed manifest field, when present
-_FIELD_TYPES = {"out": (str, type(None))}
-_FIELD_TYPES.update(dict.fromkeys(("builtin", "manifolds", "complexes", "chain_maps",
-                                   "products", "shifts", "functionals"), list))
-
 # what parsing a malformed fixture raises (AttributeError: a list for an object)
 _PARSE_ERRORS = (NovispecError, AttributeError, KeyError, TypeError, ValueError)
+
+
+class _Rejected(Exception):
+    """A fixture that parses but fails its own check: args (code, message)."""
+
+
+def _manifold(ws, raw, entry, stem):
+    fix = jsonio.manifold_from_json(raw)
+    return fix.name, fix
+
+
+def _complex(ws, raw, entry, stem):
+    C = jsonio.complex_from_json(raw)
+    report = C.validate()
+    if not report.ok:
+        v = report.violations[0]
+        raise _Rejected("invariant:" + v.code, f"{v.message} (witness {v.witness})")
+    name = entry.get("name") or stem
+    ws.representatives[name] = {rname: jsonio.chain_from_json(terms, C, ws.floor)
+                                for rname, terms in raw.get("representatives", {}).items()}
+    return name, C
+
+
+def _chain_map(ws, raw, entry, stem):
+    m = jsonio.chain_map_from_json(raw, ws.complexes)
+    cert = m.certify()
+    if not cert.ok:
+        raise _Rejected("uncertified-map", ", ".join(cert.codes()))
+    return stem, m
+
+
+def _product(ws, raw, entry, stem):
+    P = jsonio.product_map_from_json(raw, ws.complexes)
+    report = P.validate()
+    if not report.ok:
+        raise _Rejected("product-invariant", ", ".join(report.codes()))
+    return stem, P
+
+
+def _known_complex(ws, entry):
+    cname = entry["complex"]
+    if cname not in ws.complexes:
+        raise InputError(f"entry references unknown complex {cname!r}")
+    return cname
+
+
+def _shift(ws, raw, entry, stem):
+    return stem, (_known_complex(ws, entry), jsonio.monodromy_from_json(raw))
+
+
+def _functional(ws, raw, entry, stem):
+    cname = _known_complex(ws, entry)
+    return stem, (cname, jsonio.functional_from_json(raw, ws.complexes[cname]))
+
+
+# The fixture-file sections, in load order: maps, products, shifts and
+# functionals refer to complexes loaded before them.  Each section names its
+# parse-failure code, its entry shape (a path string, or an object with a
+# string "path") and the loader (ws, raw, entry, stem) -> (name, value) whose
+# value is registered under `name` in the Workspace field of the same key.
+_SECTIONS = {
+    "manifolds": ("manifold-parse", str, _manifold),
+    "complexes": ("complex-parse", dict, _complex),
+    "chain_maps": ("chain-map-parse", str, _chain_map),
+    "products": ("product-parse", str, _product),
+    "shifts": ("shift-parse", dict, _shift),
+    "functionals": ("functional-parse", dict, _functional),
+}
+_SHAPE_MESSAGES = {
+    str: "entry must be a path string",
+    dict: 'entry must be an object with a string "path"',
+}
+
+# the JSON type of each typed manifest field, when present
+_FIELD_TYPES = {"out": (str, type(None))}
+_FIELD_TYPES.update(dict.fromkeys(("builtin", *_SECTIONS), list))
 
 
 @dataclass
@@ -108,102 +179,32 @@ def load_and_validate(manifest_path) -> Workspace:
     def fail(code, where, message):
         errors.append({"code": code, "where": str(where), "message": message})
 
-    def path_entries(key, code):
-        for entry in obj.get(key, []):
-            if isinstance(entry, dict) and isinstance(entry.get("path"), str):
-                yield entry
-            else:
-                fail(code, entry, 'entry must be an object with a string "path"')
-
     for name in obj.get("builtin", []):
         try:
             ws.manifolds[name] = load_builtin(name)
         except (NovispecError, TypeError) as exc:
             fail("unknown-builtin", name, str(exc))
-    base = path.parent
-    for rel in obj.get("manifolds", []):
-        try:
-            fpath = base / rel
-            raw = jsonio.load_json(fpath)
-            fix = jsonio.manifold_from_json(raw)
-            ws.manifolds[fix.name] = fix
-            ws.fixture_hashes[str(rel)] = jsonio.file_hash(fpath)
-        except _PARSE_ERRORS as exc:
-            fail("manifold-parse", rel, str(exc))
-    for entry in path_entries("complexes", "complex-parse"):
-        rel, cname = entry["path"], entry.get("name")
-        try:
-            fpath = base / rel
-            raw = jsonio.load_json(fpath)
-            C = jsonio.complex_from_json(raw)
-            cname = cname or Path(rel).stem
-            report = C.validate()
-            if not report.ok:
-                v = report.violations[0]
-                fail(
-                    "invariant:" + v.code,
-                    rel,
-                    f"{v.message} (witness {v.witness})",
-                )
+    for key, (code, shape, load) in _SECTIONS.items():
+        registered = getattr(ws, key)
+        for entry in obj.get(key, []):
+            rel = entry.get("path") if shape is dict and isinstance(entry, dict) else entry
+            if not (isinstance(entry, shape) and isinstance(rel, str)):
+                fail(code, entry, _SHAPE_MESSAGES[shape])
                 continue
-            ws.complexes[cname] = C
-            ws.fixture_hashes[str(rel)] = jsonio.file_hash(fpath)
-            reps = {}
-            for rname, terms in raw.get("representatives", {}).items():
-                reps[rname] = jsonio.chain_from_json(terms, C, ws.floor)
-            ws.representatives[cname] = reps
-        except _PARSE_ERRORS as exc:
-            fail("complex-parse", rel, str(exc))
-    for entry in obj.get("chain_maps", []):
-        try:
-            fpath = base / entry
-            raw = jsonio.load_json(fpath)
-            m = jsonio.chain_map_from_json(raw, ws.complexes)
-            cert = m.certify()
-            if not cert.ok:
-                fail("uncertified-map", entry, ", ".join(cert.codes()))
-                continue
-            ws.chain_maps[Path(entry).stem] = m
-            ws.fixture_hashes[str(entry)] = jsonio.file_hash(fpath)
-        except _PARSE_ERRORS as exc:
-            fail("chain-map-parse", entry, str(exc))
-    for entry in obj.get("products", []):
-        try:
-            fpath = base / entry
-            raw = jsonio.load_json(fpath)
-            P = jsonio.product_map_from_json(raw, ws.complexes)
-            report = P.validate()
-            if not report.ok:
-                fail("product-invariant", entry, ", ".join(report.codes()))
-                continue
-            ws.products[Path(entry).stem] = P
-            ws.fixture_hashes[str(entry)] = jsonio.file_hash(fpath)
-        except _PARSE_ERRORS as exc:
-            fail("product-parse", entry, str(exc))
-    for entry in path_entries("shifts", "shift-parse"):
-        fpath = base / entry["path"]
-        try:
-            raw = jsonio.load_json(fpath)
-            cname = entry["complex"]
-            if cname not in ws.complexes:
-                raise InputError(f"shift references unknown complex {cname!r}")
-            s = jsonio.monodromy_from_json(raw)
-            ws.shifts[Path(entry["path"]).stem] = (cname, s)
-            ws.fixture_hashes[entry["path"]] = jsonio.file_hash(fpath)
-        except _PARSE_ERRORS as exc:
-            fail("shift-parse", entry["path"], str(exc))
-    for entry in path_entries("functionals", "functional-parse"):
-        fpath = base / entry["path"]
-        try:
-            raw = jsonio.load_json(fpath)
-            cname = entry["complex"]
-            if cname not in ws.complexes:
-                raise InputError(f"functional references unknown complex {cname!r}")
-            mu = jsonio.functional_from_json(raw, ws.complexes[cname])
-            ws.functionals[Path(entry["path"]).stem] = (cname, mu)
-            ws.fixture_hashes[entry["path"]] = jsonio.file_hash(fpath)
-        except _PARSE_ERRORS as exc:
-            fail("functional-parse", entry["path"], str(exc))
+            try:
+                fpath = path.parent / rel
+                name, value = load(ws, jsonio.load_json(fpath), entry, Path(rel).stem)
+                # a name is a string not yet taken in its section; builtins come first
+                if not isinstance(name, str):
+                    raise InputError(f"name {name!r} is not a string")
+                if name in registered:
+                    raise InputError(f"name {name!r} is already taken")
+                registered[name] = value
+                ws.fixture_hashes[rel] = jsonio.file_hash(fpath)
+            except _Rejected as exc:
+                fail(exc.args[0], rel, exc.args[1])
+            except _PARSE_ERRORS as exc:
+                fail(code, rel, str(exc))
     for fix in ws.manifolds.values():
         try:
             _validate_manifold(fix, ws.eps)

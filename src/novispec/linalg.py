@@ -1,14 +1,15 @@
 """Exact linear algebra over Fraction.
 
-`Reduction` serves the engine, membership and the dual invariant: one
-sparse column reduction R = D V of a filtered boundary matrix, with V
-unitriangular.  Rows are numbered from the top of the filtration (row 0
-has the highest action) and the pivot of a column is its first nonzero
-row.  Cut down to any row prefix, the reduced columns stay reduced, so one
-reduction answers the cancellation system at every action level; and the
-zero reduced columns carry a kernel basis of every column prefix.
-`Reduction.solve` returns the solution with its residual r = b - D x, so
-a caller reads the cancelled vector off the reduction itself.
+`Reduction` serves the engine, membership, the dual invariant and the
+pairing check of a class basis: one sparse column reduction R = D V of a
+filtered boundary matrix, with V unitriangular.  Rows are numbered from
+the top of the filtration (row 0 has the highest action) and the pivot
+of a column is its first nonzero row.  Cut down to any row prefix, the
+reduced columns stay reduced, so one reduction answers the cancellation
+system at every action level; and the zero reduced columns carry a
+kernel basis of every column prefix.  `Reduction.solve` returns the
+solution with its residual r = b - D x, so a caller reads the cancelled
+vector off the reduction itself.
 
 `add_terms` is the one sparse sum of the package: chains, scalars,
 quantum classes, dual functionals and reduction columns are all finite
@@ -124,10 +125,3 @@ class Reduction:
             add_terms(r, ((k, a * c) for k, c in self.R[j].items()))
             add_terms(x, ((k, f * c) for k, c in self.V[j].items()))
         return x, r
-
-
-def rank(rows) -> int:
-    """Rank of a dense matrix: the number of nonzero reduced columns."""
-    n = len(rows[0]) if rows else 0
-    columns = [{i: Fraction(row[j]) for i, row in enumerate(rows)} for j in range(n)]
-    return len(Reduction(columns).pivots)

@@ -136,11 +136,6 @@ def cochain_differential(m: MorseData, terms) -> list:
     return [(c, p, l) for (p, l), c in sorted(out.items())]
 
 
-def index_of(C: FilteredComplex, gen) -> int:
-    """Degree of a capped generator from its base degree and cap."""
-    return C.base_degree(gen.orbit) - 2 * C.gamma.c1(gen.cap)
-
-
 def morse_index_of(C: FilteredComplex, orbit: str) -> int:
     """The original Morse index of the critical point behind an orbit."""
     table = C.annotations.get("morse_index")

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import DomainError, FixtureError, StructuralError
 from .gamma import GammaGroup, vec_add
-from .linalg import add_terms
+from .linalg import Reduction, add_terms
 from .scalars import POS_INF
 
 COHOMOLOGY = "cohomology"
@@ -62,11 +62,11 @@ class ClassBasis:
         self._check_nondegenerate()
 
     def _check_nondegenerate(self):
+        # full rank: every column of the reduced matrix keeps a pivot
         names = sorted(self.classes)
-        from .linalg import rank
-
-        mat = [[self.pairing_table.get((a, b), Fraction(0)) for b in names] for a in names]
-        if rank(mat) != len(names):
+        columns = [{i: self.pairing_table.get((a, b), Fraction(0))
+                    for i, a in enumerate(names)} for b in names]
+        if len(Reduction(columns).pivots) != len(names):
             raise FixtureError("classical pairing matrix is degenerate")
 
     def degree(self, name: str) -> int:

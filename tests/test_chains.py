@@ -93,8 +93,8 @@ def test_level_below_floor_indeterminate():
 def test_gamma_shift_identity_and_drop():
     C = two_generator_complex()
     a = C.chain({C.generator("hi"): 1, C.generator("lo"): -2}, None)
-    assert nv.gamma_shift(a, (0,)) == a
-    b = nv.gamma_shift(a, (2,))
+    assert a.shift((0,)) == a
+    b = a.shift((2,))
     assert b.level() == a.level() - 2
     assert b.degree == a.degree - 2 * G1.c1((2,))
 
@@ -108,7 +108,7 @@ def test_shift_level_rule_on_random_chains():
         if rep.is_zero() or C.gamma.rank == 0:
             continue
         cap = tuple(rng.randint(-2, 2) for _ in range(C.gamma.rank))
-        assert nv.gamma_shift(rep, cap).level() == rep.level() - C.gamma.omega(cap)
+        assert rep.shift(cap).level() == rep.level() - C.gamma.omega(cap)
 
 
 def test_boundary_of_zero():
@@ -145,9 +145,7 @@ def test_boundary_squares_to_zero_and_commutes_with_shift():
         assert C.boundary(C.boundary(rep)).is_zero()
         if C.gamma.rank:
             cap = tuple(rng.randint(-1, 2) for _ in range(C.gamma.rank))
-            assert C.boundary(nv.gamma_shift(rep, cap)) == nv.gamma_shift(
-                C.boundary(rep), cap
-            )
+            assert C.boundary(rep.shift(cap)) == C.boundary(rep).shift(cap)
 
 
 def test_validate_catches_level_increase():
@@ -311,5 +309,5 @@ def test_ultrametric_level_of_sum():
         a = inst.representative
         if a.is_zero():
             continue
-        b = nv.gamma_shift(a, C.gamma.zero).scale(F(-3, 2))
+        b = a.shift(C.gamma.zero).scale(F(-3, 2))
         assert (a + b).level() <= max(a.level(), b.level())

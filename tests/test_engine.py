@@ -244,7 +244,7 @@ def test_deck_shift_of_rho():
     C = fix.build(F(1, 6))
     rep = nv.realize_flat(nv.flat(fix.cls("pt")), C, fix.pd_chains)
     base = nv.spectral_invariant(C, rep).rho
-    shifted = nv.gamma_shift(rep, (2,))
+    shifted = rep.shift((2,))
     assert nv.spectral_invariant(C, shifted).rho == base - C.gamma.omega((2,))
 
 

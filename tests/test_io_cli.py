@@ -180,8 +180,26 @@ def test_cli_exit_codes_and_determinism(tmp_path):
     pytest.param(json.dumps({"shifts": [{
         "complex": "nowhere", "path": str(REPO / "fixtures" / "deck_shift.json")}]}),
         [], id="shift-on-unknown-complex"),
+    pytest.param('{"builtin": ["nope"]}', [], id="unknown-builtin"),
+    # a workspace name is a string not yet taken in its section
+    pytest.param(json.dumps({"complexes": [
+        {"name": 5, "path": str(REPO / "fixtures" / "staircase.json")},
+        {"name": "b", "path": str(REPO / "fixtures" / "staircase_lifted.json")}]}),
+        [], id="complex-name-not-string"),
+    pytest.param('{"builtin": ["s2"], "manifolds": ["s2_named_7.json"]}', [],
+                 id="manifold-name-not-string"),
+    pytest.param(json.dumps({"complexes": [
+        {"name": "a", "path": str(REPO / "fixtures" / "staircase.json")},
+        {"name": "a", "path": str(REPO / "fixtures" / "staircase_lifted.json")}]}),
+        [], id="duplicate-complex-name"),
+    pytest.param(json.dumps({"builtin": ["s2"],
+                             "manifolds": [str(REPO / "fixtures" / "s2.json")]}),
+                 [], id="manifold-file-reuses-builtin-name"),
 ])
 def test_cli_input_error_exit_two(tmp_path, capsys, manifest, flags):
+    # the manifold file of the case that names a manifold 7
+    s2 = json.loads((REPO / "fixtures" / "s2.json").read_text())
+    (tmp_path / "s2_named_7.json").write_text(json.dumps({**s2, "name": 7}))
     path = tmp_path / "m.json"
     if manifest is not None:
         path.write_text(manifest)
@@ -220,6 +238,13 @@ _ENTRIES = {
     "shifts": {"complex": "staircase", "path": "f.json"},
     "manifolds": "f.json",
     "products": "f.json",
+    "chain_maps": "f.json",
+}
+
+# the complexes a fixture of the section refers to, besides the staircase
+_COMPANIONS = {
+    "products": ("s2_eps8", "s2_eps4"),  # the pants product: s2_eps8 x s2_eps8 -> s2_eps4
+    "chain_maps": ("staircase_lifted",),  # the lift map: staircase -> staircase_lifted
 }
 
 
@@ -260,17 +285,22 @@ _ENTRIES = {
                  _append(["table"], {"a": "bot", "b": "bot", "to": "bot",
                                      "scalar": [["2", [0]]]}),
                  "product-parse", id="duplicate-product-row"),
+    # a fixture that parses but fails its own check, or a field of the wrong type
+    pytest.param("chain_maps", "lift_map", _set(["bound"], "x"), "chain-map-parse",
+                 id="chain-map-bound-not-rational"),
+    pytest.param("products", "s2_pants", _set(["degree_shift"], 0), "product-invariant",
+                 id="product-degree-shift-wrong"),
+    pytest.param("manifolds", "tilted", _set(["pd_chains", "one"], [["1", "m1"]]),
+                 "manifold-invariant", id="manifold-pd-chain-not-cycle"),
 ])
 def test_cli_malformed_fixture_exit_two(tmp_path, capsys, section, shipped, mutate, code):
     raw = mutate(json.loads((REPO / "fixtures" / f"{shipped}.json").read_text()))
     (tmp_path / "f.json").write_text(json.dumps(raw))
     staircase = {"name": "staircase", "path": str(REPO / "fixtures" / "staircase.json")}
-    manifest = {"complexes": [staircase]}
-    if section == "products":  # the pants product maps s2_eps8 x s2_eps8 to s2_eps4
-        manifest["complexes"] += [
-            {"name": n, "path": str(REPO / "fixtures" / f"{n}.json")}
-            for n in ("s2_eps8", "s2_eps4")
-        ]
+    manifest = {"complexes": [staircase] + [
+        {"name": n, "path": str(REPO / "fixtures" / f"{n}.json")}
+        for n in _COMPANIONS.get(section, ())
+    ]}
     manifest.setdefault(section, []).append(_ENTRIES[section])
     (tmp_path / "m.json").write_text(json.dumps(manifest))
     assert main([str(tmp_path / "m.json")]) == 2
@@ -300,7 +330,9 @@ REPORT_PINS = [
     # the dual-vs-primal values
     ("appendix", "rational-exact",
      "0b9ab14f82e372e5afb700081a935c9cc74f65b5f3d0b1172f1c780e16b36532"),
-    # chain maps applied through the continuity checks
+    # normalization, the triangle on manifold and manifest products, seeded
+    # continuity and monodromy pairs, invariances; no task reads the
+    # manifest's chain maps, shifts or functionals
     ("axioms", "rational-exact",
      "55fd2a995b2088183ef546684a0951aae3a8db6113af7016ad949fd183417a5d"),
     # dressed random instances against the oracle

@@ -6,7 +6,6 @@ import pytest
 import novispec as nv
 from novispec import POS_INF, DomainError, FixtureError, QuantumClass, StructuralError
 from novispec.fixtures import calibration, projective_plane, sphere, torus
-from novispec.linalg import rank
 from novispec.quantum import COHOMOLOGY, valuation_min
 
 
@@ -95,13 +94,16 @@ def test_unit_pairs_with_fundamental_class():
 
 
 def test_pairing_nondegenerate_on_span():
+    # a basis checks its pairing on construction, so building one passes
     for fix in (sphere(), projective_plane(), torus()):
         names = sorted(fix.basis.classes)
-        mat = [
-            [nv.pairing(fix.cls(a), nv.flat(fix.cls(b))) for b in names]
-            for a in names
-        ]
-        assert rank(mat) == len(names)
+        table = {(a, b): nv.pairing(fix.cls(a), nv.flat(fix.cls(b)))
+                 for a in names for b in names}
+        classes = [(a, fix.basis.degree(a)) for a in names]
+        nv.ClassBasis(fix.basis.half_dim, classes, table)
+    ones = {(a, b): 1 for a in "uv" for b in "uv"}
+    with pytest.raises(FixtureError, match="degenerate"):
+        nv.ClassBasis(1, [("u", 0), ("v", 2)], ones)
 
 
 def test_flat_is_degree_complementary():

@@ -71,7 +71,7 @@ def _complex(ws, raw, entry, stem):
     if not report.ok:
         v = report.violations[0]
         raise _Rejected("invariant:" + v.code, f"{v.message} (witness {v.witness})")
-    name = entry.get("name") or stem
+    name = entry.get("name", stem)
     ws.representatives[name] = {rname: jsonio.chain_from_json(terms, C, ws.floor)
                                 for rname, terms in raw.get("representatives", {}).items()}
     return name, C
@@ -149,9 +149,6 @@ class Workspace:
     functionals: dict = field(default_factory=dict)  # name -> (complex name, mu)
     fixture_hashes: dict = field(default_factory=dict)
 
-    def is_empty(self):
-        return not (self.manifolds or self.complexes)
-
 
 def load_and_validate(manifest_path) -> Workspace:
     """Parse the manifest and every referenced fixture; aggregate failures."""
@@ -194,9 +191,10 @@ def load_and_validate(manifest_path) -> Workspace:
             try:
                 fpath = path.parent / rel
                 name, value = load(ws, jsonio.load_json(fpath), entry, Path(rel).stem)
-                # a name is a string not yet taken in its section; builtins come first
-                if not isinstance(name, str):
-                    raise InputError(f"name {name!r} is not a string")
+                # a name is a non-empty string not yet taken in its section;
+                # builtins come first
+                if not (isinstance(name, str) and name):
+                    raise InputError(f"name {name!r} is not a non-empty string")
                 if name in registered:
                     raise InputError(f"name {name!r} is already taken")
                 registered[name] = value

@@ -45,10 +45,11 @@ alive, and windows are frozen, so a shared one cannot be reassigned.
 
 An independent oracle answers the same question bottom-up: the smallest
 level whose strict-superlevel cancellation system is feasible, found by
-dense `linalg.solve` on a matrix it builds itself through
-`FilteredComplex.boundary`, apart from the shift table.  Feasibility is
-monotone in the level, because a higher level keeps a subset of the
-constraint rows, so the oracle bisects the sorted candidate levels.  Membership in the image
+`linalg.solve` (sparse row elimination, in the oracle's own row order) on
+rows it builds itself through `FilteredComplex.boundary`, apart from the
+shift table and the window's reduction.  Feasibility is monotone in the
+level, because a higher level keeps a subset of the constraint rows, so
+the oracle bisects the sorted candidate levels.  Membership in the image
 of a truncated complex, the probe API, is a prefix query on the window's
 reduction.
 """
@@ -256,9 +257,6 @@ class SpectralResult:
     attained_at: Generator | None
     certificate: dict
 
-    def is_finite(self):
-        return self.rho != NEG_INF
-
 
 def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
     record = _complex_record(C)
@@ -351,10 +349,11 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
     """Bottom-up brute-force answer: the smallest feasible level.
 
     Feasibility of a level is the solvability of the strict-superlevel
-    cancellation system; the matrix is rebuilt from boundary evaluation on
-    each candidate column, independently of the reduction path.  A higher
-    level keeps a subset of the rows, so feasibility is monotone and the
-    smallest feasible level is found by bisection.
+    cancellation system; its sparse rows are rebuilt from boundary
+    evaluation on each candidate column, independently of the reduction
+    path, and eliminated row by row by `linalg.solve`.  A higher level
+    keeps a subset of the rows, so feasibility is monotone and the smallest
+    feasible level is found by bisection.
     """
     rep = representative
     bounds = _query_window(C, rep)
@@ -367,22 +366,19 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
     for img in images:
         support.update(img.terms)
     rows = sorted(support, key=lambda g: (-g.action, g.orbit, g.cap))
-    index = {g: i for i, g in enumerate(rows)}
-    mat = [[Fraction(0)] * len(cols) for _ in rows]
+    mat = {g: {} for g in rows}
     for j, img in enumerate(images):
         for g, c in img.terms.items():
-            mat[index[g]][j] = c
-    vec = [Fraction(0)] * len(rows)
-    for g, c in rep.terms.items():
-        vec[index[g]] = c
+            mat[g][j] = c
 
     def feasible(level):
-        picked = [i for i, g in enumerate(rows) if g.action > level]
+        picked = [g for g in rows if g.action > level]
         if not picked:
             return True
-        return linalg.solve([mat[i] for i in picked], [-vec[i] for i in picked]) is not None
+        return linalg.solve([mat[g] for g in picked],
+                            [-rep.terms.get(g, 0) for g in picked]) is not None
 
-    if linalg.solve(mat, [-c for c in vec]) is not None:
+    if feasible(NEG_INF):
         return NEG_INF
     levels = sorted({g.action for g in rows if g.action > lo})
     i = bisect_left(levels, True, key=feasible)

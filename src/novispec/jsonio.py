@@ -17,7 +17,7 @@ from .dual import DualFunctional, Ray
 from .errors import InputError
 from .fixtures import ManifoldFixture
 from .gamma import GammaGroup
-from .maps import ChainMap, HamiltonianData, MonodromyShift
+from .maps import ChainMap, MonodromyShift
 from .morse import MorseData
 from .quantum import COHOMOLOGY, HOMOLOGY, ClassBasis, ProductFixture, QuantumClass
 from .scalars import DOWN, NovikovScalar
@@ -67,11 +67,6 @@ def gamma_from_json(obj) -> GammaGroup:
     if "rank" in obj and obj["rank"] != len(omega):
         raise InputError("rank field disagrees with generator lists")
     return GammaGroup(tuple(omega), tuple(c1))
-
-
-def gamma_hash(g: GammaGroup) -> str:
-    blob = json.dumps(gamma_to_json(g), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def scalar_to_json(s: NovikovScalar) -> list:
@@ -275,27 +270,7 @@ def manifold_from_json(obj) -> ManifoldFixture:
 
 
 # ---------------------------------------------------------------------------
-# maps, shifts, Hamiltonians, functionals
-
-
-def hamiltonian_to_json(H: HamiltonianData) -> dict:
-    return {
-        "times": [frac_str(t) for t in H.times],
-        "weights": {p: frac_str(w) for p, w in sorted(H.weights.items())},
-        "values": [
-            {p: frac_str(v) for p, v in sorted(row.items())} for row in H.values
-        ],
-        "normalized": H.normalized,
-    }
-
-
-def hamiltonian_from_json(obj) -> HamiltonianData:
-    return HamiltonianData(
-        [parse_frac(t) for t in obj["times"]],
-        {p: parse_frac(w) for p, w in obj["weights"].items()},
-        [{p: parse_frac(v) for p, v in row.items()} for row in obj["values"]],
-        normalized=obj.get("normalized", False),
-    )
+# maps, shifts, functionals
 
 
 def chain_map_to_json(name_src, name_dst, m: ChainMap) -> dict:

@@ -15,8 +15,9 @@ vector off the reduction itself.
 quantum classes, dual functionals and reduction columns are all finite
 combinations whose equal keys add and whose cancelled terms drop.
 
-`solve` is dense Gauss-Jordan elimination, kept for the oracle, which
-cross-checks the reduction and so shares no code with it.
+`solve` is sparse row elimination over {column: Fraction} rows, kept for
+the oracle, which cross-checks the reduction and so shares no code with it
+beyond `add_terms`.
 """
 
 from __future__ import annotations
@@ -27,35 +28,32 @@ from fractions import Fraction
 def solve(rows, rhs):
     """One solution x of A x = b over Q, or None if the system is infeasible.
 
-    `rows` is a list of m rows of length n, `rhs` a list of length m.
-    Free variables are set to zero.
+    `rows` is a list of sparse rows {column: coefficient} and `rhs` the list
+    of their right-hand sides.  Rows are eliminated in the order given; the
+    pivot of a row is its smallest column left, scaled to a leading 1.  x is
+    read off by back substitution in descending pivot column, as a sparse
+    dict with the free variables zero: the solution of the reduced row
+    echelon form, which is unique.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [ [Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs) ]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [v - f * w for v, w in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
+    echelon = {}  # pivot column -> (row with leading 1, right-hand side)
+    for row, b in zip(rows, rhs):
+        r = {c: v for c, v in row.items() if v}
+        while r and (p := min(r)) in echelon:
+            pivot_row, pivot_b = echelon[p]
+            f = -r[p]
+            add_terms(r, ((c, f * v) for c, v in pivot_row.items()))
+            b += f * pivot_b
+        if r:
+            inv = 1 / Fraction(r[p])
+            echelon[p] = ({c: v * inv for c, v in r.items()}, b * inv)
+        elif b:
             return None
-    x = [Fraction(0)] * n
-    for row_idx, c in enumerate(pivots):
-        x[c] = a[row_idx][n]
+    x = {}
+    for p in sorted(echelon, reverse=True):
+        row, b = echelon[p]
+        v = b - sum(c * x[k] for k, c in row.items() if k in x)
+        if v:
+            x[p] = v
     return x
 
 

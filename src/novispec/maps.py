@@ -216,11 +216,6 @@ class ChainMap:
                            f"boundary does not commute on {src!r}")
         return report
 
-    def worst_slack(self):
-        """Smallest margin bound - actual shift over entries (None if empty)."""
-        shifts = entry_shifts(self.matrix, self.source, self.target)
-        return min((self.shift_bound - shift for _, _, _, shift, _ in shifts), default=None)
-
     def compose(self, inner: "ChainMap") -> "ChainMap":
         """self after inner, with the additive certificate."""
         if inner.target is not self.source:
@@ -475,7 +470,11 @@ def monodromy_shift(C: FilteredComplex, s: MonodromyShift,
     return shifted, transport, report
 
 
-def check_local_constancy(complexes, representatives, step_bounds, *, window=(-100, 100)):
+# the action window on which check_local_constancy compares the spectra
+CONSTANCY_WINDOW = (-100, 100)
+
+
+def check_local_constancy(complexes, representatives, step_bounds):
     """Constancy of the invariant along a family with fixed spectrum.
 
     `step_bounds[i]` bounds |rho(i+1) - rho(i)|; if every bound is smaller
@@ -486,7 +485,7 @@ def check_local_constancy(complexes, representatives, step_bounds, *, window=(-1
 
     if not (len(complexes) == len(representatives) == len(step_bounds) + 1):
         raise StructuralError("family lengths are inconsistent")
-    spectra = [action_spectrum(C, window) for C in complexes]
+    spectra = [action_spectrum(C, CONSTANCY_WINDOW) for C in complexes]
     same_spectrum = all(s == spectra[0] for s in spectra)
     points = spectra[0]
     gaps = [b - a for a, b in zip(points, points[1:])]

@@ -276,7 +276,7 @@ def _dual_by_dense_solve(C, mu, degree):
         rows = []
         for g in picked:
             img = C.boundary(C.chain({g: 1}, None)).terms
-            rows.append([img.get(t, F(0)) for t in below])
+            rows.append({j: img[t] for j, t in enumerate(below) if t in img})
         values = [mu.evaluate(C.chain({g: 1}, None)) for g in picked]
         if linalg.solve(rows, values) is None:
             return level

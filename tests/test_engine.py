@@ -332,22 +332,65 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
             for level in sorted({g.action for g in w.rows}):
                 k = sum(1 for g in w.rows if g.action >= level)
                 x, r = reduction.solve(dict(enumerate(rhs)), k)
-                expected = linalg.solve(dense[:k], rhs[:k])
+                expected = linalg.solve([dict(enumerate(row)) for row in dense[:k]], rhs[:k])
                 if expected is None:
                     assert x is None, (seed, level)
                     infeasible += 1
                     continue
                 assert x is not None, (seed, level)
-                dense_x = [x.get(j, F(0)) for j in range(len(w.cols))]
-                assert dense_x == expected
+                assert x == expected
                 residual = [
-                    b - sum((a * c for a, c in zip(row, dense_x)), F(0))
+                    b - sum((row[j] * c for j, c in x.items()), F(0))
                     for row, b in zip(dense, rhs)
                 ]
                 assert [r.get(i, F(0)) for i in range(len(w.rows))] == residual
                 assert all(i >= k for i in r), (seed, level)
                 feasible += 1
     assert feasible > 20 and infeasible > 20
+
+
+def test_solve_matches_definition():
+    # on small sparse systems with zero, duplicate and dependent rows and
+    # inconsistent right-hand sides, linalg.solve's x solves A x = b, lives
+    # on the columns independent of the columns to their left, and is None
+    # exactly when b reduces to nonzero against the columns
+    rng = random.Random(3)
+    feasible = infeasible = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.choice(("zero", "duplicate", "dependent", "random")) if rows else "random"
+            if kind == "zero":
+                row = {}
+            elif kind == "duplicate":
+                row = dict(rng.choice(rows))
+            elif kind == "dependent":
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = F(rng.randint(-2, 2)), F(rng.randint(1, 2), 3)
+                row = {j: v for j in range(n) if (v := s * a.get(j, 0) + t * b.get(j, 0))}
+            else:
+                row = {j: F(rng.randint(-3, 3), rng.randint(1, 3))
+                       for j in range(n) if rng.random() < 0.5}
+            rows.append(row)
+        if rng.random() < 0.5:
+            y = [F(rng.randint(-2, 2)) for _ in range(n)]
+            rhs = [sum((c * y[j] for j, c in row.items()), F(0)) for row in rows]
+        else:
+            rhs = [F(rng.randint(-2, 2)) for _ in rows]
+        x = linalg.solve(rows, rhs)
+        columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
+        reduction = linalg.Reduction(columns)
+        _, r = reduction.solve(dict(enumerate(rhs)), len(rows))
+        assert (x is None) == bool(r), (rows, rhs)
+        if x is None:
+            infeasible += 1
+            continue
+        assert all(sum((c * x.get(j, 0) for j, c in row.items()), F(0)) == b
+                   for row, b in zip(rows, rhs)), (rows, rhs, x)
+        assert all(v and reduction.R[j] for j, v in x.items()), (rows, rhs, x)
+        feasible += 1
+    assert feasible > 100 and infeasible > 100
 
 
 def test_degree_generators_pinned():
@@ -425,14 +468,14 @@ def test_window_columns_match_equivariant_images():
 
 
 def _oracle_system(C, rep):
-    """The oracle's dense cancellation system, rebuilt independently:
+    """The oracle's sparse cancellation system, rebuilt independently:
     (rows, matrix, right-hand side, candidate levels)."""
     lo, hi = default_window_bounds(C, rep)
     images = [C.boundary(C.chain({g: 1}, None))
               for g in _degree_generators(C, rep.degree + 1, lo, hi)]
     rows = sorted(set(rep.terms).union(*(img.terms for img in images)),
                   key=lambda g: (-g.action, g.orbit, g.cap))
-    mat = [[img.terms.get(g, F(0)) for img in images] for g in rows]
+    mat = [{j: img.terms[g] for j, img in enumerate(images) if g in img.terms} for g in rows]
     rhs = [-rep.terms.get(g, F(0)) for g in rows]
     levels = sorted({g.action for g in rows if g.action > lo})
     return rows, mat, rhs, levels

@@ -29,7 +29,6 @@ def test_fraction_strings():
 def test_gamma_roundtrip():
     g = GammaGroup((F(1), F(3, 2)), (0, 1))
     assert jsonio.gamma_from_json(jsonio.gamma_to_json(g)) == g
-    assert len(jsonio.gamma_hash(g)) == 16
 
 
 def test_scalar_roundtrip():
@@ -82,13 +81,6 @@ def test_chain_and_functional_roundtrip():
 
 
 def test_hamiltonian_and_monodromy_roundtrip():
-    H = nv.HamiltonianData(
-        [0, F(1, 3)], {"a": F(1), "b": F(2)},
-        [{"a": 1, "b": F(-1, 2)}, {"a": 0, "b": 0}],
-    )
-    blob = jsonio.hamiltonian_to_json(H)
-    back = jsonio.hamiltonian_from_json(blob)
-    assert back.times == H.times and back.values == H.values
     s = nv.MonodromyShift({"a": "b", "b": "a"}, {"a": (1,), "b": (0,)}, F(1, 2), 2)
     blob = jsonio.monodromy_to_json(s)
     back = jsonio.monodromy_from_json(blob)
@@ -99,7 +91,7 @@ def test_empty_manifest_loads_clean(tmp_path):
     p = tmp_path / "m.json"
     p.write_text('{"schema": 1}')
     ws = load_and_validate(p)
-    assert ws.is_empty()
+    assert ws.manifolds == {} and ws.complexes == {}
     report = run("spectra", ws)
     assert report["status"] == "PASS"
     assert report["failures"] == 0
@@ -181,11 +173,15 @@ def test_cli_exit_codes_and_determinism(tmp_path):
         "complex": "nowhere", "path": str(REPO / "fixtures" / "deck_shift.json")}]}),
         [], id="shift-on-unknown-complex"),
     pytest.param('{"builtin": ["nope"]}', [], id="unknown-builtin"),
-    # a workspace name is a string not yet taken in its section
+    # a workspace name is a non-empty string not yet taken in its section
     pytest.param(json.dumps({"complexes": [
         {"name": 5, "path": str(REPO / "fixtures" / "staircase.json")},
         {"name": "b", "path": str(REPO / "fixtures" / "staircase_lifted.json")}]}),
         [], id="complex-name-not-string"),
+    *(pytest.param(json.dumps({"complexes": [
+        {"name": name, "path": str(REPO / "fixtures" / "staircase.json")}]}),
+        [], id=f"complex-name-{label}")
+      for name, label in ((0, "zero"), (None, "null"), (False, "false"), ("", "empty"))),
     pytest.param('{"builtin": ["s2"], "manifolds": ["s2_named_7.json"]}', [],
                  id="manifold-name-not-string"),
     pytest.param(json.dumps({"complexes": [

@@ -96,7 +96,6 @@ def test_identity_certifies_with_zero_bound():
     )
     m = nv.identity_map(C, 0)
     assert m.certify().ok
-    assert m.worst_slack() == 0
 
 
 def test_shifted_relabel_bound():
@@ -353,7 +352,6 @@ def test_local_constancy_family():
             family[1].chain({family[1].generator(g.orbit, g.cap): c
                              for g, c in rep.terms.items()}, None),
             rep]
-    out = nv.check_local_constancy(family, reps, [F(1, 100), F(1, 100)],
-                                   window=(-4, 4))
+    out = nv.check_local_constancy(family, reps, [F(1, 100), F(1, 100)])
     assert out["same_spectrum"] and out["forced_constant"] and out["constant"]
     assert out["ok"]

@@ -259,8 +259,7 @@ class ValidationReport:
 class FilteredComplex:
     """Finite-rank free module over the downward Novikov ring with filtration."""
 
-    def __init__(self, gamma: GammaGroup, orbits, boundary=None, floor=None,
-                 annotations=None):
+    def __init__(self, gamma: GammaGroup, orbits, boundary=None, floor=None):
         """`orbits`: iterable of (orbit_id, action, degree).
 
         `boundary`: {from_orbit: {to_orbit: NovikovScalar (downward)}} giving
@@ -275,7 +274,7 @@ class FilteredComplex:
                 raise StructuralError(f"duplicate orbit id {oid!r}")
             self.orbits[oid] = (Fraction(action), int(degree))
         self.boundary_entries = orbit_matrix(boundary or {}, self, self, "boundary")
-        self.annotations = dict(annotations or {})
+        self.annotations = {}
 
     # -- generators and chains ---------------------------------------------
 
@@ -297,11 +296,8 @@ class FilteredComplex:
             degree - 2 * self.gamma.c1(cap),
         )
 
-    _INHERIT = object()
-
-    def chain(self, terms=None, floor=_INHERIT) -> NovikovChain:
-        if floor is FilteredComplex._INHERIT:
-            floor = self.floor
+    def chain(self, terms=None, floor=None) -> NovikovChain:
+        """A chain with its own precision `floor`; the complex's is not applied."""
         return NovikovChain(self, terms, floor)
 
     # -- boundary ------------------------------------------------------------

@@ -72,8 +72,11 @@ def _complex(ws, raw, entry, stem):
         v = report.violations[0]
         raise _Rejected("invariant:" + v.code, f"{v.message} (witness {v.witness})")
     name = entry.get("name", stem)
-    ws.representatives[name] = {rname: jsonio.chain_from_json(terms, C, ws.floor)
-                                for rname, terms in raw.get("representatives", {}).items()}
+    ws.representatives[name] = reps = {}
+    for rname, terms in raw.get("representatives", {}).items():
+        reps[rname] = rep = jsonio.chain_from_json(terms, C)
+        if not C.boundary(rep).is_zero():
+            raise _Rejected("invariant:not-a-cycle", f"representative {rname!r} is not a cycle")
     return name, C
 
 
@@ -141,6 +144,7 @@ class Workspace:
     eps: Fraction = Fraction(1, 8)
     out: str | None = None
     manifolds: dict = field(default_factory=dict)
+    models: dict = field(default_factory=dict)  # manifold -> (eps, built complex)
     complexes: dict = field(default_factory=dict)
     representatives: dict = field(default_factory=dict)  # complex -> {name: chain}
     chain_maps: dict = field(default_factory=dict)
@@ -203,9 +207,9 @@ def load_and_validate(manifest_path) -> Workspace:
                 fail(exc.args[0], rel, exc.args[1])
             except _PARSE_ERRORS as exc:
                 fail(code, rel, str(exc))
-    for fix in ws.manifolds.values():
+    for name, fix in ws.manifolds.items():
         try:
-            _validate_manifold(fix, ws.eps)
+            ws.models[name] = _validate_manifold(fix, ws.eps)
         except NovispecError as exc:
             fail("manifold-invariant", fix.name, str(exc))
     if errors:
@@ -214,7 +218,9 @@ def load_and_validate(manifest_path) -> Workspace:
 
 
 def _validate_manifold(fix, eps):
-    """PD chains are cycles, cochains are closed duals, pairing is the table."""
+    """The capped eps and the complex built at it, once checked: PD chains
+    are cycles, cochains are closed duals, pairing is the table.
+    """
     eps = min(Fraction(eps), fix.max_eps)
     C = fix.build(eps)
     rep = C.validate()
@@ -236,6 +242,7 @@ def _validate_manifold(fix, eps):
                 )
     if fix.product is not None:
         fix.product.validate()
+    return eps, C
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +302,16 @@ def task_spectra(ws: Workspace) -> TaskLog:
     log = TaskLog()
     for name in sorted(ws.manifolds):
         fix = ws.manifolds[name]
-        eps = min(ws.eps, fix.max_eps)
-        C = fix.build(eps)
+        eps, C = ws.models[name]
         for i, a in enumerate(fix.shipped_classes):
             rep = realize_flat(flat(a), C, fix.pd_chains)
-            result = spectral_invariant(C, rep, floor=ws.floor)
+            result = spectral_invariant(C, C.chain(rep.terms, ws.floor))
             _spectra_row(log, ws, C, result, fixture=name, cls=f"class{i}", eps=eps)
     for cname in sorted(ws.complexes):
         C = ws.complexes[cname]
         for rname, rep in sorted(ws.representatives.get(cname, {}).items()):
             try:
-                result = spectral_invariant(C, rep, floor=ws.floor)
+                result = spectral_invariant(C, C.chain(rep.terms, ws.floor))
             except NovispecError as exc:
                 log.check(False, task="spectra", fixture=cname, cls=rname,
                           error=str(exc))
@@ -428,8 +434,7 @@ def task_axioms(ws: Workspace) -> TaskLog:
     # projective and relabeling invariance on manifold fixtures
     for name in sorted(ws.manifolds):
         fix = ws.manifolds[name]
-        eps = min(ws.eps, fix.max_eps)
-        C = fix.build(eps)
+        _, C = ws.models[name]
         for i, a in enumerate(fix.shipped_classes):
             rep = realize_flat(flat(a), C, fix.pd_chains)
             base_rho = spectral_invariant(C, rep).rho
@@ -528,8 +533,7 @@ def task_appendix(ws: Workspace) -> TaskLog:
 
     for name in sorted(ws.manifolds):
         fix = ws.manifolds[name]
-        eps = min(ws.eps, fix.max_eps)
-        Cf = fix.build(eps)
+        _, Cf = ws.models[name]
         for i, a in enumerate(fix.shipped_classes):
             mu = embed_class(a, Cf, fix.cochains)
             lhs = dual_boundary(mu)

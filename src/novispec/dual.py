@@ -152,8 +152,8 @@ class Classification:
     diverging_ray: Ray | None
 
 
-def classify_functional(mu: DualFunctional, prefix_len: int = 4) -> Classification:
-    """Decide continuity; produce a threshold or a diverging prefix.
+def classify_functional(mu: DualFunctional) -> Classification:
+    """Decide continuity; produce a threshold or a diverging prefix of 4 chains.
 
     A ray whose direction has positive omega carries support with
     -omega(cap) -> -infinity, so no vanishing threshold can exist; the
@@ -167,10 +167,10 @@ def classify_functional(mu: DualFunctional, prefix_len: int = 4) -> Classificati
             # homogeneous chain with evaluation exactly 1, so consecutive
             # partial sums differ by one forever.
             prefix = []
-            for j in range(1, prefix_len + 1):
+            for j in range(1, 5):
                 cap = vec_add(ray.base, vec_scale(j, ray.direction))
                 gen = C.generator(ray.orbit, cap)
-                prefix.append(C.chain({gen: Fraction(1, 1) / ray.value}, None))
+                prefix.append(C.chain({gen: Fraction(1, 1) / ray.value}))
             return Classification(False, None, prefix, ray)
     if mu.is_zero():
         return Classification(True, Fraction(0), None, None)
@@ -204,7 +204,7 @@ def is_cocycle(mu: DualFunctional, degree: int) -> bool:
     C = mu.complex
     dual = dual_boundary(mu)
     for gen in _degree_generators(C, degree + 1, *_default_dual_window(C)):
-        if dual.evaluate(C.chain({gen: 1}, None)) != 0:
+        if dual.evaluate(C.chain({gen: 1})) != 0:
             return False
     return True
 
@@ -264,6 +264,6 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int)
     gens = w.cols[::-1]
     reduction = linalg.Reduction(_columns(w)[::-1])
     for gen, r, v in zip(gens, reduction.R, reduction.V):
-        if not r and mu.evaluate(C.chain({gens[j]: c for j, c in v.items()}, None)) != 0:
+        if not r and mu.evaluate(C.chain({gens[j]: c for j, c in v.items()})) != 0:
             return gen.action
     return NEG_INF

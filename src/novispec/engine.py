@@ -14,11 +14,11 @@ queried on the prefix of rows at or above the level, which a bisection of
 the action-sorted rows finds.  The representative stays sparse; the
 residual of each solve is the next representative.
 
-Each query reads one window, `default_window_bounds`; no lower floor is
-tried.  Every row lies above the floor, so a class that vanishes there is
-reported indeterminate with the interval (-inf, floor).  The window spans
-a pad around the representative's level, so a representative whose terms
-span more than the pad can be indeterminate although its invariant is finite.
+Each query reads one window, `default_window_bounds`, its floor raised to
+the representative's own.  Every row lies above the floor, so a class that
+vanishes there is indeterminate, with the interval (-inf, floor).  The
+window spans a pad around the representative's level, so terms spanning more
+than the pad can leave a finite invariant indeterminate.
 
 A window derives every action from data already known, never from a
 per-generator omega.  `GammaGroup.caps` returns each cap with its omega,
@@ -280,33 +280,34 @@ def _query_window(C: FilteredComplex, rep: NovikovChain):
     return default_window_bounds(C, rep)
 
 
-def spectral_invariant(C: FilteredComplex, representative: NovikovChain, *,
-                       floor=None) -> SpectralResult:
+_ALL_BELOW_FLOOR = "representative lies entirely at or below the precision floor"
+
+
+def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> SpectralResult:
     """Infimum of levels over the class of `representative`, with witness.
 
     The representative must be a cycle.  The query reads one window,
-    `default_window_bounds`, and `floor` (else the representative's own
-    floor) may raise its floor; no lower floor is ever tried.  A class that
-    vanishes above the floor is reported indeterminate, with the interval
-    (-inf, floor).
+    `default_window_bounds`, raised to the representative's own precision
+    floor; no lower floor is ever tried.  A class that vanishes above the
+    floor is indeterminate, with the interval (-inf, floor); a
+    representative with no terms above it raises `IndeterminateError`.
     """
     rep = representative
     bounds = _query_window(C, rep)
     if bounds is None:
+        if rep.floor is not None:
+            raise IndeterminateError(_ALL_BELOW_FLOOR)
         return SpectralResult(
             NEG_INF, rep, [], "zero-class", None, {"reason": "zero representative"}
         )
     lo, hi = bounds
-    hard_floor = floor if floor is not None else rep.floor
-    if hard_floor is not None:
-        lo = max(lo, Fraction(hard_floor))
+    if rep.floor is not None:
+        lo = max(lo, rep.floor)
     window = build_window(C, rep.degree, lo, hi)
     v, dropped = _chain_vector(window, rep)
     if dropped and not v:
-        raise IndeterminateError(
-            "representative lies entirely at or below the precision floor"
-        )
-    inexact = dropped or window.truncated or hard_floor is not None
+        raise IndeterminateError(_ALL_BELOW_FLOOR)
+    inexact = dropped or window.truncated or rep.floor is not None
     result_floor = lo if inexact else None
     reduction = window.reduction
     trace = []
@@ -342,7 +343,7 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain, *,
             NEG_INF, C.chain({}, result_floor), trace, "indeterminate", None, cert,
         )
     cert = {"reason": "representative is a boundary"}
-    return SpectralResult(NEG_INF, C.chain({}, None), trace, "zero-class", None, cert)
+    return SpectralResult(NEG_INF, C.chain(), trace, "zero-class", None, cert)
 
 
 def oracle_rho(C: FilteredComplex, representative: NovikovChain):
@@ -361,7 +362,7 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
         return NEG_INF
     lo, hi = bounds
     cols = _degree_generators(C, rep.degree + 1, lo, hi)
-    images = [C.boundary(C.chain({g: 1}, None)) for g in cols]
+    images = [C.boundary(C.chain({g: 1})) for g in cols]
     support = set(rep.terms)
     for img in images:
         support.update(img.terms)

@@ -378,22 +378,21 @@ def random_instance(seed: int, max_orbits: int = 6, gamma_window: int = 3) -> Ra
             if g.degree != degree:
                 continue
             rep_terms.append((g, Fraction(rng.choice([1, -1, 2]), 1)))
-    rep = C.chain(rep_terms, None)
+    rep = C.chain(rep_terms)
     if rep.is_zero() or rep.degree != degree:
-        rep = C.chain({}, None)
+        rep = C.chain()
         expected = NEG_INF
 
     C, rep = _dress(rng, C, rep, gamma_window)
     return RandomInstance(C, rep, expected, degree, seed)
 
 
-def random_scalar(rng: random.Random, gamma: GammaGroup, direction, max_terms=4,
-                  coord_span=3):
-    """Exact random scalar with small integer exponent coordinates."""
+def random_scalar(rng: random.Random, gamma: GammaGroup, direction):
+    """Exact random scalar: at most 4 terms, exponent coordinates in [-3, 3]."""
     terms = add_terms({}, (
-        (tuple(rng.randint(-coord_span, coord_span) for _ in range(gamma.rank)),
+        (tuple(rng.randint(-3, 3) for _ in range(gamma.rank)),
          Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])))
-        for _ in range(rng.randint(0, max_terms))
+        for _ in range(rng.randint(0, 4))
     ))
     return NovikovScalar(gamma, direction, terms)
 
@@ -432,9 +431,9 @@ def random_continuity_pair(seed: int, constant_shift: bool = False) -> Continuit
     if inst.expected_rho == NEG_INF:
         # boundary or empty class: fall back to a singleton cycle, which the
         # instance generator always creates
-        rep = C.chain({C.generator(sorted(C.orbits)[0]): 1}, None)
+        rep = C.chain({C.generator(sorted(C.orbits)[0]): 1})
         if not C.boundary(rep).is_zero():
-            rep = C.chain({}, None)
+            rep = C.chain()
     shifts = entry_shifts(C.boundary_entries, C, C)
     min_slack = min((-shift for _, _, _, shift, _ in shifts), default=Fraction(1))
     unit = min(Fraction(min_slack) / 4, Fraction(1, 4))
@@ -478,7 +477,7 @@ def random_monodromy(seed: int):
     inst = random_instance(seed)
     C, rep = inst.complex, inst.representative
     if rep.is_zero():
-        rep = C.chain({C.generator(sorted(C.orbits)[0]): 1}, None)
+        rep = C.chain({C.generator(sorted(C.orbits)[0]): 1})
         if not C.boundary(rep).is_zero():
             rep = None
     gamma = C.gamma
@@ -560,9 +559,8 @@ def curated_functionals(C: FilteredComplex):
     return continuous, divergent
 
 
-def random_chain(rng: random.Random, C: FilteredComplex, degree, max_terms=4,
-                 cap_span=2):
-    """Random homogeneous chain in one degree (not necessarily a cycle)."""
+def random_chain(rng: random.Random, C: FilteredComplex, degree):
+    """Random chain of 1 to 4 terms in one degree (not necessarily a cycle)."""
     candidates = []
     quantum = C.gamma.period_generator()
     for orbit in sorted(C.orbits):
@@ -570,17 +568,17 @@ def random_chain(rng: random.Random, C: FilteredComplex, degree, max_terms=4,
         if (base_deg - degree) % 2 != 0:
             continue
         c = (base_deg - degree) // 2
-        # the omega-0 cap, then the caps of omega m * quantum, |m| <= cap_span
+        # the omega-0 cap, then the caps of omega m * quantum, |m| <= 2
         caps = C.gamma.caps(c, 0, quantum or 1)
-        caps += C.gamma.caps(c, -cap_span * quantum, (cap_span + 1) * quantum)
+        caps += C.gamma.caps(c, -2 * quantum, 3 * quantum)
         base = C.base_action(orbit)
         candidates.extend(Generator(orbit, cap, base - w, degree) for cap, w in caps)
     if not candidates:
-        return C.chain({}, None)
+        return C.chain()
     return C.chain([
         (rng.choice(candidates), Fraction(rng.randint(-5, 5), rng.choice([1, 2])))
-        for _ in range(rng.randint(1, max_terms))
-    ], None)
+        for _ in range(rng.randint(1, 4))
+    ])
 
 
 def _dress(rng, C: FilteredComplex, rep: NovikovChain, gamma_window):

@@ -73,9 +73,9 @@ def scalar_to_json(s: NovikovScalar) -> list:
     return [[frac_str(c), list(label)] for label, c in s.terms.items()]
 
 
-def scalar_from_json(obj, gamma, direction, floor=None) -> NovikovScalar:
+def scalar_from_json(obj, gamma, direction) -> NovikovScalar:
     terms = [(tuple(map(parse_int, label)), parse_frac(coeff)) for coeff, label in obj]
-    return NovikovScalar(gamma, direction, terms, floor)
+    return NovikovScalar(gamma, direction, terms)
 
 
 def _matrix_to_json(matrix) -> list:
@@ -135,10 +135,10 @@ def chain_to_json(chain: NovikovChain) -> list:
     ]
 
 
-def chain_from_json(obj, C: FilteredComplex, floor=None) -> NovikovChain:
+def chain_from_json(obj, C: FilteredComplex) -> NovikovChain:
     terms = [(C.generator(orbit, tuple(map(parse_int, cap))), parse_frac(coeff))
              for coeff, orbit, cap in obj]
-    return C.chain(terms, floor)
+    return C.chain(terms)
 
 
 # ---------------------------------------------------------------------------

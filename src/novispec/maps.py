@@ -206,7 +206,7 @@ class ChainMap:
             return report
         # chain identity on base generators (equivariance covers all caps)
         for src in sorted(self.source.orbits):
-            chain = self.source.chain({self.source.generator(src): 1}, None)
+            chain = self.source.chain({self.source.generator(src): 1})
             left = self.apply(self.source.boundary(chain))
             right = self.target.boundary(self.apply(chain))
             if left != right:
@@ -348,7 +348,7 @@ def pants_product(alpha: NovikovChain, beta: NovikovChain, P: ProductMapData) ->
     if alpha.complex is not P.source1 or beta.complex is not P.source2:
         raise StructuralError("factors do not live in the product's sources")
     if alpha.is_zero() or beta.is_zero():
-        return P.target.chain({})
+        return P.target.chain()
     out = []
     for g1, c1 in alpha.terms.items():
         for g2, c2 in beta.terms.items():

@@ -4,6 +4,7 @@ import json
 import random
 import weakref
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from novispec import (
     NovikovScalar,
     SpectralLevelError,
 )
-from novispec import linalg
+from novispec import jsonio, linalg
 from novispec.chains import equivariant_image
 from novispec.engine import (
     _chain_vector,
@@ -30,6 +31,7 @@ from novispec.engine import (
 )
 from novispec.fixtures import BUILTIN_FIXTURES, calibration, random_instance, sphere
 
+REPO = Path(__file__).resolve().parents[1]
 G1 = GammaGroup((F(1),), (2,))
 G0 = GammaGroup((), ())
 
@@ -151,9 +153,20 @@ def test_indeterminate_below_floor():
         [("x", F(1), 1), ("y", F(0), 0)],
         {"x": {"y": mono(1, (), G0)}},
     )
-    rep = C.chain({C.generator("y"): 1}, None)
+    rep = C.chain({C.generator("y"): 1}, F(1, 2))
     with pytest.raises(IndeterminateError):
-        nv.spectral_invariant(C, rep, floor=F(1, 2))
+        nv.spectral_invariant(C, rep)
+
+
+def test_representative_below_its_floor_is_indeterminate():
+    # the staircase's `free` cycle lies at action 1: under a floor of 1 it
+    # has no terms left, which says nothing about its class
+    raw = jsonio.load_json(REPO / "fixtures" / "staircase.json")
+    C = jsonio.complex_from_json(raw)
+    free = jsonio.chain_from_json(raw["representatives"]["free"], C)
+    assert nv.spectral_invariant(C, free).rho == 1
+    with pytest.raises(IndeterminateError, match="at or below the precision floor"):
+        nv.spectral_invariant(C, C.chain(free.terms, F(1)))
 
 
 def test_action_spectrum_trivial_group():

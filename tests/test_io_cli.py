@@ -158,6 +158,32 @@ def test_cli_exit_codes_and_determinism(tmp_path):
     assert any(r["fixture"] == "s2" for r in rows)
 
 
+def _spectra_report(tmp_path, flags, **manifest):
+    """(exit code, report bytes) of `spectra` on the staircase under `manifest`."""
+    path, out = tmp_path / "m.json", tmp_path / "r.json"
+    staircase = {"name": "staircase", "path": str(REPO / "fixtures" / "staircase.json")}
+    path.write_text(json.dumps({"complexes": [staircase], **manifest}))
+    return main([str(path), "--out", str(out)] + flags), out.read_bytes()
+
+
+def test_manifest_floor_and_cli_floor_agree(tmp_path):
+    # one workspace floor, whichever place sets it: `free` and `free-shift`
+    # lie at or below 1, so both runs give them error rows
+    by_manifest = _spectra_report(tmp_path, [], floor="1")
+    by_flag = _spectra_report(tmp_path, ["--floor", "1"])
+    assert by_manifest == by_flag
+    assert by_flag[0] == 1
+
+
+def test_cli_floor_replaces_manifest_floor(tmp_path):
+    # representatives load exact, so a lower --floor keeps `mixed`'s top
+    # term at action 1
+    code, text = _spectra_report(tmp_path, ["--floor", "-5"], floor="1")
+    rows = {r["cls"]: r for r in json.loads(text)["results"]["spectra"]["rows"]}
+    assert code == 0
+    assert rows["mixed"]["rho"] == "1" and rows["mixed"]["ok"]
+
+
 @pytest.mark.parametrize("manifest, flags", [
     pytest.param(None, [], id="missing-file"),
     pytest.param("[]", [], id="top-level-list"),
@@ -191,11 +217,18 @@ def test_cli_exit_codes_and_determinism(tmp_path):
     pytest.param(json.dumps({"builtin": ["s2"],
                              "manifolds": [str(REPO / "fixtures" / "s2.json")]}),
                  [], id="manifold-file-reuses-builtin-name"),
+    # a representative that is not a cycle has no class to measure
+    pytest.param(json.dumps({"complexes": [{"name": "c", "path": "not_a_cycle.json"}]}),
+                 [], id="representative-not-a-cycle"),
 ])
 def test_cli_input_error_exit_two(tmp_path, capsys, manifest, flags):
     # the manifold file of the case that names a manifold 7
     s2 = json.loads((REPO / "fixtures" / "s2.json").read_text())
     (tmp_path / "s2_named_7.json").write_text(json.dumps({**s2, "name": 7}))
+    # the staircase with one representative a, whose boundary b + 2d is not 0
+    staircase = json.loads((REPO / "fixtures" / "staircase.json").read_text())
+    (tmp_path / "not_a_cycle.json").write_text(json.dumps(
+        {**staircase, "representatives": {"a": [["1", "a", [0]]]}}))
     path = tmp_path / "m.json"
     if manifest is not None:
         path.write_text(manifest)
@@ -288,6 +321,8 @@ _COMPANIONS = {
                  id="product-degree-shift-wrong"),
     pytest.param("manifolds", "tilted", _set(["pd_chains", "one"], [["1", "m1"]]),
                  "manifold-invariant", id="manifold-pd-chain-not-cycle"),
+    pytest.param("complexes", "staircase", _set(["representatives"], {"a": [["1", "a", [0]]]}),
+                 "invariant:not-a-cycle", id="representative-not-a-cycle"),
 ])
 def test_cli_malformed_fixture_exit_two(tmp_path, capsys, section, shipped, mutate, code):
     raw = mutate(json.loads((REPO / "fixtures" / f"{shipped}.json").read_text()))

@@ -41,6 +41,7 @@ from .errors import (
     NovispecError,
     SpectralLevelError,
     StructuralError,
+    WindowTooLargeError,
 )
 from .gamma import GammaGroup
 from .maps import (

@@ -35,7 +35,7 @@ from .engine import (
     spectral_invariant,
     spectrality_check,
 )
-from .errors import InputError, NovispecError
+from .errors import InputError, NovispecError, WindowTooLargeError
 from .fixtures import (
     curated_functionals,
     load_builtin,
@@ -312,6 +312,8 @@ def task_spectra(ws: Workspace) -> TaskLog:
         for rname, rep in sorted(ws.representatives.get(cname, {}).items()):
             try:
                 result = spectral_invariant(C, C.chain(rep.terms, ws.floor))
+            except WindowTooLargeError:
+                raise  # the input needs an unbounded window: exit 2, not a row
             except NovispecError as exc:
                 log.check(False, task="spectra", fixture=cname, cls=rname,
                           error=str(exc))

@@ -20,12 +20,19 @@ vanishes there is indeterminate, with the interval (-inf, floor).  The
 window spans a pad around the representative's level, so terms spanning more
 than the pad can leave a finite invariant indeterminate.
 
-A window derives every action from data already known, never from a
-per-generator omega.  `GammaGroup.caps` returns each cap with its omega,
-stepped along the cap line, so a generator's action is one subtraction.
-Generators sort by an integer key: every action is a multiple of one
-denominator per complex, the lcm of the base-action and omega-value
-denominators.  Each column's boundary terms come from a per-complex shift
+A window enumerates its generators in integers, never through a
+per-generator omega or `Fraction`.  Every action of a complex is a multiple
+of one denominator, the lcm of the base-action and omega-value
+denominators, so an action is an integer key over it.  Per Chern number,
+`_degree_generators` reads the cap line once (`GammaGroup.cap_line`: a
+start cap and a step of positive omega, here scaled to integers); per
+orbit, two floor divisions give the run of steps inside (lo, hi], and each
+step adds integers.  The runs' lengths are summed before any generator is
+built, so a window of more than `MAX_WINDOW_GENERATORS` generators in one
+degree raises `WindowTooLargeError` at the cost of one pass over the
+orbits.  Generators sort by (-key, orbit, cap), and each distinct key
+becomes one `Fraction` action, shared by every generator at that action.
+Each column's boundary terms come from a per-complex shift
 table {src orbit: [(dst, label, coeff, action shift, degree shift)]}: by
 equivariance the term at `label` sends (src, cap) to (dst, cap + label),
 shifted by the table's action and degree.  A target inside the window is
@@ -61,10 +68,17 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
 
 from . import linalg
 from .chains import FilteredComplex, Generator, NovikovChain, entry_shifts
-from .errors import DomainError, IndeterminateError, SpectralLevelError, StructuralError
+from .errors import (
+    DomainError,
+    IndeterminateError,
+    SpectralLevelError,
+    StructuralError,
+    WindowTooLargeError,
+)
 from .gamma import vec_add
 from .morse import MorseData, build_small_complex
 from .quantum import HOMOLOGY, QuantumClass, flat, leading_data
@@ -158,16 +172,64 @@ def _in_action_order(gens, denom: int) -> list:
     return [k[3] for k in keyed]
 
 
+MAX_WINDOW_GENERATORS = 250_000  # generators one degree of a window may hold
+
+
 def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
-    """All capped generators of one degree with action in (lo, hi]."""
-    out = []
+    """All capped generators of one degree with action in (lo, hi].
+
+    In the order of `_in_action_order`.  Each orbit's generators are a run
+    of steps along its cap line, counted before any is built: more than
+    `MAX_WINDOW_GENERATORS` in all raises `WindowTooLargeError`.
+    """
+    denom = _complex_record(C).denom
+    # actions as integer keys over denom: lo < key / denom <= hi
+    lo_key = lo.numerator * denom // lo.denominator
+    hi_key = hi.numerator * denom // hi.denominator
+    lines = {}
+    runs = []  # per orbit, lazily: (-key, orbit, cap) ascending in -key
+    total = 0
     for orbit, (base, bdeg) in C.orbits.items():
         if (bdeg - degree) % 2 != 0:
             continue
-        # action = base - omega(cap) in (lo, hi]
-        for cap, w in C.gamma.caps((bdeg - degree) // 2, base - hi, base - lo):
-            out.append(Generator(orbit, cap, base - w, degree))
-    return _in_action_order(out, _complex_record(C).denom)
+        c = (bdeg - degree) // 2
+        if c not in lines:  # the cap line in integer action units
+            line = C.gamma.cap_line(c)
+            if line is not None:
+                start, w0, step, dw = line
+                line = start, _scaled(w0, denom), step, step and _scaled(dw, denom)
+            lines[c] = line
+        if lines[c] is None:
+            continue
+        start, w0, step, dw = lines[c]
+        key = _scaled(base, denom) - w0  # the key of `start`; each step lowers it by dw
+        if step is None:
+            if lo_key < key <= hi_key:
+                runs.append([(-key, orbit, start)])
+                total += 1
+            continue
+        first, stop = -((hi_key - key) // dw), -((lo_key - key) // dw)
+        if first < stop:
+            caps = zip(*(range(x + first * k, x + stop * k, k) if k else repeat(x)
+                         for x, k in zip(start, step)))
+            runs.append(zip(range(first * dw - key, stop * dw - key, dw), repeat(orbit), caps))
+            total += stop - first
+    if total > MAX_WINDOW_GENERATORS:
+        raise WindowTooLargeError(
+            f"window-too-large: degree {degree} on ({lo}, {hi}] holds {total} "
+            f"generators, over the cap of {MAX_WINDOW_GENERATORS}"
+        )
+    keyed = []
+    for run in runs:
+        keyed += run
+    keyed.sort()
+    out = []
+    last = action = None
+    for neg_key, orbit, cap in keyed:
+        if neg_key != last:  # one shared Fraction per distinct action
+            last, action = neg_key, Fraction(-neg_key, denom)
+        out.append(Generator(orbit, cap, action, degree))
+    return out
 
 
 @lru_cache(maxsize=4)
@@ -267,7 +329,8 @@ def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
 
 
 def _query_window(C: FilteredComplex, rep: NovikovChain):
-    """The (lo, hi) query window of the cycle `rep`.
+    """The (lo, hi) query window of the cycle `rep`: `default_window_bounds`,
+    its floor raised to the representative's precision floor.
 
     None for the zero class, which each query answers itself.
     """
@@ -277,7 +340,8 @@ def _query_window(C: FilteredComplex, rep: NovikovChain):
         raise DomainError("representative is not a cycle")
     if rep.is_zero():
         return None
-    return default_window_bounds(C, rep)
+    lo, hi = default_window_bounds(C, rep)
+    return (lo if rep.floor is None else max(lo, rep.floor)), hi
 
 
 _ALL_BELOW_FLOOR = "representative lies entirely at or below the precision floor"
@@ -301,8 +365,6 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
             NEG_INF, rep, [], "zero-class", None, {"reason": "zero representative"}
         )
     lo, hi = bounds
-    if rep.floor is not None:
-        lo = max(lo, rep.floor)
     window = build_window(C, rep.degree, lo, hi)
     v, dropped = _chain_vector(window, rep)
     if dropped and not v:
@@ -354,11 +416,16 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
     evaluation on each candidate column, independently of the reduction
     path, and eliminated row by row by `linalg.solve`.  A higher level
     keeps a subset of the rows, so feasibility is monotone and the smallest
-    feasible level is found by bisection.
+    feasible level is found by bisection.  A system feasible at the window
+    floor (`_query_window`), or a representative with a precision floor and
+    no terms above it, raises `IndeterminateError`.
     """
     rep = representative
     bounds = _query_window(C, rep)
+    floored = rep.floor is not None
     if bounds is None:
+        if floored:
+            raise IndeterminateError(_ALL_BELOW_FLOOR)
         return NEG_INF
     lo, hi = bounds
     cols = _degree_generators(C, rep.degree + 1, lo, hi)
@@ -379,13 +446,13 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
         return linalg.solve([mat[g] for g in picked],
                             [-rep.terms.get(g, 0) for g in picked]) is not None
 
-    if feasible(NEG_INF):
+    if not floored and feasible(NEG_INF):
         return NEG_INF
     levels = sorted({g.action for g in rows if g.action > lo})
     i = bisect_left(levels, True, key=feasible)
     # feasible at the floor itself: the answer lies at or below the window
-    # (with no row at or below the floor, that is the full system above)
-    if i == len(levels) or (i == 0 and rows[-1].action <= lo and feasible(lo)):
+    # (unfloored with no row at or below it, that is the full system above)
+    if i == len(levels) or (i == 0 and (floored or rows[-1].action <= lo) and feasible(lo)):
         raise IndeterminateError("no feasible level inside the oracle window")
     return levels[i]
 
@@ -393,13 +460,16 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
 def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> bool:
     """Is the class visible in the strict sublevel complex at `lam`?
 
-    `lam` must avoid the action spectrum; the test solves for a boundary
-    pushing the representative strictly below `lam`.
+    `lam` must avoid the action spectrum and lie above the representative's
+    precision floor; the test solves for a boundary pushing the
+    representative strictly below `lam`.
     """
     lam = Fraction(lam)
     if spectrality_check(lam, C):
         raise SpectralLevelError(f"{lam} lies on the action spectrum")
     rep = representative
+    if rep.floor is not None and lam <= rep.floor:
+        raise IndeterminateError(f"{lam} lies at or below the precision floor")
     bounds = _query_window(C, rep)
     if bounds is None:
         return True

@@ -27,3 +27,7 @@ class FixtureError(NovispecError):
 
 class InputError(NovispecError):
     """Unreadable or schema-violating input files."""
+
+
+class WindowTooLargeError(NovispecError):
+    """A window would hold more generators than the engine's cap."""

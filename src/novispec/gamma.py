@@ -9,9 +9,11 @@ omega values this forces rank <= 2.
 Gluing a cap shifts a generator's degree by -2 c1, so the caps of one degree
 are the solutions of c1(A) = c.  These form a cap line: empty, one point, or
 A0 + t K over the integers with c1(K) = 0.  Injectivity makes omega(K) != 0,
-so the caps of one Chern number in an area range are a run of consecutive t,
-found in closed form by `GammaGroup.caps`, which returns each cap with its
-omega: stepping along the line adds omega(K) once per cap.
+so `GammaGroup.cap_line` orients K with omega(K) > 0, and the caps of one
+Chern number in an area range are a run of consecutive t.  `GammaGroup.caps`
+finds that run in closed form and returns each cap with its omega: stepping
+along the line adds omega(K) once per cap.  The engine reads the same line
+in integer action units.
 """
 
 from __future__ import annotations
@@ -137,24 +139,34 @@ class GammaGroup:
         q = value / g
         return q.denominator == 1
 
-    def _cap_line(self, c1: int):
-        """(A0, K) with {A : c1(A) = c1} = {A0 + t K}, K None for one point.
+    def cap_line(self, c1: int):
+        """(A0, omega(A0), K, omega(K)) with {A : c1(A) = c1} = {A0 + t K}.
 
-        None if no cap has Chern number c1.  Rank 0 and 1 solve directly;
-        rank 2 solves d1 x + d2 y = c1 by one extended gcd.  A zero c1 row
-        on rank 2 was rejected at construction.
+        K is oriented so that omega(K) > 0; K and omega(K) are None for a
+        one-point line, and the whole result is None if no cap has Chern
+        number c1.  Rank 0 and 1 solve directly; rank 2 solves
+        d1 x + d2 y = c1 by one extended gcd.  A zero c1 row on rank 2 was
+        rejected at construction.
         """
         d = self.c1_values
         if not any(d):
             if c1 != 0:
                 return None
-            return self.zero, ((1,) if self.rank else None)
-        if self.rank == 1:
-            return ((c1 // d[0],), None) if c1 % d[0] == 0 else None
-        g, u, v = _extended_gcd(*d)
-        if c1 % g != 0:
-            return None
-        return (u * (c1 // g), v * (c1 // g)), (d[1] // g, -d[0] // g)
+            start, step = self.zero, ((1,) if self.rank else None)
+        elif self.rank == 1:
+            if c1 % d[0] != 0:
+                return None
+            start, step = (c1 // d[0],), None
+        else:
+            g, u, v = _extended_gcd(*d)
+            if c1 % g != 0:
+                return None
+            start, step = (u * (c1 // g), v * (c1 // g)), (d[1] // g, -d[0] // g)
+        w0 = self.omega(start)
+        if step is None:
+            return start, w0, None, None
+        dw = self.omega(step)
+        return (start, w0, step, dw) if dw > 0 else (start, w0, vec_neg(step), -dw)
 
     def caps(self, c1: int, lo, hi) -> list:
         """(A, omega(A)) for every cap A with c1(A) = c1 and lo <= omega(A) < hi.
@@ -162,16 +174,12 @@ class GammaGroup:
         Omega ascending.  Along the cap line A0 + t K, each step adds K to
         the cap and omega(K) to its omega.
         """
-        line = self._cap_line(int(c1))
+        line = self.cap_line(int(c1))
         if line is None:
             return []
-        start, step = line
-        w0 = self.omega(start)
+        start, w0, step, dw = line
         if step is None:
             return [(start, w0)] if lo <= w0 < hi else []
-        dw = self.omega(step)
-        if dw < 0:
-            step, dw = vec_neg(step), -dw
         first, stop = ceil((Fraction(lo) - w0) / dw), ceil((Fraction(hi) - w0) / dw)
         out = []
         cap, w = vec_add(start, vec_scale(first, step)), w0 + first * dw

@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import itertools
 import json
 import random
+import time
 import weakref
 from fractions import Fraction as F
 from pathlib import Path
@@ -17,8 +19,9 @@ from novispec import (
     IndeterminateError,
     NovikovScalar,
     SpectralLevelError,
+    WindowTooLargeError,
 )
-from novispec import jsonio, linalg
+from novispec import engine, jsonio, linalg
 from novispec.chains import equivariant_image
 from novispec.engine import (
     _chain_vector,
@@ -169,6 +172,72 @@ def test_representative_below_its_floor_is_indeterminate():
         nv.spectral_invariant(C, C.chain(free.terms, F(1)))
 
 
+def test_oracle_and_membership_read_the_precision_floor():
+    # the staircase's `mixed` cycle b + 2d + f has rho 1; floored at 1 it is
+    # b + 2d = d(a), a boundary only above the floor
+    raw = jsonio.load_json(REPO / "fixtures" / "staircase.json")
+    C = jsonio.complex_from_json(raw)
+    mixed = jsonio.chain_from_json(raw["representatives"]["mixed"], C)
+    above = F(3, 2) + F(1, 13)
+    assert nv.oracle_rho(C, mixed) == 1
+    assert nv.image_membership(C, mixed, F(1, 5)) is False
+    assert nv.image_membership(C, mixed, above) is True
+    floored = C.chain(mixed.terms, F(1))
+    r = nv.spectral_invariant(C, floored)
+    assert r.spectrality == "indeterminate" and r.certificate["interval"] == (NEG_INF, 1)
+    with pytest.raises(IndeterminateError):
+        nv.oracle_rho(C, floored)
+    for lam in (F(1, 5), 1 - F(1, 13)):
+        with pytest.raises(IndeterminateError, match="precision floor"):
+            nv.image_membership(C, floored, lam)
+    assert nv.image_membership(C, floored, above) is True
+    # `free` (rho 1) floored at 1 has no terms left: no answer either
+    free = jsonio.chain_from_json(raw["representatives"]["free"], C)
+    with pytest.raises(IndeterminateError, match="at or below the precision floor"):
+        nv.oracle_rho(C, C.chain(free.terms, F(1)))
+
+
+def test_window_too_large_raises_before_building():
+    # three orbits over omega = 1, c1 = 0 whose one boundary term, x -> y,
+    # lowers the action by 10**9: the default window spans billions of caps,
+    # counted in closed form, never enumerated
+    GZ = GammaGroup((F(1),), (0,))
+    C = nv.FilteredComplex(
+        GZ,
+        [("x", F(0), 1), ("y", F(0), 0), ("s", F(0), 0)],
+        {"x": {"y": mono(1, (10**9,), GZ)}},
+    )
+    assert C.validate().ok
+    rep = C.chain({C.generator("s"): 1})
+    start = time.perf_counter()
+    for query in (nv.spectral_invariant, nv.oracle_rho):
+        with pytest.raises(WindowTooLargeError, match=r"^window-too-large: degree \d+ on \("):
+            query(C, rep)
+    with pytest.raises(WindowTooLargeError):
+        nv.image_membership(C, rep, F(1, 3))
+    assert time.perf_counter() - start < 1
+
+
+def test_window_cap_counts_generators(monkeypatch):
+    # a shipped fixture over a small cap.  The cap counts generators: the
+    # staircase's degree-3 window has rows and no columns, so rows x columns
+    # is 0 at any size
+    raw = jsonio.load_json(REPO / "fixtures" / "staircase.json")
+    C = jsonio.complex_from_json(raw)
+    mixed = jsonio.chain_from_json(raw["representatives"]["mixed"], C)
+    lo, hi = default_window_bounds(C, mixed)
+    top = build_window(C, 3, lo, hi)
+    assert len(top.rows) > 10 and not top.cols
+    build_window.cache_clear()
+    monkeypatch.setattr(engine, "MAX_WINDOW_GENERATORS", len(top.rows) - 1)
+    with pytest.raises(WindowTooLargeError, match=f"degree 3 on .* holds {len(top.rows)} gen"):
+        build_window(C, 3, lo, hi)
+    with pytest.raises(WindowTooLargeError):  # its columns are the same generators
+        nv.spectral_invariant(C, mixed)
+    monkeypatch.setattr(engine, "MAX_WINDOW_GENERATORS", len(top.rows))
+    assert build_window(C, 3, lo, hi).rows == top.rows
+
+
 def test_action_spectrum_trivial_group():
     C = nv.FilteredComplex(G0, [("a", F(1, 3), 0), ("b", F(-2), 1)], {})
     assert nv.action_spectrum(C, (-3, 3)) == [F(-2), F(1, 3)]
@@ -271,10 +340,14 @@ def test_oracle_equivalence_and_ground_truth():
         assert r.rho == o == inst.expected_rho, (seed, r.rho, o, inst.expected_rho)
         if r.rho != NEG_INF:
             assert r.witness.level() == r.rho
-            # the witness is homologous to the input
-            assert nv.oracle_rho(
-                inst.complex, inst.representative - r.witness
-            ) == NEG_INF
+            # the witness is homologous to the input: the difference of its
+            # terms is a boundary; carrying the witness's window floor, it is
+            # one above that floor only, which the oracle reports
+            diff = inst.representative - r.witness
+            assert nv.oracle_rho(inst.complex, inst.complex.chain(diff.terms)) == NEG_INF
+            if diff.floor is not None:
+                with pytest.raises(IndeterminateError):
+                    nv.oracle_rho(inst.complex, diff)
 
 
 def test_truncation_image_membership_both_directions():
@@ -426,6 +499,61 @@ def test_degree_generators_pinned():
     assert sum(map(len, calls)) == 27964
     digest = hashlib.sha256(json.dumps(calls).encode()).hexdigest()
     assert digest == "f2625ed7c744c0146bc5fd0d22843a5bac14d7db6a11c9f417b2ff452f3da8fa"
+
+
+# rank 0; rank 1 with one-point cap lines (c1 != 0, and omega = 0); rank 1
+# with c1 = 0 and a negative omega step; rank 2 with steps (3, -2) and
+# (-3, -2), both of negative omega before orientation
+GENERATOR_GROUPS = [
+    ((), ()),
+    ((1,), (2,)),
+    ((0,), (3,)),
+    ((F(-3, 2),), (0,)),
+    ((F(-1, 2), F(1, 3)), (4, 6)),
+    ((1, F(3, 2)), (2, -3)),
+]
+
+
+@pytest.mark.parametrize("omega, c1", GENERATOR_GROUPS)
+def test_degree_generators_match_brute_force(omega, c1):
+    # every cap of a box through `C.generator`, filtered to (lo, hi] and
+    # sorted; orbits `p` and `a` tie in action, listed out of name order
+    G = GammaGroup(omega, c1)
+    C = nv.FilteredComplex(G, [("p", F(1, 2), 0), ("q", F(0), 1), ("a", F(1, 2), 0),
+                               ("r", F(-7, 3), 3), ("s", F(-1), 0)], {})
+    box = 32
+    by_degree = {}
+    for o in C.orbits:
+        for cap in itertools.product(range(-box, box + 1), repeat=G.rank):
+            g = C.generator(o, cap)
+            by_degree.setdefault(g.degree, []).append(g)
+
+    def brute(degree, lo, hi):
+        gens = [g for g in by_degree.get(degree, ()) if lo < g.action <= hi]
+        assert all(max(map(abs, g.cap), default=0) < box for g in gens)
+        return sorted(gens, key=lambda g: (-g.action, g.orbit, g.cap))
+
+    windows = [(F(-5), F(5)), (F(-37, 3), F(11, 2)), (F(2), F(2)),
+               (F(-9, 7) + F(1, 13), F(20, 7) + F(1, 13))]  # off the 1/denom grid
+    on_bounds = 0
+    for degree in range(-8, 9):
+        wide = brute(degree, F(-6), F(6))
+        if wide and wide[-1].action < wide[0].action:
+            # bounds on generator actions: lo is exclusive, hi inclusive
+            lo, hi = wide[-1].action, wide[0].action
+            found = _degree_generators(C, degree, lo, hi)
+            assert [g for g in wide if g.action == lo] and [g for g in found if g.action == hi]
+            assert all(g.action != lo for g in found)
+            on_bounds += 1
+            windows_here = windows + [(lo, hi)]
+        else:
+            windows_here = windows
+        for lo, hi in windows_here:
+            found = _degree_generators(C, degree, lo, hi)
+            assert found == brute(degree, lo, hi), (degree, lo, hi)
+            # one shared Fraction per distinct action
+            assert len({id(g.action) for g in found}) == len({g.action for g in found})
+    assert on_bounds > 0
 
 
 def _window_from_images(C, degree, lo, hi):

@@ -341,6 +341,25 @@ def test_cli_malformed_fixture_exit_two(tmp_path, capsys, section, shipped, muta
     assert [r["code"] for r in rows] == [code]
 
 
+def test_cli_window_too_large_exit_two(tmp_path, capsys):
+    # a valid complex whose one boundary term lowers the action by 10**9:
+    # its default window would hold billions of generators
+    far = {
+        "gamma": {"rank": 1, "omega": ["1"], "c1": [0]},
+        "orbits": [{"id": "x", "action": "0", "degree": 1},
+                   {"id": "y", "action": "0", "degree": 0},
+                   {"id": "s", "action": "0", "degree": 0}],
+        "boundary": [{"from": "x", "to": "y", "scalar": [["1", [10**9]]]}],
+        "floor": None,
+        "representatives": {"s": [["1", "s", [0]]]},
+    }
+    (tmp_path / "far.json").write_text(json.dumps(far))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"complexes": [{"name": "far", "path": "far.json"}]}))
+    assert main(["spectra", str(path)]) == 2
+    assert "input error: window-too-large: degree 1 on (" in capsys.readouterr().err
+
+
 def test_cli_subprocess_oracle(tmp_path):
     out = tmp_path / "r.json"
     proc = subprocess.run(

@@ -15,7 +15,8 @@ matrix to capped generators.
 
 Chains are finite homogeneous combinations of generators with an optional
 action-space precision floor.  The level of a chain is the maximal action of
-its support; the peak is the generator attaining it.
+its support; the peak is the generator attaining it.  Terms are kept in
+descending action, ties broken by (orbit, cap), so `level()` reads the first.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import (
     DomainError,
@@ -58,7 +60,8 @@ class NovikovChain:
     `terms` is a {generator: coeff} dict or a list of (generator, coeff)
     pairs; repeated generators sum.  The summed terms must share one
     degree.  A finite floor then truncates: terms at or below it are
-    dropped (scalars, by contrast, reject such input).
+    dropped (scalars, by contrast, reject such input).  `terms` is kept in
+    descending action, ties by (orbit, cap); `level()` reads the first term.
     """
 
     __slots__ = ("complex", "terms", "floor", "degree")
@@ -67,7 +70,7 @@ class NovikovChain:
         self.complex = complex
         self.floor = None if floor is None else Fraction(floor)
         items = terms.items() if isinstance(terms, dict) else (terms or [])
-        clean = add_terms({}, ((gen, Fraction(coeff)) for gen, coeff in items))
+        clean = add_terms({}, ((g, c if type(c) is Fraction else Fraction(c)) for g, c in items))
         degree = None
         for gen in clean:
             if degree is None:
@@ -78,9 +81,10 @@ class NovikovChain:
                 )
         if self.floor is not None:
             clean = {g: c for g, c in clean.items() if g.action > self.floor}
-        self.terms = dict(
-            sorted(clean.items(), key=lambda kv: (-kv[0].action, kv[0].orbit, kv[0].cap))
-        )
+        # (-action, orbit, cap) order: stable descending action over (orbit, cap)
+        gens = sorted(clean, key=attrgetter("orbit", "cap"))
+        gens.sort(key=attrgetter("action"), reverse=True)
+        self.terms = {g: clean[g] for g in gens}
         self.degree = degree if self.terms else None
 
     def is_zero(self) -> bool:
@@ -101,16 +105,19 @@ class NovikovChain:
         return f"<chain {body or '0'}>"
 
     def __add__(self, other: "NovikovChain") -> "NovikovChain":
+        return self._plus(other, other.terms.items())
+
+    def __sub__(self, other: "NovikovChain") -> "NovikovChain":
+        return self._plus(other, ((g, -c) for g, c in other.terms.items()))
+
+    def _plus(self, other, pairs) -> "NovikovChain":
         if self.complex is not other.complex:
             raise StructuralError("chains live in different complexes")
-        return NovikovChain(self.complex, [*self.terms.items(), *other.terms.items()],
+        return NovikovChain(self.complex, [*self.terms.items(), *pairs],
                             merge_floor(self.floor, other.floor))
 
     def __neg__(self):
         return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, rational) -> "NovikovChain":
         r = Fraction(rational)
@@ -121,7 +128,7 @@ class NovikovChain:
     def level(self):
         if not self.terms:
             return NEG_INF
-        return max(g.action for g in self.terms)
+        return next(iter(self.terms)).action
 
     def shift(self, cap: GammaElement) -> "NovikovChain":
         """Glue `cap` onto every generator (deck transformation)."""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .chains import (
     FilteredComplex,
@@ -560,7 +561,20 @@ def curated_functionals(C: FilteredComplex):
 
 
 def random_chain(rng: random.Random, C: FilteredComplex, degree):
-    """Random chain of 1 to 4 terms in one degree (not necessarily a cycle)."""
+    """Random chain of 1 to 4 terms in one degree (not necessarily a cycle);
+    the candidate generators are built once per (complex, degree)."""
+    candidates = _chain_candidates(C, degree)
+    if not candidates:
+        return C.chain()
+    return C.chain([
+        (rng.choice(candidates), Fraction(rng.randint(-5, 5), rng.choice([1, 2])))
+        for _ in range(rng.randint(1, 4))
+    ])
+
+
+@lru_cache(maxsize=4)
+def _chain_candidates(C: FilteredComplex, degree) -> tuple:
+    """`random_chain`'s candidates in `degree`; the last few are cached."""
     candidates = []
     quantum = C.gamma.period_generator()
     for orbit in sorted(C.orbits):
@@ -573,12 +587,7 @@ def random_chain(rng: random.Random, C: FilteredComplex, degree):
         caps += C.gamma.caps(c, -2 * quantum, 3 * quantum)
         base = C.base_action(orbit)
         candidates.extend(Generator(orbit, cap, base - w, degree) for cap, w in caps)
-    if not candidates:
-        return C.chain()
-    return C.chain([
-        (rng.choice(candidates), Fraction(rng.randint(-5, 5), rng.choice([1, 2])))
-        for _ in range(rng.randint(1, 4))
-    ])
+    return tuple(candidates)
 
 
 def _dress(rng, C: FilteredComplex, rep: NovikovChain, gamma_window):

@@ -1,10 +1,10 @@
 """The coefficient group: a lattice with an area and a Chern homomorphism.
 
 Elements (caps) are integer coordinate vectors; omega extends linearly with
-exact rational values, c1 with integer values.  Construction rejects any
-representation in which a nonzero lattice vector is killed by both
-homomorphisms, so (omega, c1) is injective on the group.  With rational
-omega values this forces rank <= 2.
+exact rational values (evaluated in integer units over one denominator), c1
+with integer values.  Construction rejects any representation in which a
+nonzero lattice vector is killed by both homomorphisms, so (omega, c1) is
+injective on the group.  With rational omega values this forces rank <= 2.
 
 Gluing a cap shifts a generator's degree by -2 c1, so the caps of one degree
 are the solutions of c1(A) = c.  These form a cap line: empty, one point, or
@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd
-from operator import add, sub
+from math import ceil, gcd, lcm
+from operator import add, mul, sub
 
 from .errors import StructuralError
 
@@ -67,6 +67,8 @@ class GammaGroup:
     c1_values: tuple
     # derived from omega_values, so kept out of equality, hashing and repr
     _period: Fraction = field(init=False, repr=False, compare=False)
+    _omega_units: tuple = field(init=False, repr=False, compare=False)
+    _omega_denom: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         omega = tuple(Fraction(v) for v in self.omega_values)
@@ -76,6 +78,8 @@ class GammaGroup:
         object.__setattr__(self, "omega_values", omega)
         object.__setattr__(self, "c1_values", chern)
         object.__setattr__(self, "_period", fraction_gcd(omega))
+        object.__setattr__(self, "_omega_denom", lcm(*(w.denominator for w in omega)))
+        object.__setattr__(self, "_omega_units", tuple(int(w * self._omega_denom) for w in omega))
         if self._joint_kernel_nontrivial():
             raise StructuralError(
                 "degenerate generators: a nonzero vector has omega = 0 and c1 = 0"
@@ -117,7 +121,7 @@ class GammaGroup:
 
     def omega(self, a: GammaElement) -> Fraction:
         a = self.check_element(a)
-        return sum((w * x for w, x in zip(self.omega_values, a)), Fraction(0))
+        return Fraction(sum(map(mul, self._omega_units, a)), self._omega_denom)
 
     def c1(self, a: GammaElement) -> int:
         a = self.check_element(a)

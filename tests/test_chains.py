@@ -15,7 +15,7 @@ from novispec import (
     SpectralLevelError,
     StructuralError,
 )
-from novispec.fixtures import random_instance, sphere
+from novispec.fixtures import random_chain, random_instance, sphere
 
 G1 = GammaGroup((F(1),), (2,))
 
@@ -311,3 +311,66 @@ def test_ultrametric_level_of_sum():
             continue
         b = a.shift(C.gamma.zero).scale(F(-3, 2))
         assert (a + b).level() <= max(a.level(), b.level())
+
+
+def _assert_ordered(chain):
+    """Terms in (-action, orbit, cap) order; level() is the top action."""
+    keys = [(-g.action, g.orbit, g.cap) for g in chain.terms]
+    assert keys == sorted(keys)
+    assert chain.level() == max((g.action for g in chain.terms), default=NEG_INF)
+
+
+def _random_chain_pairs():
+    """(complex, a, b): two seeded random chains of one degree per degree."""
+    rng = random.Random(17)
+    for seed in range(12):
+        C = random_instance(seed).complex
+        for degree in sorted({d for _, d in C.orbits.values()}):
+            yield C, random_chain(rng, C, degree), random_chain(rng, C, degree)
+
+
+def test_terms_stay_in_level_order():
+    # tied actions are ordered by orbit, then cap, whatever the input order
+    C = nv.FilteredComplex(GammaGroup((F(1), F(3, 2)), (0, 1)),
+                           [("b", F(0), 0), ("a", F(0), 0), ("c", F(-1), 0)], {})
+    tied = [C.generator("c", (-1, 0)), C.generator("b"), C.generator("a", (3, 0)),
+            C.generator("a"), C.generator("c", (2, 0))]
+    chain = C.chain([(g, 1) for g in tied])
+    assert [(g.orbit, g.cap) for g in chain.terms] == [
+        ("a", (0, 0)), ("b", (0, 0)), ("c", (-1, 0)), ("a", (3, 0)), ("c", (2, 0))]
+    _assert_ordered(chain)
+
+    checked = 0
+    for C, a, b in _random_chain_pairs():
+        cap = tuple(range(1, C.gamma.rank + 1))
+        floored = C.chain(a.terms, a.level() - 2 if not a.is_zero() else F(0))
+        for chain in [a, b, a + b, a - b, -a, a.scale(F(-3, 2)), a.scale(0),
+                      a.shift(cap), floored, floored + b, b - floored]:
+            _assert_ordered(chain)
+        assert a.scale(0).level() == NEG_INF
+        checked += not a.is_zero()
+    assert checked >= 20
+
+
+def test_subtraction_is_addition_of_the_negative():
+    checked = 0
+    for C, a, b in _random_chain_pairs():
+        if a.is_zero():
+            continue
+        for x, y in [(a, b), (b, a), (a, a), (C.chain(a.terms, a.level() - 1), b),
+                     (a, C.chain(b.terms, F(-3)))]:
+            diff = x - y
+            assert diff == x + (-y)
+            assert diff.floor == (x + (-y)).floor and diff.degree == (x + (-y)).degree
+        assert (a - a).is_zero() and (a - a).degree is None
+        checked += 1
+    assert checked >= 20
+
+    C = two_generator_complex()
+    x = C.chain({C.generator("hi"): 1})
+    y = C.chain({C.generator("lo", (1,)): 1})
+    with pytest.raises(StructuralError, match="mixed degrees"):
+        x - y
+    other = two_generator_complex()
+    with pytest.raises(StructuralError, match="different complexes"):
+        x - other.chain({other.generator("hi"): 1})

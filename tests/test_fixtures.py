@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from fractions import Fraction as F
 
 import novispec as nv
@@ -8,6 +10,7 @@ from novispec import DOWN, NEG_INF, UP, GammaGroup, jsonio
 from novispec.cli import _validate_manifold
 from novispec.fixtures import (
     BUILTIN_FIXTURES,
+    _chain_candidates,
     load_builtin,
     random_chain,
     random_continuity_pair,
@@ -90,3 +93,37 @@ def test_seeded_generators_pinned():
     # any change to a seeded draw, the random dressing included, moves the digest
     blob = json.dumps(_seeded_draws(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == "fa4dc5e6a08fb5820029b1c4ea9772388087c4bed7e42d5bc3652ae3f13f8990"
+
+
+def _draws(seed, C, cold):
+    rng = random.Random(seed)
+    out = []
+    for d in range(-2, 3):
+        if cold:
+            _chain_candidates.cache_clear()
+        out.append(random_chain(rng, C, d))
+    return out
+
+
+def _first_candidates_ref(C):
+    random_chain(random.Random(0), C, 0)
+    return weakref.ref(C)
+
+
+def test_chain_candidate_cache_is_transparent_and_bounded():
+    for k in range(10):
+        C = random_instance(k).complex
+        assert _draws(k, C, cold=True) == _draws(k, C, cold=False)
+        assert _chain_candidates(C, 0) is _chain_candidates(C, 0)
+
+    # the cache is bounded: once more than `maxsize` other complexes have
+    # drawn random chains, nothing keeps the first one alive
+    ref = _first_candidates_ref(random_instance(50).complex)
+    gc.collect()
+    assert ref() is not None  # only the cache holds it
+    size = _chain_candidates.cache_info().maxsize
+    assert size is not None
+    for k in range(size + 1):
+        random_chain(random.Random(k), random_instance(100 + k).complex, 0)
+    gc.collect()
+    assert ref() is None

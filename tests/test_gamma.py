@@ -52,6 +52,26 @@ def test_dimension_mismatch():
         g.omega((1, 2))
 
 
+@pytest.mark.parametrize("omega, c1", [
+    ((), ()),
+    ((F(5, 3),), (1,)),
+    ((F(1), F(3, 2)), (0, 1)),
+    ((F(2, 3), F(-5, 7)), (1, 1)),
+])
+def test_omega_in_integer_units_is_exact(omega, c1):
+    g = GammaGroup(omega, c1)
+    rng = random.Random(len(omega))
+    caps = [g.zero] + [tuple(rng.randint(-10**6, 10**6) for _ in omega) for _ in range(200)]
+    for a in caps:
+        w = g.omega(a)
+        assert type(w) is F
+        assert w == sum((v * x for v, x in zip(g.omega_values, a)), F(0))
+    # check_element still runs: a cap of the wrong length raises
+    for bad in [(1,) * (len(omega) + 1), (1,) * (len(omega) - 1) if omega else (1, 2)]:
+        with pytest.raises(StructuralError, match="coordinates"):
+            g.omega(bad)
+
+
 def test_period_generator():
     assert GammaGroup((F(1), F(3, 2)), (0, 1)).period_generator() == F(1, 2)
     assert GammaGroup((), ()).period_generator() == 0

@@ -28,7 +28,7 @@ from .errors import DomainError, StructuralError
 from .gamma import vec_add, vec_scale, vec_sub
 from .linalg import add_terms
 from .quantum import COHOMOLOGY, QuantumClass
-from .scalars import NEG_INF
+from .scalars import NEG_INF, merge_floor
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +44,27 @@ class BallSpec:
         object.__setattr__(self, "radius", Fraction(self.radius))
 
 
+def _difference_level(a: NovikovChain, b: NovikovChain):
+    """level(a - b) in one pass over both supports, without building a - b.
+
+    It raises as the subtraction does: for chains of different complexes,
+    and for mixed degrees among terms that do not cancel, checked before the
+    merged floor drops the terms at or below it.
+    """
+    if a.complex is not b.complex:
+        raise StructuralError("chains live in different complexes")
+    # chains are homogeneous, so terms of two degrees never cancel
+    if a.terms and b.terms and a.degree != b.degree:
+        raise StructuralError(f"mixed degrees {a.degree} and {b.degree} in one chain")
+    # terms run in descending action: the first that does not cancel is the top
+    top = max(next((g.action for g, c in x.terms.items() if y.terms.get(g) != c), NEG_INF)
+              for x, y in ((a, b), (b, a)))
+    floor = merge_floor(a.floor, b.floor)
+    return top if floor is None or top > floor else NEG_INF
+
+
 def in_ball(beta: NovikovChain, ball: BallSpec) -> bool:
-    return (beta - ball.center).level() < ball.radius
+    return _difference_level(beta, ball.center) < ball.radius
 
 
 def ball_intersection_radius(b1: BallSpec, b2: BallSpec, alpha: NovikovChain):
@@ -54,8 +73,8 @@ def ball_intersection_radius(b1: BallSpec, b2: BallSpec, alpha: NovikovChain):
     Requires alpha in the intersection; R = min(R1, R2) works because
     level(beta - center_i) <= max(level(beta - alpha), level(alpha - center_i)).
     """
-    d1 = (alpha - b1.center).level()
-    d2 = (alpha - b2.center).level()
+    d1 = _difference_level(alpha, b1.center)
+    d2 = _difference_level(alpha, b2.center)
     if not (d1 < b1.radius and d2 < b2.radius):
         raise DomainError("the base point is not in the intersection")
     return min(b1.radius, b2.radius)

@@ -51,27 +51,35 @@ reduction.  The cache is bounded, so it holds at most a few complexes
 alive, and windows are frozen, so a shared one cannot be reassigned.
 
 An independent oracle answers the same question bottom-up: the smallest
-level whose strict-superlevel cancellation system is feasible, found by
-`linalg.solve` (sparse row elimination, in the oracle's own row order) on
-rows it builds itself through `FilteredComplex.boundary`, apart from the
-shift table and the window's reduction.  Feasibility is monotone in the
-level, because a higher level keeps a subset of the constraint rows, so
-the oracle bisects the sorted candidate levels.  Membership in the image
-of a truncated complex, the probe API, is a prefix query on the window's
-reduction.
+level whose strict-superlevel cancellation system is feasible.  It builds
+its rows itself from `equivariant_image`, the routine behind
+`FilteredComplex.boundary`, apart from the shift table and the window's
+reduction, and sorts them by descending action, so the rows above any
+level are a prefix and feasibility is monotone in the level.  One top-down
+row elimination (`linalg.first_inconsistent_row`) stops at the first row
+that makes the prefix inconsistent; its action is the answer.
+
+Membership in the image of a truncated complex, the probe API, is a prefix
+query on the window's reduction.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
 
 from . import linalg
-from .chains import FilteredComplex, Generator, NovikovChain, entry_shifts
+from .chains import (
+    FilteredComplex,
+    Generator,
+    NovikovChain,
+    entry_shifts,
+    equivariant_image,
+)
 from .errors import (
     DomainError,
     IndeterminateError,
@@ -412,13 +420,15 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
     """Bottom-up brute-force answer: the smallest feasible level.
 
     Feasibility of a level is the solvability of the strict-superlevel
-    cancellation system; its sparse rows are rebuilt from boundary
-    evaluation on each candidate column, independently of the reduction
-    path, and eliminated row by row by `linalg.solve`.  A higher level
-    keeps a subset of the rows, so feasibility is monotone and the smallest
-    feasible level is found by bisection.  A system feasible at the window
-    floor (`_query_window`), or a representative with a precision floor and
-    no terms above it, raises `IndeterminateError`.
+    cancellation system.  Its sparse rows are built once, from the
+    equivariant boundary image of each candidate column, independently of
+    the reduction path, and sorted by (-action, orbit, cap), so the rows
+    above any level are a prefix.  One top-down elimination
+    (`linalg.first_inconsistent_row`) stops at the first inconsistent row
+    k: a level is feasible exactly when it is at least the action of row k,
+    which is the answer.  A system feasible at the window floor
+    (`_query_window`), or a representative with a precision floor and no
+    terms above it, raises `IndeterminateError`.
     """
     rep = representative
     bounds = _query_window(C, rep)
@@ -428,33 +438,24 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
             raise IndeterminateError(_ALL_BELOW_FLOOR)
         return NEG_INF
     lo, hi = bounds
-    cols = _degree_generators(C, rep.degree + 1, lo, hi)
-    images = [C.boundary(C.chain({g: 1})) for g in cols]
+    images = [equivariant_image(C.boundary_entries, {g: 1}, C)
+              for g in _degree_generators(C, rep.degree + 1, lo, hi)]
     support = set(rep.terms)
     for img in images:
-        support.update(img.terms)
+        support.update(img)
     rows = sorted(support, key=lambda g: (-g.action, g.orbit, g.cap))
     mat = {g: {} for g in rows}
     for j, img in enumerate(images):
-        for g, c in img.terms.items():
+        for g, c in img.items():
             mat[g][j] = c
-
-    def feasible(level):
-        picked = [g for g in rows if g.action > level]
-        if not picked:
-            return True
-        return linalg.solve([mat[g] for g in picked],
-                            [-rep.terms.get(g, 0) for g in picked]) is not None
-
-    if not floored and feasible(NEG_INF):
+    k = linalg.first_inconsistent_row([mat[g] for g in rows],
+                                      [-rep.terms.get(g, 0) for g in rows])
+    if k is None and not floored:
         return NEG_INF
-    levels = sorted({g.action for g in rows if g.action > lo})
-    i = bisect_left(levels, True, key=feasible)
     # feasible at the floor itself: the answer lies at or below the window
-    # (unfloored with no row at or below it, that is the full system above)
-    if i == len(levels) or (i == 0 and (floored or rows[-1].action <= lo) and feasible(lo)):
+    if k is None or rows[k].action <= lo:
         raise IndeterminateError("no feasible level inside the oracle window")
-    return levels[i]
+    return rows[k].action
 
 
 def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> bool:

@@ -15,9 +15,12 @@ vector off the reduction itself.
 quantum classes, dual functionals and reduction columns are all finite
 combinations whose equal keys add and whose cancelled terms drop.
 
-`solve` is sparse row elimination over {column: Fraction} rows, kept for
-the oracle, which cross-checks the reduction and so shares no code with it
-beyond `add_terms`.
+`_eliminate`, the one sparse row elimination over {column: Fraction} rows,
+serves the oracle, which cross-checks the reduction and so shares no code
+with it beyond `add_terms`.  `solve` back-substitutes one solution, and
+`first_inconsistent_row` names the first row that makes the rows before it
+inconsistent: for rows in descending action, where the rows above any
+level are a prefix, that one index answers every level.
 """
 
 from __future__ import annotations
@@ -25,18 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def solve(rows, rhs):
-    """One solution x of A x = b over Q, or None if the system is infeasible.
+def _eliminate(rows, rhs):
+    """(echelon, k): row elimination of A x = b, stopped at its first
+    inconsistent row k, or k None if every row is consistent.
 
-    `rows` is a list of sparse rows {column: coefficient} and `rhs` the list
-    of their right-hand sides.  Rows are eliminated in the order given; the
-    pivot of a row is its smallest column left, scaled to a leading 1.  x is
-    read off by back substitution in descending pivot column, as a sparse
-    dict with the free variables zero: the solution of the reduced row
-    echelon form, which is unique.
+    Rows are eliminated in the order given; the pivot of a row is its
+    smallest column left, scaled to a leading 1.  `echelon` maps each pivot
+    column to its (row with leading 1, right-hand side), for rows < k.
     """
-    echelon = {}  # pivot column -> (row with leading 1, right-hand side)
-    for row, b in zip(rows, rhs):
+    echelon = {}
+    for k, (row, b) in enumerate(zip(rows, rhs)):
         r = {c: v for c, v in row.items() if v}
         while r and (p := min(r)) in echelon:
             pivot_row, pivot_b = echelon[p]
@@ -47,14 +48,38 @@ def solve(rows, rhs):
             inv = 1 / Fraction(r[p])
             echelon[p] = ({c: v * inv for c, v in r.items()}, b * inv)
         elif b:
-            return None
+            return echelon, k
+    return echelon, None
+
+
+def solve(rows, rhs):
+    """One solution x of A x = b over Q, or None if the system is infeasible.
+
+    `rows` is a list of sparse rows {column: coefficient} and `rhs` the list
+    of their right-hand sides, eliminated by `_eliminate`.  x is read off by
+    back substitution in descending pivot column, as a sparse dict with the
+    free variables zero: the solution of the reduced row echelon form, which
+    is unique.
+    """
+    echelon, k = _eliminate(rows, rhs)
+    if k is not None:
+        return None
     x = {}
     for p in sorted(echelon, reverse=True):
         row, b = echelon[p]
-        v = b - sum(c * x[k] for k, c in row.items() if k in x)
+        v = b - sum(c * x[j] for j, c in row.items() if j in x)
         if v:
             x[p] = v
     return x
+
+
+def first_inconsistent_row(rows, rhs):
+    """The least k with rows[:k+1] infeasible, or None if A x = b is feasible.
+
+    `rows[:k]` is then feasible: the leading rows are solvable exactly when
+    they number at most k.
+    """
+    return _eliminate(rows, rhs)[1]
 
 
 def add_terms(y, pairs):

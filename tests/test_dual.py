@@ -10,6 +10,7 @@ from novispec import (
     DomainError,
     DualFunctional,
     Ray,
+    StructuralError,
 )
 from novispec import linalg
 from novispec.engine import build_window, default_window_bounds
@@ -46,6 +47,38 @@ def test_membership_matches_level():
         beta = random_chain(rng, C, 1)
         R = F(rng.randint(1, 5), rng.choice([1, 2]))
         assert nv.in_ball(beta, BallSpec(alpha, R)) == ((beta - alpha).level() < R)
+    # floored chains, and betas near alpha whose top terms cancel: a term at
+    # or below the higher floor does not count
+    floors = [None, None, F(-3, 2), F(-1), F(0), F(1, 2), F(1)]
+    seen = set()
+    for _ in range(400):
+        alpha = C.chain(random_chain(rng, C, 1).terms, rng.choice(floors))
+        beta = rng.choice([random_chain(rng, C, 1), alpha + random_chain(rng, C, 1), alpha])
+        beta = C.chain(beta.terms, rng.choice(floors))
+        R = F(rng.randint(-2, 3), rng.choice([1, 2]))
+        level = (beta - alpha).level()
+        assert nv.in_ball(beta, BallSpec(alpha, R)) == (level < R)
+        seen.add((level == NEG_INF, alpha.floor is None and beta.floor is None))
+    assert len(seen) == 4
+    # it raises as the subtraction does: another complex, or mixed degrees
+    _, other = cz_complex()
+    alpha = C.chain({C.generator("bot", (-2,)): 1}, F(1))  # action 2, degree 1
+    low = C.chain({C.generator("top"): 1})  # action -1/8, degree -1
+    # degrees are checked before the merged floor drops `low`'s term
+    for beta in (low, C.chain(low.terms, F(-1)), other.chain({other.generator("bot"): 1})):
+        with pytest.raises(StructuralError) as subtraction:
+            beta - alpha
+        with pytest.raises(StructuralError) as membership:
+            nv.in_ball(beta, BallSpec(alpha, 1))
+        assert str(membership.value) == str(subtraction.value)
+        with pytest.raises(StructuralError) as subtraction:
+            alpha - beta
+        with pytest.raises(StructuralError) as radius:
+            nv.ball_intersection_radius(BallSpec(beta, 1), BallSpec(beta, 1), alpha)
+        assert str(radius.value) == str(subtraction.value)
+    # the zero chain has no degree, so it never mixes
+    for beta in (C.chain(), C.chain({}, F(3))):
+        assert nv.in_ball(beta, BallSpec(low, 1)) == ((beta - low).level() < 1)
 
 
 def test_intersection_radius_axiom():

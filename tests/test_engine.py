@@ -149,6 +149,25 @@ def test_oracle_raises_below_its_window_floor():
     assert low < F(-1, 2) < high
 
 
+def test_oracle_raises_when_its_first_inconsistent_row_sits_on_the_floor():
+    # dx = y + z, so y is homologous to -z at level 0.  Floored at 0, the
+    # rows above the floor (y alone) are solvable and the first inconsistent
+    # row is z, exactly on the floor: the system is feasible at the floor,
+    # so there is no answer.  Unfloored, that row is the answer.
+    C = nv.FilteredComplex(
+        G0,
+        [("x", F(2), 1), ("y", F(1), 0), ("z", F(0), 0)],
+        {"x": {"y": mono(1, (), G0), "z": mono(1, (), G0)}},
+    )
+    assert C.validate().ok
+    y = C.generator("y")
+    assert nv.oracle_rho(C, C.chain({y: 1})) == 0 == nv.spectral_invariant(C, C.chain({y: 1})).rho
+    floored = C.chain({y: 1}, F(0))
+    with pytest.raises(IndeterminateError):
+        nv.oracle_rho(C, floored)
+    assert nv.spectral_invariant(C, floored).certificate["interval"] == (NEG_INF, 0)
+
+
 def test_indeterminate_below_floor():
     # a boundary class with a finite floor cannot stabilize
     C = nv.FilteredComplex(
@@ -439,7 +458,9 @@ def test_solve_matches_definition():
     # on small sparse systems with zero, duplicate and dependent rows and
     # inconsistent right-hand sides, linalg.solve's x solves A x = b, lives
     # on the columns independent of the columns to their left, and is None
-    # exactly when b reduces to nonzero against the columns
+    # exactly when b reduces to nonzero against the columns; and
+    # first_inconsistent_row names the first row k that makes the leading
+    # rows infeasible, None exactly when the whole system is feasible
     rng = random.Random(3)
     feasible = infeasible = 0
     for _ in range(400):
@@ -465,6 +486,11 @@ def test_solve_matches_definition():
         else:
             rhs = [F(rng.randint(-2, 2)) for _ in rows]
         x = linalg.solve(rows, rhs)
+        k = linalg.first_inconsistent_row(rows, rhs)
+        assert (k is None) == (x is not None), (rows, rhs, k)
+        if k is not None:
+            assert linalg.solve(rows[:k], rhs[:k]) is not None, (rows, rhs, k)
+            assert linalg.solve(rows[:k + 1], rhs[:k + 1]) is None, (rows, rhs, k)
         columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
         reduction = linalg.Reduction(columns)
         _, r = reduction.solve(dict(enumerate(rhs)), len(rows))
@@ -624,9 +650,10 @@ def _oracle_system(C, rep):
 
 @pytest.mark.parametrize("max_orbits", [6, 12])
 def test_oracle_feasibility_is_monotone(max_orbits):
-    # bisection in oracle_rho is valid only if feasibility is upward-closed
-    # over the sorted levels; check it at every level, and check the
-    # bisected answer against a plain linear scan
+    # oracle_rho's one elimination pass, which reads the answer off the first
+    # inconsistent row, is valid only if feasibility is upward-closed over
+    # the sorted levels; check it at every level, and check the oracle's
+    # answer against a plain linear scan
     checked = 0
     for k in range(40):
         inst = random_instance(k, max_orbits=max_orbits)

@@ -12,8 +12,10 @@ step by one.
 
 The dual invariant reads one engine window, the one a degree down: its
 columns are the generators of the functional's degree with their boundary
-images, and reduced in ascending action their zero columns span the cycles
-at or below every level.
+images.  Each column gains one row below every boundary row, the
+functional's value on its generator, and the columns are reduced in
+ascending action: the first column to head that row is the first cycle
+the functional detects.
 """
 
 from __future__ import annotations
@@ -267,11 +269,12 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int)
     """Smallest truncation level at which the functional detects a cycle.
 
     The boundary out of degree `degree` is reduced once with its columns in
-    ascending action; the kernel vectors V_j of its zero reduced columns
-    span the cycles supported at or below every level, so the answer is the
-    action of the first such column on which mu does not vanish.  A
-    functional that detects nothing in the window pairs to zero with every
-    class there: -infinity.
+    ascending action, each with one more row below every boundary row: mu's
+    value on its generator.  A column heads that row exactly when its
+    boundary part reduces to zero and mu is nonzero on the cycle its
+    reduction combines, so the answer is the action of the column that
+    heads it.  A functional that detects nothing in the window pairs to
+    zero with every class there: -infinity.
     """
     if not classify_functional(mu).continuous:
         raise DomainError("the functional is not continuous")
@@ -281,8 +284,9 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int)
     # columns, with their boundary images above its floor
     w = build_window(C, degree - 1, *_default_dual_window(C))
     gens = w.cols[::-1]
-    reduction = linalg.Reduction(_columns(w)[::-1])
-    for gen, r, v in zip(gens, reduction.R, reduction.V):
-        if not r and mu.evaluate(C.chain({gens[j]: c for j, c in v.items()})) != 0:
-            return gen.action
-    return NEG_INF
+    mu_row = len(w.rows)
+    columns = _columns(w)[::-1]
+    for gen, col in zip(gens, columns):
+        col[mu_row] = mu.evaluate(C.chain({gen: 1}))
+    j = linalg.Reduction(columns).pivots.get(mu_row)
+    return NEG_INF if j is None else gens[j].action

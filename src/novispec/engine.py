@@ -4,15 +4,16 @@ The invariant of a cycle class is the infimum of chain levels over all
 representatives.  Over a discrete period lattice the reachable set of
 representatives is an affine space over Q inside a finite per-degree window
 of capped generators, and the infimum is computed exactly by repeated
-top-stratum elimination: solve for a boundary whose action >= level part
-cancels the current top stratum; when the linear system is infeasible the
-level is the invariant and the infeasibility is its certificate.  The
-window columns are the equivariant boundary images of the generators one
-degree up, and every level's system is answered by one filtered column
-reduction of them (`linalg.Reduction`, pivots at the highest action),
-queried on the prefix of rows at or above the level, which a bisection of
-the action-sorted rows finds.  The representative stays sparse; the
-residual of each solve is the next representative.
+top-stratum elimination: subtract a boundary that cancels the current top
+stratum, the representative's part at or above its level; when no boundary
+does, the level is the invariant and the uncancelled row is its
+certificate.  The window columns are the equivariant boundary images of
+the generators one degree up, and every level is answered by one filtered
+column reduction of them (`linalg.Reduction`, pivots at the highest
+action): the representative is walked down its pivots (`reduce`) as far as
+the prefix of rows at or above the level, which a bisection of the
+action-sorted rows finds.  The representative stays sparse; the residual
+of each walk is the next representative.
 
 Each query reads one window, `default_window_bounds`, its floor raised to
 the representative's own.  Every row lies above the floor, so a class that
@@ -59,8 +60,8 @@ level are a prefix and feasibility is monotone in the level.  One top-down
 row elimination (`linalg.first_inconsistent_row`) stops at the first row
 that makes the prefix inconsistent; its action is the answer.
 
-Membership in the image of a truncated complex, the probe API, is a prefix
-query on the window's reduction.
+Membership in the image of a truncated complex, the probe API, is one walk
+on the window's reduction, bounded by a row prefix.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class Window:
 
     @cached_property
     def reduction(self) -> linalg.Reduction:
-        """The columns reduced in engine order (pivots at the highest action)."""
+        """The columns reduced in engine order (pivots at the highest action):
+        the reduced columns and their pivots, which every query walks."""
         return linalg.Reduction(_columns(self))
 
 
@@ -315,7 +317,6 @@ def _prefix(window: Window, level):
 class ReductionStep:
     level: Fraction
     stratum_size: int
-    columns_used: int
 
 
 @dataclass
@@ -385,10 +386,10 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
     while v:
         level = window.rows[min(v)].action
         constraint_rows = _prefix(window, level)
-        stratum = [window.rows[i] for i in sorted(v) if i < constraint_rows]
-        x, r = reduction.solve(v, constraint_rows)
-        if x is None:
+        r = reduction.reduce(v, constraint_rows)
+        if r and min(r) < constraint_rows:
             witness = C.chain({window.rows[i]: c for i, c in v.items()}, result_floor)
+            stratum = [window.rows[i] for i in sorted(v) if i < constraint_rows]
             cert = {
                 "level": level,
                 "stratum": [(g.orbit, g.cap) for g in stratum],
@@ -398,9 +399,7 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
                 "window": (lo, hi),
             }
             return SpectralResult(level, witness, trace, "attained", stratum[0], cert)
-        trace.append(ReductionStep(level, len(stratum), len(x)))
-        if r and min(r) < constraint_rows:
-            raise StructuralError("reduction failed to lower the level")
+        trace.append(ReductionStep(level, sum(i < constraint_rows for i in v)))
         v = r
     if inexact:
         # vanishes above the floor only: the value is an interval
@@ -462,8 +461,8 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> b
     """Is the class visible in the strict sublevel complex at `lam`?
 
     `lam` must avoid the action spectrum and lie above the representative's
-    precision floor; the test solves for a boundary pushing the
-    representative strictly below `lam`.
+    precision floor; the test walks the representative down the window's
+    pivots and asks whether a boundary pushes it strictly below `lam`.
     """
     lam = Fraction(lam)
     if spectrality_check(lam, C):
@@ -477,8 +476,9 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> b
     lo, hi = bounds
     w = build_window(C, rep.degree, lo, max(hi, lam))
     v, _ = _chain_vector(w, rep)
-    x, _ = w.reduction.solve(v, _prefix(w, lam))
-    return x is not None
+    k = _prefix(w, lam)
+    r = w.reduction.reduce(v, k)
+    return not r or min(r) >= k
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Exact linear algebra over Fraction.
 
 `Reduction` serves the engine, membership, the dual invariant and the
-pairing check of a class basis: one sparse column reduction R = D V of a
-filtered boundary matrix, with V unitriangular.  Rows are numbered from
-the top of the filtration (row 0 has the highest action) and the pivot
-of a column is its first nonzero row.  Cut down to any row prefix, the
-reduced columns stay reduced, so one reduction answers the cancellation
-system at every action level; and the zero reduced columns carry a
-kernel basis of every column prefix.  `Reduction.solve` returns the
-solution with its residual r = b - D x, so a caller reads the cancelled
-vector off the reduction itself.
+pairing check of a class basis: one sparse column reduction of a filtered
+boundary matrix, which keeps only the reduced columns R and their pivots.
+Rows are numbered from the top of the filtration (row 0 has the highest
+action) and the pivot of a column is its first nonzero row.  Cut down to
+any row prefix, the reduced columns stay reduced, so one reduction answers
+the cancellation system at every action level.  Its one walk, `reduce`,
+subtracts pivot columns from a vector until its top row lies past a given
+row prefix or heads no reduced column, and returns the residual: the
+vector is a boundary on the prefix exactly when the residual vanishes
+there.  The reduction itself walks each column down the columns before it.
 
 `add_terms` is the one sparse sum of the package: chains, scalars,
 quantum classes, dual functionals and reduction columns are all finite
@@ -25,6 +26,7 @@ level are a prefix, that one index answers every level.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -100,51 +102,31 @@ def add_terms(y, pairs):
 class Reduction:
     """Column reduction of sparse columns {row: Fraction}, left to right.
 
-    While a column's pivot is the pivot of an earlier reduced column, that
-    column's multiple is subtracted.  `R[j]` is the reduced column, `V[j]`
-    its combination of input columns ({column: coefficient}, V[j][j] = 1,
-    support in columns <= j) and `pivots` maps each pivot row to the one
-    nonzero reduced column it heads.
+    Each column is walked down the pivots of the reduced columns before it
+    (`reduce` with no row bound); a column left nonzero heads its top row.
+    `R[j]` is the reduced column and `pivots` maps each pivot row to the
+    one nonzero reduced column it heads.
     """
 
     def __init__(self, columns):
-        self.R, self.V, self.pivots = [], [], {}
+        self.R, self.pivots = [], {}
         for j, col in enumerate(columns):
-            r = {i: c for i, c in col.items() if c != 0}
-            v = {j: Fraction(1)}
-            while r:
-                p = min(r)
-                i = self.pivots.get(p)
-                if i is None:
-                    self.pivots[p] = j
-                    break
-                f = -r[p] / self.R[i][p]
-                add_terms(r, ((k, f * c) for k, c in self.R[i].items()))
-                add_terms(v, ((k, f * c) for k, c in self.V[i].items()))
+            r = self.reduce(col)
+            if r:
+                self.pivots[min(r)] = j
             self.R.append(r)
-            self.V.append(v)
 
-    def solve(self, b, k):
-        """(x, r) with r = b - D x vanishing on every row i < k.
+    def reduce(self, b, k=math.inf):
+        """The residual of the sparse vector b walked down the pivots.
 
-        `b`, `x` and `r` are sparse dicts; x is None if no x cancels b on
-        the rows < k.  x is the solution that Gauss-Jordan elimination of
-        D[:k] gives with free variables zero: it combines the V[j] with
-        pivot row < k, and each V[j] involves only columns with pivot rows
-        above its own, so x vanishes on every column that depends on the
-        columns left of it over rows < k.
+        While the top row p of the residual is < k and heads a reduced
+        column, that column's multiple cancelling row p is subtracted.  The
+        residual r = b - D x, for some x, has its top row at the first
+        row >= k or at the first row with no pivot: b is a boundary on the
+        rows < k exactly when r vanishes there.
         """
         r = {i: c for i, c in b.items() if c}
-        x = {}
-        while r:
-            p = min(r)
-            if p >= k:
-                break
-            j = self.pivots.get(p)
-            if j is None:
-                return None, r
-            f = r[p] / self.R[j][p]
-            a = -f
-            add_terms(r, ((k, a * c) for k, c in self.R[j].items()))
-            add_terms(x, ((k, f * c) for k, c in self.V[j].items()))
-        return x, r
+        while r and (p := min(r)) < k and (j := self.pivots.get(p)) is not None:
+            f = -r[p] / self.R[j][p]
+            add_terms(r, ((i, f * c) for i, c in self.R[j].items()))
+        return r

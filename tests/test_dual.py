@@ -13,7 +13,8 @@ from novispec import (
     StructuralError,
 )
 from novispec import linalg
-from novispec.engine import build_window, default_window_bounds
+from novispec.dual import _default_dual_window, is_cocycle
+from novispec.engine import _degree_generators, build_window
 from novispec.fixtures import (
     BUILTIN_FIXTURES,
     calibration,
@@ -300,19 +301,20 @@ def _dual_by_dense_solve(C, mu, degree):
     # mu detects a cycle supported at or below L iff mu, restricted to the
     # generators at or below L, is outside the row space of the boundary
     # restricted to them: the transposed system D_L^T y = mu_L is infeasible
-    probe = C.chain({C.generator(next(iter(C.orbits))): 1}, None)
-    lo, hi = default_window_bounds(C, probe)
-    gens = build_window(C, degree, lo, hi).rows
-    below = build_window(C, degree - 1, lo, hi).rows
-    for level in sorted({g.action for g in gens}):
-        picked = [g for g in gens if g.action <= level]
-        rows = []
-        for g in picked:
-            img = C.boundary(C.chain({g: 1}, None)).terms
-            rows.append({j: img[t] for j, t in enumerate(below) if t in img})
-        values = [mu.evaluate(C.chain({g: 1}, None)) for g in picked]
-        if linalg.solve(rows, values) is None:
-            return level
+    lo, hi = _default_dual_window(C)
+    gens = build_window(C, degree, lo, hi).rows[::-1]  # action ascending
+    below = {t: j for j, t in enumerate(build_window(C, degree - 1, lo, hi).rows)}
+    rows, values = [], []
+    for g in gens:
+        img = C.boundary(C.chain({g: 1}, None)).terms
+        rows.append({below[t]: c for t, c in img.items() if t in below})
+        values.append(mu.evaluate(C.chain({g: 1}, None)))
+    for n, g in enumerate(gens, 1):
+        # the generators at or below g's level are the first n
+        if n < len(gens) and gens[n].action == g.action:
+            continue
+        if linalg.solve(rows[:n], values[:n]) is None:
+            return g.action
     return NEG_INF
 
 
@@ -329,6 +331,25 @@ def test_dual_invariant_matches_dense_solve_on_builtins():
                 assert nv.dual_spectral_invariant(C, mu, degree) == expected, (name, eps)
                 checked += expected != NEG_INF
     assert checked > 10
+    # random atom cocycles on dressed random complexes, whose boundaries
+    # are far from zero
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        C = random_instance(seed).complex
+        for degree in sorted({d for _, d in C.orbits.values()}):
+            gens = _degree_generators(C, degree, *_default_dual_window(C))
+            if not gens:
+                continue
+            atoms = [(rng.choice(gens), F(rng.choice([1, -1, 2, -3]), rng.randint(1, 2)))
+                     for _ in range(rng.randint(1, 3))]
+            mu = DualFunctional(C, atoms, [])
+            if not is_cocycle(mu, degree):
+                continue
+            expected = _dual_by_dense_solve(C, mu, degree)
+            assert nv.dual_spectral_invariant(C, mu, degree) == expected, (seed, degree)
+            checked += expected != NEG_INF
+    assert checked > 30
 
 
 def test_dual_invariant_reported_on_tilted():

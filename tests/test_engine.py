@@ -415,9 +415,10 @@ def test_valid_fixture_reduction_respects_monotone_formulation():
 
 @pytest.mark.parametrize("max_orbits, seeds", [(6, range(40)), (12, range(10))])
 def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
-    # at every action prefix of a window the filtered reduction must give
-    # linalg.solve's solution (free variables zero) and the same
-    # infeasibility, and its residual r = rhs - D x must vanish on the prefix
+    # at every action prefix of a window the filtered reduction's residual r
+    # must keep a row of the prefix exactly when linalg.solve finds the
+    # prefix system infeasible; otherwise r vanishes on the prefix and
+    # rhs - r is a boundary, spanned by the reduced columns heading the prefix
     rng = random.Random(max_orbits)
     feasible = infeasible = 0
     for seed in seeds:
@@ -427,6 +428,7 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
             continue
         w = build_window(C, rep.degree, *default_window_bounds(C, rep))
         dense = [[col.get(g, F(0)) for col in w.matrix] for g in w.rows]
+        rows = [{j: c for j, c in enumerate(row) if c} for row in dense]
         sparse, _ = _chain_vector(w, rep)
         v = [sparse.get(i, F(0)) for i in range(len(w.rows))]
         # the representative, and a boundary (feasible at every level)
@@ -436,20 +438,19 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
         for rhs in ([-c for c in v], image):
             for level in sorted({g.action for g in w.rows}):
                 k = sum(1 for g in w.rows if g.action >= level)
-                x, r = reduction.solve(dict(enumerate(rhs)), k)
-                expected = linalg.solve([dict(enumerate(row)) for row in dense[:k]], rhs[:k])
-                if expected is None:
-                    assert x is None, (seed, level)
+                r = reduction.reduce(dict(enumerate(rhs)), k)
+                if linalg.solve(rows[:k], rhs[:k]) is None:
+                    assert r and min(r) < k, (seed, level)
                     infeasible += 1
                     continue
-                assert x is not None, (seed, level)
-                assert x == expected
-                residual = [
-                    b - sum((row[j] * c for j, c in x.items()), F(0))
-                    for row, b in zip(dense, rhs)
-                ]
-                assert [r.get(i, F(0)) for i in range(len(w.rows))] == residual
                 assert all(i >= k for i in r), (seed, level)
+                cancelled = [b - r.get(i, 0) for i, b in enumerate(rhs)]
+                assert linalg.solve(rows, cancelled) is not None, (seed, level)
+                # the walk subtracts only reduced columns that head rows < k
+                heads = [reduction.R[j] for p, j in reduction.pivots.items() if p < k]
+                spanned = [{j: col[i] for j, col in enumerate(heads) if i in col}
+                           for i in range(len(rhs))]
+                assert linalg.solve(spanned, cancelled) is not None, (seed, level)
                 feasible += 1
     assert feasible > 20 and infeasible > 20
 
@@ -493,7 +494,7 @@ def test_solve_matches_definition():
             assert linalg.solve(rows[:k + 1], rhs[:k + 1]) is None, (rows, rhs, k)
         columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
         reduction = linalg.Reduction(columns)
-        _, r = reduction.solve(dict(enumerate(rhs)), len(rows))
+        r = reduction.reduce(dict(enumerate(rhs)), len(rows))
         assert (x is None) == bool(r), (rows, rhs)
         if x is None:
             infeasible += 1

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chains import FilteredComplex, Generator, NovikovChain, matrix_entries
-from .engine import _columns, _complex_record, _degree_generators, build_window
+from .engine import _complex_record, _degree_generators, build_window
 from .errors import DomainError, StructuralError
 from .gamma import vec_add, vec_scale, vec_sub
 from .linalg import add_terms
@@ -148,14 +148,17 @@ class DualFunctional:
     def is_zero(self):
         return not self.atoms and not self.rays
 
-    def evaluate(self, chain: NovikovChain) -> Fraction:
-        total = Fraction(0)
-        for gen, coeff in chain.terms.items():
-            total += coeff * self.atoms.get(gen, Fraction(0))
-            for ray in self.rays:
-                if ray.hits(gen) is not None:
-                    total += coeff * ray.value
+    def value(self, gen: Generator) -> Fraction:
+        """The value on one generator: its atom's plus every ray's that hits it."""
+        total = self.atoms.get(gen, Fraction(0))
+        for ray in self.rays:
+            if ray.hits(gen) is not None:
+                total += ray.value
         return total
+
+    def evaluate(self, chain: NovikovChain) -> Fraction:
+        return sum((coeff * self.value(gen) for gen, coeff in chain.terms.items()),
+                   Fraction(0))
 
     def support_levels(self):
         """-omega(cap) over atoms and ray starts (rays may descend further)."""
@@ -225,7 +228,7 @@ def is_cocycle(mu: DualFunctional, degree: int) -> bool:
     C = mu.complex
     dual = dual_boundary(mu)
     for gen in _degree_generators(C, degree + 1, *_default_dual_window(C)):
-        if dual.evaluate(C.chain({gen: 1})) != 0:
+        if dual.value(gen) != 0:
             return False
     return True
 
@@ -284,9 +287,9 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int)
     # columns, with their boundary images above its floor
     w = build_window(C, degree - 1, *_default_dual_window(C))
     gens = w.cols[::-1]
-    mu_row = len(w.rows)
-    columns = _columns(w)[::-1]
+    mu_row = len(w.keys)
+    columns = [dict(col) for col in w.columns[::-1]]
     for gen, col in zip(gens, columns):
-        col[mu_row] = mu.evaluate(C.chain({gen: 1}))
+        col[mu_row] = mu.value(gen)
     j = linalg.Reduction(columns).pivots.get(mu_row)
     return NEG_INF if j is None else gens[j].action

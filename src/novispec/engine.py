@@ -25,23 +25,28 @@ A window enumerates its generators in integers, never through a
 per-generator omega or `Fraction`.  Every action of a complex is a multiple
 of one denominator, the lcm of the base-action and omega-value
 denominators, so an action is an integer key over it.  Per Chern number,
-`_degree_generators` reads the cap line once (`GammaGroup.cap_line`: a
-start cap and a step of positive omega, here scaled to integers); per
-orbit, two floor divisions give the run of steps inside (lo, hi], and each
-step adds integers.  The runs' lengths are summed before any generator is
-built, so a window of more than `MAX_WINDOW_GENERATORS` generators in one
-degree raises `WindowTooLargeError` at the cost of one pass over the
-orbits.  Generators sort by (-key, orbit, cap), and each distinct key
-becomes one `Fraction` action, shared by every generator at that action.
-Each column's boundary terms come from a per-complex shift
-table {src orbit: [(dst, label, coeff, action shift, degree shift)]}: by
+`_degree_keys` reads the cap line once (`GammaGroup.cap_line`: a start cap
+and a step of positive omega, here scaled to integers); per orbit, two
+floor divisions give the run of steps inside (lo, hi], and each step adds
+integers.  The runs' lengths are summed before any key is built, so a
+window of more than `MAX_WINDOW_GENERATORS` generators in one degree raises
+`WindowTooLargeError` at the cost of one pass over the orbits.  A key is
+the tuple (-action key, orbit, cap, degree), so keys sort by action
+descending, then (orbit, cap).  The window keeps its rows and columns as
+keys and its columns as {row index: coeff}, the form `linalg.Reduction`
+takes.  Each column's boundary terms come from a per-complex shift table
+{src orbit: [(dst, label, coeff, action key shift, degree shift)]}: by
 equivariance the term at `label` sends (src, cap) to (dst, cap + label),
-shifted by the table's action and degree.  A target inside the window is
-looked up among the rows by (orbit, cap), so rows and columns share their
-generators.  The table, the denominator, the default window pad and the
-base actions modulo the period generator, as integers over the denominator
-(which answer `spectrality_check` with one lookup), form one record per
-complex, kept in a small LRU cache (`_complex_record`).
+its key moved by one integer addition.  A target inside the window is
+looked up in a {(orbit, cap): row index} dict.  The table, the
+denominator, the default window pad and the base actions modulo the period
+generator, as integers over the denominator (which answer
+`spectrality_check` with one lookup), form one record per complex, kept in
+a small LRU cache (`_complex_record`).  The queries read levels off the
+keys and bisect them for row prefixes; a `Generator`, with one `Fraction`
+action, is built only for what an answer names (the witness and the
+attained generator), and the generator views of a window (`rows`, `cols`,
+`matrix`) only when read.
 
 Complexes are never mutated after construction, so a window is a function
 of (complex, degree, lo, hi).  `build_window` keeps the last few windows in
@@ -68,10 +73,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
+from operator import itemgetter
 
 from . import linalg
 from .chains import (
@@ -102,6 +108,10 @@ from .scalars import NEG_INF, POS_INF
 class Window:
     """Per-degree exact matrix model of a complex on an action window.
 
+    Rows and columns are integer keys (-action key, orbit, cap, degree),
+    ascending, so in descending action; the action is the key over `denom`.
+    A `Generator` is built only on request: `generator(i)` for one row, and
+    the views `rows`, `cols` and `matrix`, built once when first read.
     Windows are cached and shared by `build_window`: never mutate one.
     """
 
@@ -109,17 +119,37 @@ class Window:
     lo: Fraction
     hi: Fraction
     degree: int
-    rows: list  # degree-d generators, action descending
-    cols: list  # degree-(d+1) generators, action descending
-    matrix: list  # per column: {row generator: nonzero coefficient}
-    row_index: dict = field(default_factory=dict)
-    truncated: bool = False  # some boundary target fell below the window
+    denom: int  # the complex's action denominator
+    keys: list  # row keys: degree-d generators (and extra rows, if invalid)
+    col_keys: list  # column keys: degree-(d+1) generators
+    columns: list  # per column: {row index: nonzero coefficient}
+    row_index: dict  # {(orbit, cap): row index}
+    truncated: bool  # some boundary target fell below the window
+
+    def generator(self, i: int) -> Generator:
+        """The generator of row `i`."""
+        neg_key, orbit, cap, degree = self.keys[i]
+        return Generator(orbit, cap, Fraction(-neg_key, self.denom), degree)
+
+    @cached_property
+    def rows(self) -> list:
+        return _generators(self.keys, self.denom)
+
+    @cached_property
+    def cols(self) -> list:
+        return _generators(self.col_keys, self.denom)
+
+    @cached_property
+    def matrix(self) -> list:
+        """Per column: {row generator: nonzero coefficient}."""
+        rows = self.rows
+        return [{rows[i]: c for i, c in col.items()} for col in self.columns]
 
     @cached_property
     def reduction(self) -> linalg.Reduction:
         """The columns reduced in engine order (pivots at the highest action):
         the reduced columns and their pivots, which every query walks."""
-        return linalg.Reduction(_columns(self))
+        return linalg.Reduction(self.columns)
 
 
 @dataclass(frozen=True)
@@ -130,7 +160,7 @@ class _ComplexRecord:
     top: Fraction  # highest base action
     pad: Fraction  # half-width of the default windows
     denom: int  # lcm of the base-action and omega-value denominators
-    shifts: dict  # {src orbit: [(dst, label, coeff, action shift, degree shift)]}
+    shifts: dict  # {src orbit: [(dst, label, coeff, action key shift, degree shift)]}
     period: int  # the period generator times denom
     residues: frozenset  # base actions times denom, modulo period if nonzero
 
@@ -140,15 +170,15 @@ def _complex_record(C: FilteredComplex) -> _ComplexRecord:
     """The per-complex record; the last few are cached."""
     gamma = C.gamma
     bases = [a for a, _ in C.orbits.values()]
+    g = gamma.period_generator()
+    denom = math.lcm(*(v.denominator for v in (*bases, *gamma.omega_values)))
     shifts = {}
     slack = Fraction(0)  # largest action drop of a boundary term
     for src, dst, label, shift, dshift in entry_shifts(C.boundary_entries, C, C):
         coeff = C.boundary_entries[src][dst].terms[label]
-        shifts.setdefault(src, []).append((dst, label, coeff, shift, dshift))
+        shifts.setdefault(src, []).append((dst, label, coeff, _scaled(shift, denom), dshift))
         slack = max(slack, -shift)
     bottom, top = min(bases, default=Fraction(0)), max(bases, default=Fraction(0))
-    g = gamma.period_generator()
-    denom = math.lcm(*(v.denominator for v in (*bases, *gamma.omega_values)))
     period = _scaled(g, denom)
     keys = [_scaled(a, denom) for a in bases]
     return _ComplexRecord(
@@ -171,33 +201,25 @@ def _scaled(value: Fraction, denom: int) -> int:
     return value.numerator * (denom // value.denominator)
 
 
-def _in_action_order(gens, denom: int) -> list:
-    """`gens` by action descending, then (orbit, cap).
-
-    No two generators share (orbit, cap), so the tuples never compare the
-    generators themselves.
-    """
-    keyed = [(-_scaled(g.action, denom), g.orbit, g.cap, g) for g in gens]
-    keyed.sort()
-    return [k[3] for k in keyed]
-
-
 MAX_WINDOW_GENERATORS = 250_000  # generators one degree of a window may hold
 
 
-def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
-    """All capped generators of one degree with action in (lo, hi].
+def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
+    """The keys (-action key, orbit, cap, degree) of all capped generators
+    of one degree with action in (lo, hi], ascending.
 
-    In the order of `_in_action_order`.  Each orbit's generators are a run
-    of steps along its cap line, counted before any is built: more than
-    `MAX_WINDOW_GENERATORS` in all raises `WindowTooLargeError`.
+    The action key is the action times the complex's denominator, so the
+    order is by action descending, then (orbit, cap).  Each orbit's
+    generators are a run of steps along its cap line, counted before any
+    key is built: more than `MAX_WINDOW_GENERATORS` in all raises
+    `WindowTooLargeError`.
     """
     denom = _complex_record(C).denom
     # actions as integer keys over denom: lo < key / denom <= hi
     lo_key = lo.numerator * denom // lo.denominator
     hi_key = hi.numerator * denom // hi.denominator
     lines = {}
-    runs = []  # per orbit, lazily: (-key, orbit, cap) ascending in -key
+    runs = []  # per orbit, lazily: keys ascending in -key
     total = 0
     for orbit, (base, bdeg) in C.orbits.items():
         if (bdeg - degree) % 2 != 0:
@@ -215,14 +237,15 @@ def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
         key = _scaled(base, denom) - w0  # the key of `start`; each step lowers it by dw
         if step is None:
             if lo_key < key <= hi_key:
-                runs.append([(-key, orbit, start)])
+                runs.append([(-key, orbit, start, degree)])
                 total += 1
             continue
         first, stop = -((hi_key - key) // dw), -((lo_key - key) // dw)
         if first < stop:
             caps = zip(*(range(x + first * k, x + stop * k, k) if k else repeat(x)
                          for x, k in zip(start, step)))
-            runs.append(zip(range(first * dw - key, stop * dw - key, dw), repeat(orbit), caps))
+            runs.append(zip(range(first * dw - key, stop * dw - key, dw), repeat(orbit),
+                            caps, repeat(degree)))
             total += stop - first
     if total > MAX_WINDOW_GENERATORS:
         raise WindowTooLargeError(
@@ -233,13 +256,24 @@ def _degree_generators(C: FilteredComplex, degree: int, lo, hi):
     for run in runs:
         keyed += run
     keyed.sort()
+    return keyed
+
+
+def _generators(keys, denom: int) -> list:
+    """The generators of `keys`, one shared `Fraction` per distinct action."""
     out = []
     last = action = None
-    for neg_key, orbit, cap in keyed:
-        if neg_key != last:  # one shared Fraction per distinct action
+    for neg_key, orbit, cap, degree in keys:
+        if neg_key != last:
             last, action = neg_key, Fraction(-neg_key, denom)
         out.append(Generator(orbit, cap, action, degree))
     return out
+
+
+def _degree_generators(C: FilteredComplex, degree: int, lo, hi) -> list:
+    """All capped generators of one degree with action in (lo, hi], in the
+    order of `_degree_keys`."""
+    return _generators(_degree_keys(C, degree, lo, hi), _complex_record(C).denom)
 
 
 @lru_cache(maxsize=4)
@@ -247,34 +281,40 @@ def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     """The degree-`degree` window of C on (lo, hi]; the last few are cached."""
     lo, hi = Fraction(lo), Fraction(hi)
     record = _complex_record(C)
-    cols = _degree_generators(C, degree + 1, lo, hi)
-    rows = _degree_generators(C, degree, lo, hi)
+    denom, shifts = record.denom, record.shifts
+    lo_key = lo.numerator * denom // lo.denominator  # key <= lo_key: at or below lo
+    col_keys = _degree_keys(C, degree + 1, lo, hi)
+    keys = _degree_keys(C, degree, lo, hi)
     # (orbit, cap) determines a generator: image terms inside the window are
     # rows already, the others are shifted from their column by equivariance
-    known = {(g.orbit, g.cap): g for g in rows}
-    extra = []
-    matrix = []
+    index = {(orbit, cap): i for i, (_, orbit, cap, _) in enumerate(keys)}
+    own = len(keys)
+    columns = []
     truncated = False
-    for col in cols:
+    for neg_key, orbit, cap, cdeg in col_keys:
         column = {}
-        for dst, label, coeff, shift, dshift in record.shifts.get(col.orbit, ()):
-            cap = vec_add(col.cap, label)
-            g = known.get((dst, cap))
-            if g is None:
-                action = col.action + shift
-                if action <= lo:
+        for dst, label, coeff, shift, dshift in shifts.get(orbit, ()):
+            target = dst, vec_add(cap, label)
+            i = index.get(target)
+            if i is None:
+                key = shift - neg_key
+                if key <= lo_key:
                     truncated = True  # the target falls below the window floor
                     continue
                 # above `hi` (or off-degree) on invalid complexes: it must
                 # appear as a constraint row
-                g = known[dst, cap] = Generator(dst, cap, action, col.degree + dshift)
-                extra.append(g)
-            column[g] = coeff
-        matrix.append(column)
-    if extra:
-        rows = _in_action_order(rows + extra, record.denom)
-    row_index = {g: i for i, g in enumerate(rows)}
-    return Window(C, lo, hi, degree, rows, cols, matrix, row_index, truncated)
+                i = index[target] = len(keys)
+                keys.append((-key, *target, cdeg + dshift))
+            column[i] = coeff
+        columns.append(column)
+    if len(keys) > own:
+        # the extra rows join in action order, and the columns follow them
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        keys = [keys[i] for i in order]
+        moved = {old: new for new, old in enumerate(order)}
+        columns = [{moved[i]: c for i, c in col.items()} for col in columns]
+        index = {(orbit, cap): i for i, (_, orbit, cap, _) in enumerate(keys)}
+    return Window(C, lo, hi, degree, denom, keys, col_keys, columns, index, truncated)
 
 
 def _chain_vector(window: Window, chain: NovikovChain):
@@ -285,8 +325,9 @@ def _chain_vector(window: Window, chain: NovikovChain):
     """
     v = {}
     dropped = False
+    index = window.row_index
     for gen, coeff in chain.terms.items():
-        i = window.row_index.get(gen)
+        i = index.get((gen.orbit, gen.cap))
         if i is None:
             if gen.action <= window.lo:
                 dropped = True
@@ -298,15 +339,13 @@ def _chain_vector(window: Window, chain: NovikovChain):
     return v, dropped
 
 
-def _columns(window: Window):
-    """The window columns keyed by row index, as `linalg.Reduction` takes them."""
-    index = window.row_index
-    return [{index[g]: c for g, c in col.items()} for col in window.matrix]
+_NEG_KEY = itemgetter(0)
 
 
 def _prefix(window: Window, level):
     """Number of rows at or above `level` (the rows are action descending)."""
-    return bisect_right(window.rows, -level, key=lambda g: -g.action)
+    # action >= level exactly when -key <= -ceil(level * denom)
+    return bisect_right(window.keys, -math.ceil(level * window.denom), key=_NEG_KEY)
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +420,28 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
     inexact = dropped or window.truncated or rep.floor is not None
     result_floor = lo if inexact else None
     reduction = window.reduction
+    keys = window.keys
     trace = []
     # every row lies above `lo`, so each level does too
     while v:
-        level = window.rows[min(v)].action
-        constraint_rows = _prefix(window, level)
+        neg_key = keys[min(v)][0]
+        level = Fraction(-neg_key, window.denom)
+        constraint_rows = bisect_right(keys, neg_key, key=_NEG_KEY)
         r = reduction.reduce(v, constraint_rows)
         if r and min(r) < constraint_rows:
-            witness = C.chain({window.rows[i]: c for i, c in v.items()}, result_floor)
-            stratum = [window.rows[i] for i in sorted(v) if i < constraint_rows]
+            witness = C.chain({window.generator(i): c for i, c in v.items()}, result_floor)
+            stratum = [i for i in sorted(v) if i < constraint_rows]
             cert = {
                 "level": level,
-                "stratum": [(g.orbit, g.cap) for g in stratum],
+                "stratum": [keys[i][1:3] for i in stratum],
                 "constraint_rows": constraint_rows,
-                "columns": len(window.cols),
+                "columns": len(window.columns),
                 "unsolvable": True,
                 "window": (lo, hi),
             }
-            return SpectralResult(level, witness, trace, "attained", stratum[0], cert)
+            return SpectralResult(
+                level, witness, trace, "attained", window.generator(stratum[0]), cert
+            )
         trace.append(ReductionStep(level, sum(i < constraint_rows for i in v)))
         v = r
     if inexact:

@@ -176,6 +176,27 @@ def test_classification_stable_under_finite_perturbation():
         assert not nv.classify_functional(DualFunctional(C, atoms, mu.rays)).continuous
 
 
+def test_value_is_evaluation_on_one_generator():
+    # value(g), the atom at g plus every ray that hits g, is the evaluation
+    # of the one-term chain g; atoms are laid over rays, and two rays overlap
+    _, C = cz_complex()
+    continuous, divergent = curated_functionals(C)
+    o1, o2 = sorted(C.orbits)[0], sorted(C.orbits)[-1]
+    atoms = {C.generator(o, (t,)): F(t + 4, 3) for o in (o1, o2) for t in (-3, -1, 0, 2)}
+    overlapping = [Ray(o1, (0,), (-1,), F(1)), Ray(o1, (1,), (-2,), F(-5, 2)),
+                   Ray(o2, (2,), (0,), F(3))]
+    functionals = continuous + divergent + [DualFunctional(C, atoms, overlapping)]
+    functionals += [DualFunctional(C, atoms, mu.rays) for mu in continuous + divergent if mu.rays]
+    both = 0
+    for mu in functionals:
+        for o in (o1, o2):
+            for t in range(-6, 7):
+                g = C.generator(o, (t,))
+                assert mu.value(g) == mu.evaluate(C.chain({g: 1})), (mu.rays, g)
+                both += g in mu.atoms and any(ray.hits(g) is not None for ray in mu.rays)
+    assert both > 20
+
+
 def test_declared_threshold_validated():
     _, C = cz_complex()
     with pytest.raises(Exception):

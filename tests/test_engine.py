@@ -25,7 +25,6 @@ from novispec import engine, jsonio, linalg
 from novispec.chains import equivariant_image
 from novispec.engine import (
     _chain_vector,
-    _columns,
     _complex_record,
     _degree_generators,
     _prefix,
@@ -434,7 +433,7 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
         # the representative, and a boundary (feasible at every level)
         mix = [F(rng.randint(-2, 2)) for _ in w.cols]
         image = [sum((a * m for a, m in zip(row, mix)), F(0)) for row in dense]
-        reduction = linalg.Reduction(_columns(w))
+        reduction = linalg.Reduction(w.columns)
         for rhs in ([-c for c in v], image):
             for level in sorted({g.action for g in w.rows}):
                 k = sum(1 for g in w.rows if g.action >= level)
@@ -601,9 +600,11 @@ def test_window_columns_match_equivariant_images():
     # build_window shifts each column's boundary terms from a per-complex
     # table; it must give the same window as the images term by term.  The
     # reversed copies list their orbits out of order, so ties in action
-    # must still break on (orbit, cap).  The last complex is invalid: a -> b
-    # raises the action (above `hi` for the window topped at 2) and a -> c
-    # misses the degree, so both land in extra rows.
+    # must still break on (orbit, cap).  The last two complexes are invalid:
+    # a -> b raises the action (above `hi` for the window topped at 2) and
+    # a -> c misses the degree, so both land in extra rows.  In the last,
+    # every cap keeps its degree, so extra rows above `hi` sort in ahead of
+    # the window's own rows, and the columns must follow them.
     complexes = [random_instance(k, max_orbits=6 if k % 3 else 12).complex
                  for k in range(30)]
     complexes += [nv.FilteredComplex(C.gamma, [(o, *C.orbits[o]) for o in sorted(C.orbits)[::-1]],
@@ -615,24 +616,54 @@ def test_window_columns_match_equivariant_images():
         G1, [("a", F(0), 1), ("b", F(3), 0), ("c", F(1, 2), 3)],
         {"a": {"b": mono(1, (0,), G1), "c": mono(2, (1,), G1)}},
     ))
+    flat = GammaGroup((F(1),), (0,))
+    complexes.append(nv.FilteredComplex(flat, [("a", F(0), 1), ("b", F(3), 0)],
+                                        {"a": {"b": mono(1, (0,), flat)}}))
     windows = [(F(-5), F(5)), (F(-37, 3), F(11, 2)), (F(-1, 7), F(40, 3)), (F(-4), F(2))]
-    truncated = extra = columns = 0
+    truncated = extra = ahead = columns = 0
     for C in complexes:
         for degree in range(-3, 4):
             for lo, hi in windows:
                 w = build_window(C, degree, lo, hi)
                 rows, cols, matrix, cut = _window_from_images(C, degree, lo, hi)
                 assert (w.rows, w.cols, w.matrix, w.truncated) == (rows, cols, matrix, cut)
-                assert w.row_index == {g: i for i, g in enumerate(rows)}
+                assert w.row_index == {(g.orbit, g.cap): i for i, g in enumerate(rows)}
                 # extra rows included: no reduction level can reach the floor
                 assert all(g.action > lo for g in w.rows)
                 levels = {g.action for g in rows} | {lo, hi, lo - 1, hi + 1}
                 for level in levels | {lam + F(1, 97) for lam in levels}:
                     assert _prefix(w, level) == sum(1 for g in rows if g.action >= level)
                 truncated += cut
-                extra += len(rows) - len(_degree_generators(C, degree, lo, hi))
+                own = _degree_generators(C, degree, lo, hi)
+                extra += len(rows) - len(own)
+                ahead += bool(own) and rows[0] != own[0]
                 columns += len(cols)
-    assert truncated > 100 and extra >= 2 and columns > 1000
+    assert truncated > 100 and extra >= 2 and ahead >= 1 and columns > 1000
+
+
+def test_queries_build_no_generator_views():
+    # the invariant and membership read the window's integer keys; the
+    # generator views `rows`, `cols` and `matrix` are built only when read
+    checked = 0
+    for seed in range(20):
+        inst = random_instance(seed)
+        C, rep = inst.complex, inst.representative
+        if rep.is_zero():
+            continue
+        build_window.cache_clear()
+        result = nv.spectral_invariant(C, rep)
+        if result.spectrality != "attained":
+            continue
+        lam = result.rho + F(1, 97)
+        if nv.spectrality_check(lam, C):
+            continue
+        assert nv.image_membership(C, rep, lam)
+        w = build_window(C, rep.degree, *default_window_bounds(C, rep))
+        assert "reduction" in vars(w)
+        assert not {"rows", "cols", "matrix"} & set(vars(w)), seed
+        assert result.attained_at == w.rows[w.row_index[result.certificate["stratum"][0]]]
+        checked += 1
+    assert checked >= 10
 
 
 def _oracle_system(C, rep):

@@ -5,9 +5,7 @@ from .chains import (
     Generator,
     NovikovChain,
     ValidationReport,
-    include_truncation,
     level_and_peak,
-    truncate_below,
 )
 from .dual import (
     BallSpec,
@@ -61,7 +59,6 @@ from .morse import (
     MorseData,
     build_small_complex,
     cochain_differential,
-    morse_index_of,
 )
 from .quantum import (
     COHOMOLOGY,

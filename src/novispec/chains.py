@@ -14,27 +14,22 @@ shift, `compose_matrices` composes, and `equivariant_image` applies a
 matrix to capped generators.
 
 Chains are finite homogeneous combinations of generators with an optional
-action-space precision floor.  The level of a chain is the maximal action of
+action-space precision floor; a complex carries none, so a chain's floor is
+the only one a query reads.  The level of a chain is the maximal action of
 its support; the peak is the generator attaining it.  Terms are kept in
 descending action, ties broken by (orbit, cap), so `level()` reads the first.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import (
-    DomainError,
-    IndeterminateError,
-    SpectralLevelError,
-    StructuralError,
-)
+from .errors import DomainError, IndeterminateError, StructuralError
 from .gamma import GammaElement, GammaGroup, vec_add
 from .linalg import add_terms
-from .scalars import DOWN, NEG_INF, NovikovScalar, merge_floor
+from .scalars import DOWN, NEG_INF, merge_floor
 
 
 @dataclass(frozen=True)
@@ -266,14 +261,13 @@ class ValidationReport:
 class FilteredComplex:
     """Finite-rank free module over the downward Novikov ring with filtration."""
 
-    def __init__(self, gamma: GammaGroup, orbits, boundary=None, floor=None):
+    def __init__(self, gamma: GammaGroup, orbits, boundary=None):
         """`orbits`: iterable of (orbit_id, action, degree).
 
         `boundary`: {from_orbit: {to_orbit: NovikovScalar (downward)}} giving
         the boundary of each base generator.
         """
         self.gamma = gamma
-        self.floor = None if floor is None else Fraction(floor)
         self.orbits = {}
         for oid, action, degree in orbits:
             oid = str(oid)
@@ -281,7 +275,6 @@ class FilteredComplex:
                 raise StructuralError(f"duplicate orbit id {oid!r}")
             self.orbits[oid] = (Fraction(action), int(degree))
         self.boundary_entries = orbit_matrix(boundary or {}, self, self, "boundary")
-        self.annotations = {}
 
     # -- generators and chains ---------------------------------------------
 
@@ -304,7 +297,7 @@ class FilteredComplex:
         )
 
     def chain(self, terms=None, floor=None) -> NovikovChain:
-        """A chain with its own precision `floor`; the complex's is not applied."""
+        """A chain with its own precision `floor`."""
         return NovikovChain(self, terms, floor)
 
     # -- boundary ------------------------------------------------------------
@@ -386,7 +379,7 @@ class FilteredComplex:
             mapping[src]: {mapping[dst]: s for dst, s in row.items()}
             for src, row in self.boundary_entries.items()
         }
-        return FilteredComplex(self.gamma, orbits, boundary, self.floor)
+        return FilteredComplex(self.gamma, orbits, boundary)
 
     def transport(self, other: "FilteredComplex", chain: NovikovChain,
                   mapping) -> NovikovChain:
@@ -395,81 +388,3 @@ class FilteredComplex:
             {other.generator(mapping[g.orbit], g.cap): c for g, c in chain.terms.items()},
             chain.floor,
         )
-
-
-def truncate_below(C: FilteredComplex, lam) -> FilteredComplex:
-    """The subcomplex of generators with action < lam, as an explicit complex.
-
-    The result forgets equivariance (trivial group): the action filtration is
-    not preserved by cap gluing, so a truncation cannot stay equivariant.
-    `lam` must avoid the action spectrum.  For a rank-one group the window is
-    bounded below by the complex's precision floor, which must be finite; a
-    group with nontrivial omega-kernel makes every action window infinite
-    rank (all degrees appear) and is rejected here — per-degree windows are
-    the engine's job.
-    """
-    lam = Fraction(lam)
-    trivial = GammaGroup((), ())
-    for oid, (action, _) in C.orbits.items():
-        if C.gamma.in_period_group(action - lam):
-            raise SpectralLevelError(f"{lam} lies on the action spectrum (orbit {oid!r})")
-    if C.gamma.rank == 0:
-        gens = {
-            o: (o, C.gamma.zero) for o, (a, _) in C.orbits.items() if a < lam
-        }
-    elif C.gamma.rank == 1 and C.gamma.omega_values[0] != 0:
-        if C.floor is None:
-            raise IndeterminateError(
-                "truncating an equivariant complex needs a finite precision floor"
-            )
-        gens = {}
-        w1 = C.gamma.omega_values[0]
-        for orbit, (base, _) in sorted(C.orbits.items()):
-            # action base - m*w1 in (floor, lam)
-            bounds = sorted(((base - lam) / w1, (base - C.floor) / w1))
-            m = math.floor(bounds[0]) + 1
-            while m <= bounds[1]:
-                action = base - m * w1
-                if C.floor < action < lam:
-                    gens[_flat_id(orbit, (m,))] = (orbit, (m,))
-                m += 1
-    else:
-        raise StructuralError(
-            "action-window truncation is infinite rank over this group"
-        )
-    orbit_rows = []
-    for fid in sorted(gens):
-        orbit, cap = gens[fid]
-        g = C.generator(orbit, cap)
-        orbit_rows.append((fid, g.action, g.degree))
-    boundary = {}
-    inverse = {v: k for k, v in gens.items()}
-    for fid, (orbit, cap) in sorted(gens.items()):
-        image = equivariant_image(C.boundary_entries, {C.generator(orbit, cap): 1}, C)
-        # targets outside the window fall below the floor: truncated
-        boundary[fid] = {
-            inverse[g.orbit, g.cap]: NovikovScalar.monomial(trivial, DOWN, c, ())
-            for g, c in image.items() if (g.orbit, g.cap) in inverse
-        }
-    out = FilteredComplex(trivial, orbit_rows, boundary, C.floor)
-    out.annotations["truncated_from"] = dict(sorted(gens.items()))
-    out.annotations["truncation_level"] = lam
-    return out
-
-
-def include_truncation(trunc: FilteredComplex, C: FilteredComplex,
-                       chain: NovikovChain) -> NovikovChain:
-    """Inclusion of a truncated complex's chain back into the original."""
-    table = trunc.annotations.get("truncated_from")
-    if table is None:
-        raise StructuralError("complex is not a truncation")
-    return C.chain(
-        {C.generator(*table[g.orbit]): c for g, c in chain.terms.items()},
-        chain.floor,
-    )
-
-
-def _flat_id(orbit: str, cap) -> str:
-    if not any(cap):
-        return orbit
-    return f"{orbit}@{','.join(str(x) for x in cap)}"

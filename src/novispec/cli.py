@@ -172,7 +172,7 @@ def load_and_validate(manifest_path) -> Workspace:
     if obj.get("floor") is not None:
         ws.floor = jsonio.parse_frac(obj["floor"])
     ws.seed = jsonio.parse_int(obj.get("seed", 17))
-    ws.oracle_cap = jsonio.parse_int(obj.get("oracle_cap", 100))
+    ws.oracle_cap = _oracle_cap(obj.get("oracle_cap", 100))
     ws.eps = jsonio.parse_frac(obj.get("eps", "1/8"))
     ws.out = obj.get("out")
     errors = []
@@ -215,6 +215,13 @@ def load_and_validate(manifest_path) -> Workspace:
     if errors:
         raise InputError(json.dumps(errors, sort_keys=True))
     return ws
+
+
+def _oracle_cap(value) -> int:
+    cap = jsonio.parse_int(value)
+    if cap < 0:
+        raise InputError(f"oracle_cap must be nonnegative, got {cap}")
+    return cap
 
 
 def _validate_manifold(fix, eps):
@@ -647,6 +654,8 @@ def main(argv=None) -> int:
         ws = load_and_validate(manifest)
         if opts.floor:
             ws.floor = jsonio.parse_frac(opts.floor)
+        if opts.oracle_cap is not None:
+            ws.oracle_cap = _oracle_cap(opts.oracle_cap)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -654,8 +663,6 @@ def main(argv=None) -> int:
         ws.mode = "rational-exact" if opts.mode == "rational" else "floating"
     if opts.seed is not None:
         ws.seed = opts.seed
-    if opts.oracle_cap is not None:
-        ws.oracle_cap = opts.oracle_cap
 
     try:
         report = run(command, ws)

@@ -452,7 +452,6 @@ def random_continuity_pair(seed: int, constant_shift: bool = False) -> Continuit
         C.gamma,
         [(o, a + deltas[o], d) for o, (a, d) in sorted(C.orbits.items())],
         C.boundary_entries,
-        C.floor,
     )
     # sandwich data: one point per extreme, one time sample
     weights = {"lowpt": Fraction(1), "highpt": Fraction(1)}

@@ -114,7 +114,7 @@ def complex_to_json(C: FilteredComplex) -> dict:
             for o, (a, d) in sorted(C.orbits.items())
         ],
         "boundary": _matrix_to_json(C.boundary_entries),
-        "floor": None if C.floor is None else frac_str(C.floor),
+        "floor": None,  # schema 1 keeps the key; a complex has no floor
     }
 
 
@@ -124,9 +124,10 @@ def complex_from_json(obj) -> FilteredComplex:
         (row["id"], parse_frac(row["action"]), parse_int(row["degree"]))
         for row in obj["orbits"]
     ]
-    floor = None if obj.get("floor") is None else parse_frac(obj["floor"])
+    if obj.get("floor") is not None:
+        raise InputError("a complex has no floor: a chain carries its own")
     boundary = _matrix_from_json(obj.get("boundary", []), gamma)
-    return FilteredComplex(gamma, orbits, boundary, floor)
+    return FilteredComplex(gamma, orbits, boundary)
 
 
 def chain_to_json(chain: NovikovChain) -> list:

@@ -445,7 +445,7 @@ def monodromy_shift(C: FilteredComplex, s: MonodromyShift,
     S_inv = {s.orbit_map[o]: {o: NovikovScalar.monomial(gamma, DOWN, 1, vec_neg(kappa[o]))}
              for o in C.orbits}
     boundary = compose_matrices(S, compose_matrices(C.boundary_entries, S_inv))
-    shifted = FilteredComplex(gamma, orbits, boundary, C.floor)
+    shifted = FilteredComplex(gamma, orbits, boundary)
 
     def transport(chain: NovikovChain) -> NovikovChain:
         return shifted.chain(

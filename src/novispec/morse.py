@@ -112,12 +112,7 @@ def build_small_complex(m: MorseData, eps, gamma: GammaGroup) -> FilteredComplex
             boundary.setdefault(dst, {})[src] = NovikovScalar.monomial(
                 gamma, DOWN, coeff
             )
-    C = FilteredComplex(gamma, orbits, boundary)
-    C.annotations["morse_index"] = {pid: index for pid, _, index in m.points}
-    C.annotations["morse_value"] = {pid: value for pid, value, _ in m.points}
-    C.annotations["eps"] = eps
-    C.annotations["half_dim"] = n
-    return C
+    return FilteredComplex(gamma, orbits, boundary)
 
 
 def cochain_differential(m: MorseData, terms) -> list:
@@ -134,11 +129,3 @@ def cochain_differential(m: MorseData, terms) -> list:
         for dst, k in m.boundary.get(point, {}).items()
     ))
     return [(c, p, l) for (p, l), c in sorted(out.items())]
-
-
-def morse_index_of(C: FilteredComplex, orbit: str) -> int:
-    """The original Morse index of the critical point behind an orbit."""
-    table = C.annotations.get("morse_index")
-    if table is None or orbit not in table:
-        raise StructuralError(f"no Morse index recorded for orbit {orbit!r}")
-    return table[orbit]

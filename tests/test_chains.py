@@ -12,7 +12,6 @@ from novispec import (
     IndeterminateError,
     UP,
     NovikovScalar,
-    SpectralLevelError,
     StructuralError,
 )
 from novispec.fixtures import random_chain, random_instance, sphere
@@ -232,47 +231,6 @@ def test_orbit_matrix_drops_zero_entries(owner):
     zero = NovikovScalar.zero(G1, DOWN)
     matrix = {"a": {"a": zero, "b": mono(2)}, "b": {"b": zero}}
     assert MATRIX_OWNERS[owner](matrix) == {"a": {"b": mono(2)}}
-
-
-def test_truncation_examples():
-    C = nv.FilteredComplex(
-        GammaGroup((), ()),
-        [("hi", F(1), 0), ("lo", F(0), 0)],
-        {},
-    )
-    everything = nv.truncate_below(C, F(3, 2))
-    assert sorted(everything.orbits) == ["hi", "lo"]
-    nothing = nv.truncate_below(C, F(-1, 2))
-    assert not nothing.orbits
-    between = nv.truncate_below(C, F(1, 2))
-    assert sorted(between.orbits) == ["lo"]
-    assert not between.boundary_entries
-
-
-def test_truncation_on_spectrum_rejected():
-    C = nv.FilteredComplex(GammaGroup((), ()), [("a", F(1), 0)], {})
-    with pytest.raises(SpectralLevelError):
-        nv.truncate_below(C, F(1))
-
-
-def test_truncation_inclusion_is_chain_map():
-    G = GammaGroup((F(1),), (0,))
-    C = nv.FilteredComplex(
-        G,
-        [("x", F(1), 1), ("y", F(0), 0)],
-        {"x": {"y": mono(2, (1,), G)}},
-        floor=F(-3),
-    )
-    T = nv.truncate_below(C, F(1, 2))
-    assert T.validate().ok
-    for fid in T.orbits:
-        chain = T.chain({T.generator(fid): 1}, None)
-        left = nv.include_truncation(T, C, T.boundary(chain))
-        right = C.boundary(nv.include_truncation(T, C, chain))
-        # the only discrepancy allowed is below the floor, where the
-        # truncation forgot targets
-        diff = left - right
-        assert diff.is_zero() or diff.level() <= F(-3)
 
 
 def test_relabeling_preserves_structure():

@@ -56,9 +56,10 @@ def test_hand_reduction_case():
     # dx = y - z; the class of z reduces to y and stops at level 0
     C = nv.FilteredComplex(
         G0,
-        [("x", F(1), 1), ("y", F(0), 0), ("z", F(2), 0)],
+        [("x", F(3), 1), ("y", F(0), 0), ("z", F(2), 0)],
         {"x": {"y": mono(1, (), G0), "z": mono(-1, (), G0)}},
     )
+    assert C.validate().ok
     rep = C.chain({C.generator("z"): 1}, None)
     r = nv.spectral_invariant(C, rep)
     assert r.rho == 0

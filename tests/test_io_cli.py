@@ -199,6 +199,9 @@ def test_cli_floor_replaces_manifest_floor(tmp_path):
         "complex": "nowhere", "path": str(REPO / "fixtures" / "deck_shift.json")}]}),
         [], id="shift-on-unknown-complex"),
     pytest.param('{"builtin": ["nope"]}', [], id="unknown-builtin"),
+    # a negative cap would run no oracle instance and still pass
+    pytest.param('{"oracle_cap": -1}', [], id="manifest-oracle-cap-negative"),
+    pytest.param('{"schema": 1}', ["--oracle-cap", "-5"], id="cli-oracle-cap-negative"),
     # a workspace name is a non-empty string not yet taken in its section
     pytest.param(json.dumps({"complexes": [
         {"name": 5, "path": str(REPO / "fixtures" / "staircase.json")},
@@ -323,6 +326,9 @@ _COMPANIONS = {
                  "manifold-invariant", id="manifold-pd-chain-not-cycle"),
     pytest.param("complexes", "staircase", _set(["representatives"], {"a": [["1", "a", [0]]]}),
                  "invariant:not-a-cycle", id="representative-not-a-cycle"),
+    # a complex has no floor: only a chain carries one
+    pytest.param("complexes", "staircase", _set(["floor"], "1"), "complex-parse",
+                 id="complex-floor-not-null"),
 ])
 def test_cli_malformed_fixture_exit_two(tmp_path, capsys, section, shipped, mutate, code):
     raw = mutate(json.loads((REPO / "fixtures" / f"{shipped}.json").read_text()))
@@ -358,6 +364,15 @@ def test_cli_window_too_large_exit_two(tmp_path, capsys):
     path.write_text(json.dumps({"complexes": [{"name": "far", "path": "far.json"}]}))
     assert main(["spectra", str(path)]) == 2
     assert "input error: window-too-large: degree 1 on (" in capsys.readouterr().err
+
+
+def test_cli_oracle_cap_zero_runs_no_instance(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"oracle_cap": 0}')
+    out = tmp_path / "r.json"
+    assert main(["oracle", str(path), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]["oracle"]["rows"]
+    assert rows[0]["instances"] == 0
 
 
 def test_cli_subprocess_oracle(tmp_path):

@@ -64,7 +64,6 @@ def test_grading_convention():
     n = fix.morse.dim // 2
     for pid, _, index in fix.morse.points:
         assert C.base_degree(pid) == n - index
-        assert nv.morse_index_of(C, pid) == index
 
 
 def test_index_of_matches_stored_degree():

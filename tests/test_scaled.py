@@ -33,7 +33,8 @@ def _probe_levels(rng, C, rho):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("max_orbits, classes",
-                         [(12, 40), (24, 16), (48, 40), (96, 10), (192, 10)])
+                         [(12, 40), (24, 16), (48, 40), (96, 10), (192, 10),
+                          (384, 5)])
 def test_three_way_agreement_at_scale(max_orbits, classes):
     rng = random.Random(max_orbits)
     seed, checked = FIRST_SEED, 0

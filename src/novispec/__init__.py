@@ -36,6 +36,7 @@ from .errors import (
     FixtureError,
     IndeterminateError,
     InputError,
+    InvalidComplexError,
     NovispecError,
     SpectralLevelError,
     StructuralError,

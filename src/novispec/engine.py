@@ -34,16 +34,17 @@ window of more than `MAX_WINDOW_GENERATORS` generators in one degree raises
 the tuple (-action key, orbit, cap, degree), so keys sort by action
 descending, then (orbit, cap).  The window keeps its rows and columns as
 keys and its columns as {row index: coeff}, the form `linalg.Reduction`
-takes.  Each column's boundary terms come from a per-complex shift table
-{src orbit: [(dst, label, coeff, action key shift, degree shift)]}: by
-equivariance the term at `label` sends (src, cap) to (dst, cap + label),
-its key moved by one integer addition.  A target inside the window is
-looked up in a {(orbit, cap): row index} dict.  The table, the
-denominator, the default window pad and the base actions modulo the period
-generator, as integers over the denominator (which answer
+takes.  Each column's boundary terms come from a per-complex table
+{src orbit: [(dst, label, coeff)]}: by equivariance the term at `label`
+sends (src, cap) to (dst, cap + label).  A target missing from the
+{(orbit, cap): row index} dict lies below the window floor: no boundary
+term of a valid complex raises the action or misses the degree.  The
+table, the denominator, the default window pad and the base actions modulo
+the period generator, as integers over the denominator (which answer
 `spectrality_check` with one lookup), form one record per complex, kept in
-a small LRU cache (`_complex_record`).  The queries read levels off the
-keys and bisect them for row prefixes; a `Generator`, with one `Fraction`
+a small LRU cache (`_complex_record`), which refuses a complex that
+`FilteredComplex.validate` rejects.  The queries read levels off the keys
+and bisect them for row prefixes; a `Generator`, with one `Fraction`
 action, is built only for what an answer names (the witness and the
 attained generator), and the generator views of a window (`rows`, `cols`,
 `matrix`) only when read.
@@ -59,7 +60,7 @@ alive, and windows are frozen, so a shared one cannot be reassigned.
 An independent oracle answers the same question bottom-up: the smallest
 level whose strict-superlevel cancellation system is feasible.  It builds
 its rows itself from `equivariant_image`, the routine behind
-`FilteredComplex.boundary`, apart from the shift table and the window's
+`FilteredComplex.boundary`, apart from the record and the window's
 reduction, and sorts them by descending action, so the rows above any
 level are a prefix and feasibility is monotone in the level.  One top-down
 row elimination (`linalg.first_inconsistent_row`) stops at the first row
@@ -84,12 +85,15 @@ from .chains import (
     FilteredComplex,
     Generator,
     NovikovChain,
+    compose_matrices,
     entry_shifts,
     equivariant_image,
+    matrix_entries,
 )
 from .errors import (
     DomainError,
     IndeterminateError,
+    InvalidComplexError,
     SpectralLevelError,
     StructuralError,
     WindowTooLargeError,
@@ -120,8 +124,8 @@ class Window:
     hi: Fraction
     degree: int
     denom: int  # the complex's action denominator
-    keys: list  # row keys: degree-d generators (and extra rows, if invalid)
-    col_keys: list  # column keys: degree-(d+1) generators
+    keys: list  # row keys: the degree-d generators
+    col_keys: list  # column keys: the degree-(d+1) generators
     columns: list  # per column: {row index: nonzero coefficient}
     row_index: dict  # {(orbit, cap): row index}
     truncated: bool  # some boundary target fell below the window
@@ -160,24 +164,30 @@ class _ComplexRecord:
     top: Fraction  # highest base action
     pad: Fraction  # half-width of the default windows
     denom: int  # lcm of the base-action and omega-value denominators
-    shifts: dict  # {src orbit: [(dst, label, coeff, action key shift, degree shift)]}
+    boundary: dict  # {src orbit: [(dst, label, coeff)]}: the boundary terms
     period: int  # the period generator times denom
     residues: frozenset  # base actions times denom, modulo period if nonzero
 
 
 @lru_cache(maxsize=4)
 def _complex_record(C: FilteredComplex) -> _ComplexRecord:
-    """The per-complex record; the last few are cached."""
+    """The per-complex record, the last few cached; refuses an invalid complex."""
     gamma = C.gamma
     bases = [a for a, _ in C.orbits.values()]
     g = gamma.period_generator()
     denom = math.lcm(*(v.denominator for v in (*bases, *gamma.omega_values)))
-    shifts = {}
+    boundary = {}
     slack = Fraction(0)  # largest action drop of a boundary term
+    invalid = False
     for src, dst, label, shift, dshift in entry_shifts(C.boundary_entries, C, C):
+        invalid = invalid or dshift != -1 or shift > 0
         coeff = C.boundary_entries[src][dst].terms[label]
-        shifts.setdefault(src, []).append((dst, label, coeff, _scaled(shift, denom), dshift))
+        boundary.setdefault(src, []).append((dst, label, coeff))
         slack = max(slack, -shift)
+    square = compose_matrices(C.boundary_entries, C.boundary_entries)
+    if invalid or any(not scalar.is_zero() for _, _, scalar in matrix_entries(square)):
+        v = C.validate().violations[0]
+        raise InvalidComplexError(f"invariant:{v.code}: {v.message} (witness {v.witness})")
     bottom, top = min(bases, default=Fraction(0)), max(bases, default=Fraction(0))
     period = _scaled(g, denom)
     keys = [_scaled(a, denom) for a in bases]
@@ -186,7 +196,7 @@ def _complex_record(C: FilteredComplex) -> _ComplexRecord:
         top,
         2 * slack + 3 * g + (top - bottom) + 1,
         denom,
-        shifts,
+        boundary,
         period,
         frozenset(k % period for k in keys) if period else frozenset(keys),
     )
@@ -281,40 +291,23 @@ def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     """The degree-`degree` window of C on (lo, hi]; the last few are cached."""
     lo, hi = Fraction(lo), Fraction(hi)
     record = _complex_record(C)
-    denom, shifts = record.denom, record.shifts
-    lo_key = lo.numerator * denom // lo.denominator  # key <= lo_key: at or below lo
     col_keys = _degree_keys(C, degree + 1, lo, hi)
     keys = _degree_keys(C, degree, lo, hi)
-    # (orbit, cap) determines a generator: image terms inside the window are
-    # rows already, the others are shifted from their column by equivariance
+    # (orbit, cap) determines a generator; on a valid complex a boundary
+    # target is a row or lies at or below the window floor
     index = {(orbit, cap): i for i, (_, orbit, cap, _) in enumerate(keys)}
-    own = len(keys)
     columns = []
     truncated = False
-    for neg_key, orbit, cap, cdeg in col_keys:
+    for _, orbit, cap, _ in col_keys:
         column = {}
-        for dst, label, coeff, shift, dshift in shifts.get(orbit, ()):
-            target = dst, vec_add(cap, label)
-            i = index.get(target)
+        for dst, label, coeff in record.boundary.get(orbit, ()):
+            i = index.get((dst, vec_add(cap, label)))
             if i is None:
-                key = shift - neg_key
-                if key <= lo_key:
-                    truncated = True  # the target falls below the window floor
-                    continue
-                # above `hi` (or off-degree) on invalid complexes: it must
-                # appear as a constraint row
-                i = index[target] = len(keys)
-                keys.append((-key, *target, cdeg + dshift))
-            column[i] = coeff
+                truncated = True
+            else:
+                column[i] = coeff
         columns.append(column)
-    if len(keys) > own:
-        # the extra rows join in action order, and the columns follow them
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        keys = [keys[i] for i in order]
-        moved = {old: new for new, old in enumerate(order)}
-        columns = [{moved[i]: c for i, c in col.items()} for col in columns]
-        index = {(orbit, cap): i for i, (_, orbit, cap, _) in enumerate(keys)}
-    return Window(C, lo, hi, degree, denom, keys, col_keys, columns, index, truncated)
+    return Window(C, lo, hi, degree, record.denom, keys, col_keys, columns, index, truncated)
 
 
 def _chain_vector(window: Window, chain: NovikovChain):
@@ -384,11 +377,11 @@ def _query_window(C: FilteredComplex, rep: NovikovChain):
     """
     if rep.complex is not C:
         raise StructuralError("representative lives in a different complex")
+    lo, hi = default_window_bounds(C, rep)
     if not C.boundary(rep).is_zero():
         raise DomainError("representative is not a cycle")
     if rep.is_zero():
         return None
-    lo, hi = default_window_bounds(C, rep)
     return (lo if rep.floor is None else max(lo, rep.floor)), hi
 
 

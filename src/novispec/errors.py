@@ -9,6 +9,10 @@ class StructuralError(NovispecError):
     """Mismatched shapes, directions, groups, or degree bookkeeping."""
 
 
+class InvalidComplexError(StructuralError):
+    """A query on a complex that `FilteredComplex.validate` rejects."""
+
+
 class DomainError(NovispecError):
     """Operation applied outside its mathematical domain (zero class, etc.)."""
 

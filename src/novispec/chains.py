@@ -57,6 +57,10 @@ class NovikovChain:
     degree.  A finite floor then truncates: terms at or below it are
     dropped (scalars, by contrast, reject such input).  `terms` is kept in
     descending action, ties by (orbit, cap); `level()` reads the first term.
+
+    A chain is never mutated after construction, as complexes are not: the
+    engine keeps each representative's query state by the chain's identity,
+    so build a new chain rather than change `terms`, `floor` or `complex`.
     """
 
     __slots__ = ("complex", "terms", "floor", "degree")

@@ -43,18 +43,27 @@ table, the denominator, the default window pad and the base actions modulo
 the period generator, as integers over the denominator (which answer
 `spectrality_check` with one lookup), form one record per complex, kept in
 a small LRU cache (`_complex_record`), which refuses a complex that
-`FilteredComplex.validate` rejects.  The queries read levels off the keys
+`FilteredComplex.validate` rejects.  The record is computed in the same
+integer units, omega included (`GammaGroup.omega_units`): one `Fraction`
+each for its bottom, top and the pads below and above a level.  The queries read levels off the keys
 and bisect them for row prefixes; a `Generator`, with one `Fraction`
 action, is built only for what an answer names (the witness and the
 attained generator), and the generator views of a window (`rows`, `cols`,
 `matrix`) only when read.
 
-Complexes are never mutated after construction, so a window is a function
-of (complex, degree, lo, hi).  `build_window` keeps the last few windows in
-a small LRU cache keyed by the complex's identity, and each window reduces
-its columns once, lazily (`Window.reduction`).  The invariant and every
-membership probe of one class on one window thus share one build and one
-reduction.  The cache is bounded, so it holds at most a few complexes
+Complexes and chains are never mutated after construction, so a window is
+a function of (complex, degree, lo, hi) and a query state a function of its
+chain.  `build_window` keeps the last few windows in a small LRU cache keyed
+by the complex's identity, and each window reduces its columns once, lazily
+(`Window.reduction`).  A query state (`_Query`) holds what every query of
+one representative derives from it alone: the complex and cycle checks and
+the query bounds, computed once, and the window and the representative's
+vector on it, built on first read.  A chain defines `__eq__`, so it has no
+hash; `_query` keeps the last few states in a small LRU keyed by the
+chain's identity, each holding its chain.  The invariant, the oracle and
+every membership probe of one representative thus share one check, one
+window, one vector and one reduction; the oracle reads only the checks and
+the bounds.  The caches are bounded, so they hold at most a few complexes
 alive, and windows are frozen, so a shared one cannot be reassigned.
 
 An independent oracle answers the same question bottom-up: the smallest
@@ -67,7 +76,9 @@ row elimination (`linalg.first_inconsistent_row`) stops at the first row
 that makes the prefix inconsistent; its action is the answer.
 
 Membership in the image of a truncated complex, the probe API, is one walk
-on the window's reduction, bounded by a row prefix.
+on the window's reduction, bounded by a row prefix; a level above the
+representative's own needs no walk, since no row of it lies at or above
+that level.
 """
 
 from __future__ import annotations
@@ -78,7 +89,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import linalg
 from .chains import (
@@ -86,7 +97,6 @@ from .chains import (
     Generator,
     NovikovChain,
     compose_matrices,
-    entry_shifts,
     equivariant_image,
     matrix_entries,
 )
@@ -163,6 +173,7 @@ class _ComplexRecord:
     bottom: Fraction  # lowest base action
     top: Fraction  # highest base action
     pad: Fraction  # half-width of the default windows
+    hi_pad: Fraction  # pad minus the period generator, above a default window's level
     denom: int  # lcm of the base-action and omega-value denominators
     boundary: dict  # {src orbit: [(dst, label, coeff)]}: the boundary terms
     period: int  # the period generator times denom
@@ -171,30 +182,41 @@ class _ComplexRecord:
 
 @lru_cache(maxsize=4)
 def _complex_record(C: FilteredComplex) -> _ComplexRecord:
-    """The per-complex record, the last few cached; refuses an invalid complex."""
+    """The per-complex record, the last few cached; refuses an invalid complex.
+
+    Computed in integer action units over `denom`: the term at `label` from
+    src to dst shifts the action key by key(dst) - omega key(label) - key(src)
+    and the degree by deg(dst) - 2 c1(label) - deg(src).
+    """
     gamma = C.gamma
-    bases = [a for a, _ in C.orbits.values()]
-    g = gamma.period_generator()
-    denom = math.lcm(*(v.denominator for v in (*bases, *gamma.omega_values)))
+    units, omega_denom = gamma.omega_units()
+    denom = math.lcm(omega_denom, *(a.denominator for a, _ in C.orbits.values()))
+    units = [u * (denom // omega_denom) for u in units]  # omega keys of the generators
+    bases = {orbit: (_scaled(a, denom), d) for orbit, (a, d) in C.orbits.items()}
     boundary = {}
-    slack = Fraction(0)  # largest action drop of a boundary term
+    drop = 0  # largest action-key drop of a boundary term
     invalid = False
-    for src, dst, label, shift, dshift in entry_shifts(C.boundary_entries, C, C):
-        invalid = invalid or dshift != -1 or shift > 0
-        coeff = C.boundary_entries[src][dst].terms[label]
-        boundary.setdefault(src, []).append((dst, label, coeff))
-        slack = max(slack, -shift)
+    for src, dst, scalar in matrix_entries(C.boundary_entries):
+        (src_key, src_deg), (dst_key, dst_deg) = bases[src], bases[dst]
+        terms = boundary.setdefault(src, [])
+        for label, coeff in scalar.terms.items():
+            shift = dst_key - sum(map(mul, units, label)) - src_key
+            dshift = dst_deg - 2 * sum(map(mul, gamma.c1_values, label)) - src_deg
+            invalid = invalid or dshift != -1 or shift > 0
+            terms.append((dst, label, coeff))
+            drop = max(drop, -shift)
     square = compose_matrices(C.boundary_entries, C.boundary_entries)
     if invalid or any(not scalar.is_zero() for _, _, scalar in matrix_entries(square)):
         v = C.validate().violations[0]
         raise InvalidComplexError(f"invariant:{v.code}: {v.message} (witness {v.witness})")
-    bottom, top = min(bases, default=Fraction(0)), max(bases, default=Fraction(0))
-    period = _scaled(g, denom)
-    keys = [_scaled(a, denom) for a in bases]
+    keys = [key for key, _ in bases.values()]
+    bottom, top = min(keys, default=0), max(keys, default=0)
+    period = math.gcd(*units)
     return _ComplexRecord(
-        bottom,
-        top,
-        2 * slack + 3 * g + (top - bottom) + 1,
+        Fraction(bottom, denom),
+        Fraction(top, denom),
+        Fraction(2 * drop + 3 * period + (top - bottom) + denom, denom),
+        Fraction(2 * drop + 2 * period + (top - bottom) + denom, denom),
         denom,
         boundary,
         period,
@@ -366,23 +388,66 @@ def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
     lam = rep.level()
     if lam == NEG_INF:
         lam = record.top
-    return lam - record.pad, lam + record.pad - C.gamma.period_generator()
+    return lam - record.pad, lam + record.hi_pad
 
 
-def _query_window(C: FilteredComplex, rep: NovikovChain):
-    """The (lo, hi) query window of the cycle `rep`: `default_window_bounds`,
-    its floor raised to the representative's precision floor.
+class _Query:
+    """What every query of one cycle `rep` derives from it alone.
 
-    None for the zero class, which each query answers itself.
+    Checked and computed at construction: the record (which refuses an
+    invalid complex), that `rep` is a cycle, and the query window `bounds`,
+    (lo, hi): `default_window_bounds` with its floor raised to the
+    representative's precision floor, or None for the zero class, which
+    each query answers itself.  Built on first read: the window and the
+    representative's vector on it (`_chain_vector`).
+    """
+
+    __slots__ = ("rep", "bounds", "_window", "_vector")
+
+    def __init__(self, C: FilteredComplex, rep: NovikovChain):
+        lo, hi = default_window_bounds(C, rep)
+        if not C.boundary(rep).is_zero():
+            raise DomainError("representative is not a cycle")
+        self.rep = rep
+        self.bounds = None if rep.is_zero() else (
+            lo if rep.floor is None else max(lo, rep.floor), hi)
+        self._window = self._vector = None
+
+    def window(self) -> Window:
+        if self._window is None:
+            self._window = build_window(self.rep.complex, self.rep.degree, *self.bounds)
+        return self._window
+
+    def vector(self):
+        """(vector, dropped), as `_chain_vector` returns them; never mutate."""
+        if self._vector is None:
+            self._vector = _chain_vector(self.window(), self.rep)
+        return self._vector
+
+
+_QUERY_SLOTS = 4
+_queries = {}  # {id(rep): _Query}, least recently used first
+
+
+def _query(C: FilteredComplex, rep: NovikovChain) -> _Query:
+    """The query state of `rep`, the last few kept by identity.
+
+    A chain defines `__eq__`, so it has no hash: each entry holds its chain,
+    so no other object takes its id while the entry lives.  A check that
+    raises stores nothing, so every later call raises again.
     """
     if rep.complex is not C:
         raise StructuralError("representative lives in a different complex")
-    lo, hi = default_window_bounds(C, rep)
-    if not C.boundary(rep).is_zero():
-        raise DomainError("representative is not a cycle")
-    if rep.is_zero():
-        return None
-    return (lo if rep.floor is None else max(lo, rep.floor)), hi
+    q = _queries.pop(id(rep), None)
+    if q is None or q.rep is not rep:
+        q = _Query(C, rep)
+        if len(_queries) >= _QUERY_SLOTS:
+            del _queries[next(iter(_queries))]
+    _queries[id(rep)] = q
+    return q
+
+
+_query.cache_clear = _queries.clear
 
 
 _ALL_BELOW_FLOOR = "representative lies entirely at or below the precision floor"
@@ -398,16 +463,16 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
     representative with no terms above it raises `IndeterminateError`.
     """
     rep = representative
-    bounds = _query_window(C, rep)
-    if bounds is None:
+    q = _query(C, rep)
+    if q.bounds is None:
         if rep.floor is not None:
             raise IndeterminateError(_ALL_BELOW_FLOOR)
         return SpectralResult(
             NEG_INF, rep, [], "zero-class", None, {"reason": "zero representative"}
         )
-    lo, hi = bounds
-    window = build_window(C, rep.degree, lo, hi)
-    v, dropped = _chain_vector(window, rep)
+    lo, hi = q.bounds
+    window = q.window()
+    v, dropped = q.vector()
     if dropped and not v:
         raise IndeterminateError(_ALL_BELOW_FLOOR)
     inexact = dropped or window.truncated or rep.floor is not None
@@ -461,12 +526,13 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
     above any level are a prefix.  One top-down elimination
     (`linalg.first_inconsistent_row`) stops at the first inconsistent row
     k: a level is feasible exactly when it is at least the action of row k,
-    which is the answer.  A system feasible at the window floor
-    (`_query_window`), or a representative with a precision floor and no
-    terms above it, raises `IndeterminateError`.
+    which is the answer.  A system feasible at the window floor (the
+    engine's query window), or a representative with a precision floor and
+    no terms above it, raises `IndeterminateError`.  Of the query state it
+    reads only the checks and the bounds, never the window.
     """
     rep = representative
-    bounds = _query_window(C, rep)
+    bounds = _query(C, rep).bounds
     floored = rep.floor is not None
     if bounds is None:
         if floored:
@@ -499,19 +565,22 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> b
     `lam` must avoid the action spectrum and lie above the representative's
     precision floor; the test walks the representative down the window's
     pivots and asks whether a boundary pushes it strictly below `lam`.
+    Above the representative's level no row of it is at or above `lam`, so
+    the walk would stop at once: the answer is yes without it.
     """
     lam = Fraction(lam)
-    if spectrality_check(lam, C):
+    if _on_spectrum(lam, C):
         raise SpectralLevelError(f"{lam} lies on the action spectrum")
     rep = representative
     if rep.floor is not None and lam <= rep.floor:
         raise IndeterminateError(f"{lam} lies at or below the precision floor")
-    bounds = _query_window(C, rep)
-    if bounds is None:
+    q = _query(C, rep)
+    if q.bounds is None:
         return True
-    lo, hi = bounds
-    w = build_window(C, rep.degree, lo, max(hi, lam))
-    v, _ = _chain_vector(w, rep)
+    w = q.window()  # built even when unread: a window over the cap raises
+    if lam > rep.level():
+        return True
+    v, _ = q.vector()
     k = _prefix(w, lam)
     r = w.reduction.reduce(v, k)
     return not r or min(r) >= k
@@ -546,15 +615,17 @@ def spectrality_check(rho, C: FilteredComplex) -> bool:
 
     The zero class (-inf) is outside the spectrum.
     """
-    if rho in (NEG_INF, POS_INF) or isinstance(rho, float):
-        return False
-    # base - rho lies in the period group g Z iff rho = base mod g, and
+    # a float is -inf or +inf, or any other float: never a spectrum point
+    return not isinstance(rho, float) and _on_spectrum(Fraction(rho), C)
+
+
+def _on_spectrum(value: Fraction, C: FilteredComplex) -> bool:
+    # base - value lies in the period group g Z iff value = base mod g, and
     # every point of the spectrum is a multiple of 1/denom
-    rho = Fraction(rho)
     record = _complex_record(C)
-    if record.denom % rho.denominator:
+    if record.denom % value.denominator:
         return False
-    key = _scaled(rho, record.denom)
+    key = _scaled(value, record.denom)
     return (key % record.period if record.period else key) in record.residues
 
 

@@ -13,7 +13,8 @@ so `GammaGroup.cap_line` orients K with omega(K) > 0, and the caps of one
 Chern number in an area range are a run of consecutive t.  `GammaGroup.caps`
 finds that run in closed form and returns each cap with its omega: stepping
 along the line adds omega(K) once per cap.  The engine reads the same line
-in integer action units.
+in integer action units, and its per-complex record reads omega in the
+same units (`GammaGroup.omega_units`).
 """
 
 from __future__ import annotations
@@ -126,6 +127,11 @@ class GammaGroup:
     def c1(self, a: GammaElement) -> int:
         a = self.check_element(a)
         return sum(c * x for c, x in zip(self.c1_values, a))
+
+    def omega_units(self):
+        """(units, denom): omega of each generator is units[i] / denom, with
+        denom the lcm of the omega-value denominators."""
+        return self._omega_units, self._omega_denom
 
     def evaluate(self, a: GammaElement):
         """Both homomorphisms at once: (omega(a), c1(a))."""

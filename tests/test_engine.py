@@ -2,9 +2,11 @@ import gc
 import hashlib
 import itertools
 import json
+import math
 import random
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from novispec import (
     InvalidComplexError,
     NovikovScalar,
     SpectralLevelError,
+    StructuralError,
     WindowTooLargeError,
 )
 from novispec import engine, jsonio, linalg
@@ -29,6 +32,7 @@ from novispec.engine import (
     _complex_record,
     _degree_generators,
     _prefix,
+    _query,
     build_window,
     default_window_bounds,
 )
@@ -830,14 +834,19 @@ def test_oracle_feasibility_is_monotone(max_orbits):
     assert checked >= 30
 
 
+def _clear_caches():
+    build_window.cache_clear()
+    _complex_record.cache_clear()
+    _query.cache_clear()
+
+
 def _answers(inst, lams, cold):
     """Invariant, oracle and membership answers, each from a cold or warm cache."""
     C, rep = inst.complex, inst.representative
 
     def call(func, *args):
         if cold:
-            build_window.cache_clear()
-            _complex_record.cache_clear()
+            _clear_caches()
         return func(C, rep, *args)
 
     r = call(nv.spectral_invariant)
@@ -855,6 +864,9 @@ def _nonzero_instance(seed):
 
 def _first_window_ref(C, rep):
     build_window(C, rep.degree, *default_window_bounds(C, rep))
+    lam = next(lam for lam in (rep.level() - F(1, k) for k in (97, 89, 83))
+               if not nv.spectrality_check(lam, C))
+    nv.image_membership(C, rep, lam)
     return weakref.ref(C)
 
 
@@ -883,7 +895,8 @@ def test_window_cache_is_transparent_and_bounded():
     first = _nonzero_instance(5)
     ref = _first_window_ref(first.complex, first.representative)
     del first
-    sizes = [build_window.cache_info().maxsize, _complex_record.cache_info().maxsize]
+    sizes = [build_window.cache_info().maxsize, _complex_record.cache_info().maxsize,
+             engine._QUERY_SLOTS]
     assert None not in sizes
     seed = 100
     for _ in range(max(sizes) + 1):
@@ -893,3 +906,170 @@ def test_window_cache_is_transparent_and_bounded():
     del inst
     gc.collect()
     assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# the per-representative query state
+
+
+def _outcome(func, C, rep, *args):
+    """What `func(C, rep, *args)` answers, or the type of what it raised."""
+    try:
+        r = func(C, rep, *args)
+    except Exception as err:
+        return type(err)
+    if isinstance(r, nv.SpectralResult):
+        return r.rho, r.witness, r.reduced_trace, r.spectrality, r.certificate, r.attained_at
+    return r
+
+
+def _all_answers(C, rep, lams, cold):
+    """Invariant, oracle and membership outcomes of `rep`, cold or warm."""
+    queries = [(nv.spectral_invariant,), (nv.oracle_rho,)]
+    queries += [(nv.image_membership, lam) for lam in lams]
+    out = []
+    for func, *args in queries:
+        if cold:
+            _clear_caches()
+        out.append(_outcome(func, C, rep, *args))
+    return out
+
+
+def _off_spectrum(C, rep, count=8):
+    """Off-spectrum levels below the level of `rep`, above it and above the
+    top of its window."""
+    level = rep.level()
+    hi = default_window_bounds(C, rep)[1]
+    candidates = [level + F(k, 7) + F(1, 13) for k in range(-2 * count, count, 3)]
+    candidates += [hi + F(1, 13), hi + 5]
+    return [lam for lam in candidates if not nv.spectrality_check(lam, C)]
+
+
+def test_query_state_stores_no_failure():
+    # a check that raises leaves nothing behind: the call raises again, also
+    # right after a probe of the same representative or complex succeeded
+    C = nv.FilteredComplex(G0, [("x", F(1), 1), ("y", F(0), 0)], {"x": {"y": mono(1, (), G0)}})
+    D = nv.FilteredComplex(G0, [("x", F(1), 1), ("y", F(0), 0)], {"x": {"y": mono(1, (), G0)}})
+    x, y = C.chain({C.generator("x"): 1}), C.chain({C.generator("y"): 1})
+    bad = nv.FilteredComplex(G1, [("x", F(0), 1), ("y", F(1, 2), 0)],
+                             {"x": {"y": mono(1, (0,), G1)}})
+    z = bad.chain({bad.generator("y"): 1})
+    raw = jsonio.load_json(REPO / "fixtures" / "staircase.json")
+    S = jsonio.complex_from_json(raw)
+    floored = S.chain(jsonio.chain_from_json(raw["representatives"]["mixed"], S).terms, F(1))
+    GZ = GammaGroup((F(1),), (0,))
+    huge = nv.FilteredComplex(GZ, [("x", F(0), 1), ("y", F(0), 0), ("s", F(0), 0)],
+                              {"x": {"y": mono(1, (10**9,), GZ)}})
+    s = huge.chain({huge.generator("s"): 1})
+    queries = [nv.spectral_invariant, nv.oracle_rho,
+               lambda C, rep: nv.image_membership(C, rep, F(1, 2))]
+    _clear_caches()
+    for _ in range(2):
+        assert nv.image_membership(C, y, F(1, 2)) is True  # y = dx
+        assert nv.image_membership(S, floored, F(3, 2) + F(1, 13)) is True
+        for query in queries:
+            with pytest.raises(DomainError, match="not a cycle"):
+                query(C, x)
+            with pytest.raises(StructuralError, match="different complex"):
+                query(D, y)
+            with pytest.raises(InvalidComplexError, match="^invariant:level-increase: "):
+                query(bad, z)
+            with pytest.raises(WindowTooLargeError):
+                query(huge, s)
+        with pytest.raises(IndeterminateError, match="precision floor"):
+            nv.image_membership(S, floored, F(1, 5))
+
+
+def test_query_state_follows_the_chain_not_its_level():
+    # an equal but distinct chain gets the same answers; a chain on the same
+    # complex, in the same degree and at the same level, but with other
+    # terms, gets its own
+    inst = _nonzero_instance(11)
+    C, rep = inst.complex, inst.representative
+    twin, double = C.chain(rep.terms, rep.floor), rep.scale(2)
+    assert twin == rep and twin is not rep and double.level() == rep.level()
+    lams = _off_spectrum(C, rep)
+    cold = _all_answers(C, rep, lams, cold=True)
+    doubled = _all_answers(C, double, lams, cold=True)
+    assert cold[0][1] != doubled[0][1]  # the witnesses differ
+    _clear_caches()
+    for chain, expected in ((rep, cold), (twin, cold), (double, doubled), (rep, cold)):
+        assert _all_answers(C, chain, lams, cold=False) == expected
+
+
+def test_query_state_interleaves_past_its_bound():
+    # A, B, C, D, E, then A again: more representatives than the state keeps,
+    # several on one complex, then short-lived copies of them, each freed
+    # before the next is made, so a copy may take over the id of the last.
+    # Every answer is the one from cold caches.
+    reps = []
+    for seed in (3, 8, 13):
+        inst = _nonzero_instance(seed)
+        reps += [(inst.complex, inst.representative), (inst.complex, inst.representative.scale(-3))]
+    assert len(reps) > engine._QUERY_SLOTS + 1
+    order = [*range(len(reps)), 0, 3, 1]
+    expected = {}
+    for i, (C, rep) in enumerate(reps):
+        lams = _off_spectrum(C, rep, count=4)
+        expected[i] = lams, _all_answers(C, rep, lams, cold=True)
+    _clear_caches()
+    for i in order:
+        C, rep = reps[i]
+        lams, answers = expected[i]
+        assert _all_answers(C, rep, lams, cold=False) == answers, i
+    for i in order:
+        C, rep = reps[i]
+        lams, answers = expected[i]
+        copy = C.chain(rep.terms, rep.floor)
+        assert _all_answers(C, copy, lams, cold=False) == answers, i
+        del copy
+
+
+def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
+    # a timing-free guard on the query state: the invariant, the oracle and
+    # any number of probes of one representative build one window, one
+    # reduction and check the cycle once; the oracle builds no window, and a
+    # probe above the representative's level does not walk the reduction
+    counts = Counter()
+    boundary, reduce = nv.FilteredComplex.boundary, linalg.Reduction.reduce
+
+    def counted_boundary(self, chain):
+        counts["boundary"] += 1
+        return boundary(self, chain)
+
+    class CountedReduction(linalg.Reduction):
+        def __init__(self, columns):
+            counts["Reduction"] += 1
+            super().__init__(columns)
+
+    def counted_reduce(self, b, k=math.inf):
+        counts["reduce"] += 1
+        return reduce(self, b, k)
+
+    monkeypatch.setattr(nv.FilteredComplex, "boundary", counted_boundary)
+    monkeypatch.setattr(linalg, "Reduction", CountedReduction)
+    monkeypatch.setattr(linalg.Reduction, "reduce", counted_reduce)
+    checked = 0
+    for seed in range(0, 40, 3):
+        inst = _nonzero_instance(seed)
+        C, rep = inst.complex, inst.representative
+        lams = _off_spectrum(C, rep, count=12)
+        above = [lam for lam in lams if lam > rep.level()]
+        _clear_caches()
+        counts.clear()
+        # a probe above the level, first: the window is built, not reduced
+        assert nv.image_membership(C, rep, above[0]) is True
+        assert counts["Reduction"] == 0 and counts["boundary"] == 1
+        _clear_caches()
+        counts.clear()
+        nv.oracle_rho(C, rep)
+        assert build_window.cache_info().misses == 0
+        rho = nv.spectral_invariant(C, rep).rho
+        walks = counts["reduce"]
+        for lam in lams:
+            assert nv.image_membership(C, rep, lam) == (rho < lam), (seed, lam)
+        assert build_window.cache_info().misses == 1
+        assert counts["Reduction"] == 1 and counts["boundary"] == 1, (seed, counts)
+        assert counts["reduce"] - walks == len(lams) - len(above), seed
+        checked += len(above) > 0 and len(above) < len(lams)
+    assert checked >= 10

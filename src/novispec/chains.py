@@ -14,8 +14,9 @@ shift, `compose_matrices` composes, and `equivariant_image` applies a
 matrix to capped generators.
 
 Chains are finite homogeneous combinations of generators with an optional
-action-space precision floor; a complex carries none, so a chain's floor is
-the only one a query reads.  The level of a chain is the maximal action of
+action-space precision floor.  Neither a complex nor a scalar carries one, so
+a chain's floor is the package's only precision floor; `merge_floor` joins
+two of them.  The level of a chain is the maximal action of
 its support; the peak is the generator attaining it.  Terms are kept in
 descending action, ties broken by (orbit, cap), so `level()` reads the first.
 """
@@ -27,9 +28,14 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .errors import DomainError, IndeterminateError, StructuralError
-from .gamma import GammaElement, GammaGroup, vec_add
+from .gamma import GammaElement, GammaGroup, integers, vec_add
 from .linalg import add_terms
-from .scalars import DOWN, NEG_INF, merge_floor
+from .scalars import DOWN, NEG_INF
+
+
+def merge_floor(a, b):
+    """The higher of two precision floors; None means exact."""
+    return max((f for f in (a, b) if f is not None), default=None)
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,8 @@ class NovikovChain:
     `terms` is a {generator: coeff} dict or a list of (generator, coeff)
     pairs; repeated generators sum.  The summed terms must share one
     degree.  A finite floor then truncates: terms at or below it are
-    dropped (scalars, by contrast, reject such input).  `terms` is kept in
-    descending action, ties by (orbit, cap); `level()` reads the first term.
+    dropped.  `terms` is kept in descending action, ties by (orbit, cap);
+    `level()` reads the first term.
 
     A chain is never mutated after construction, as complexes are not: the
     engine keeps each representative's query state by the chain's identity,
@@ -277,7 +283,7 @@ class FilteredComplex:
             oid = str(oid)
             if oid in self.orbits:
                 raise StructuralError(f"duplicate orbit id {oid!r}")
-            self.orbits[oid] = (Fraction(action), int(degree))
+            self.orbits[oid] = (Fraction(action), *integers((degree,), f"degree of {oid!r}"))
         self.boundary_entries = orbit_matrix(boundary or {}, self, self, "boundary")
 
     # -- generators and chains ---------------------------------------------
@@ -351,7 +357,7 @@ class FilteredComplex:
                 except StructuralError:
                     report.add("equivariance", (orbit, tuple(cap)), "unknown orbit")
                     continue
-                if g.action != Fraction(action) or g.degree != int(degree):
+                if g.action != Fraction(action) or g.degree != degree:
                     report.add(
                         "equivariance",
                         (orbit, tuple(cap)),

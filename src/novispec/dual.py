@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .chains import FilteredComplex, Generator, NovikovChain, matrix_entries
+from .chains import FilteredComplex, Generator, NovikovChain, matrix_entries, merge_floor
 from .engine import _complex_record, _degree_generators, build_window
 from .errors import DomainError, StructuralError
 from .gamma import vec_add, vec_scale, vec_sub
 from .linalg import add_terms
 from .quantum import COHOMOLOGY, QuantumClass
-from .scalars import NEG_INF, merge_floor
+from .scalars import NEG_INF
 
 
 # ---------------------------------------------------------------------------

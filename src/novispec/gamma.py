@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, gcd, lcm
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import StructuralError
 
@@ -43,6 +43,14 @@ def vec_neg(a: GammaElement) -> GammaElement:
 
 def vec_scale(n: int, a: GammaElement) -> GammaElement:
     return tuple(n * x for x in a)
+
+
+def integers(values, what: str) -> tuple:
+    """`values` as a tuple of ints; a non-integer (1.5, 3/2) is rejected, not truncated."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise StructuralError(f"{what} must be integers, got {values!r}") from None
 
 
 def fraction_gcd(values) -> Fraction:
@@ -73,7 +81,7 @@ class GammaGroup:
 
     def __post_init__(self):
         omega = tuple(Fraction(v) for v in self.omega_values)
-        chern = tuple(int(v) for v in self.c1_values)
+        chern = integers(self.c1_values, "c1 values")
         if len(omega) != len(chern):
             raise StructuralError("omega and c1 generator lists differ in length")
         object.__setattr__(self, "omega_values", omega)
@@ -113,7 +121,7 @@ class GammaGroup:
         return vec_zero(self.rank)
 
     def check_element(self, a: GammaElement) -> GammaElement:
-        a = tuple(int(x) for x in a)
+        a = integers(a, "element coordinates")
         if len(a) != self.rank:
             raise StructuralError(
                 f"element has {len(a)} coordinates, group rank is {self.rank}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,10 @@ def parse_frac(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, float):
-        # floating fixtures are parsed to exact binary rationals
+        # floating fixtures are parsed to exact binary rationals; JSON's NaN,
+        # Infinity and overflowing literals (1e400) have none
+        if not math.isfinite(s):
+            raise InputError(f"not a rational: {s!r}")
         return Fraction(s)
     try:
         return Fraction(str(s))

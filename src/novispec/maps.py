@@ -22,12 +22,13 @@ from .chains import (
     entry_shifts,
     equivariant_image,
     matrix_entries,
+    merge_floor,
     orbit_matrix,
 )
 from .engine import spectral_invariant
 from .errors import StructuralError
 from .gamma import vec_add, vec_neg
-from .scalars import DOWN, NEG_INF, NovikovScalar, merge_floor
+from .scalars import DOWN, NEG_INF, NovikovScalar
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,20 @@
-"""Formal Novikov scalars over exact rationals, in both completion directions.
+"""Exact formal Novikov scalars over rationals, in both completion directions.
 
-A scalar is a finite map {exponent label -> coefficient} plus a precision
-floor.  In the downward ring a label B names the written exponent q^B; in the
-upward ring a label A names the term written q^(-A).  In both directions the
-infinite tails of a genuine series have omega(label) -> -infinity, so one
-uniform truncation rule applies: labels with omega(label) <= floor are
-unrepresentable.  floor = None means exact.
+A scalar is a finite map {exponent label -> coefficient}, and it is exact:
+ring operations never truncate.  Precision belongs to chains (see `chains`).
+In the downward ring a label B names the written exponent q^B; in the upward
+ring a label A names the term written q^(-A).
 
 Valuations follow the two ring conventions: downward v = max omega(B) over
 the support, upward v = min omega(-A) = -max omega(A); the zero scalar gets
--infinity / +infinity respectively.  A zero term list with a finite floor is
-indeterminate: the true scalar may have all its support below the floor.
+-infinity / +infinity respectively.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, IndeterminateError, StructuralError
+from .errors import DomainError, StructuralError
 from .gamma import GammaGroup, vec_add, vec_neg
 from .linalg import add_terms
 
@@ -28,20 +25,14 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
-def merge_floor(a, b):
-    """The higher of two precision floors; None means exact."""
-    return max((f for f in (a, b) if f is not None), default=None)
-
-
 class NovikovScalar:
-    __slots__ = ("group", "direction", "terms", "floor")
+    __slots__ = ("group", "direction", "terms")
 
-    def __init__(self, group: GammaGroup, direction: str, terms=None, floor=None):
+    def __init__(self, group: GammaGroup, direction: str, terms=None):
         if direction not in (DOWN, UP):
             raise StructuralError(f"unknown direction {direction!r}")
         self.group = group
         self.direction = direction
-        self.floor = None if floor is None else Fraction(floor)
         clean = {}
         for label, coeff in (terms or {}).items() if isinstance(terms, dict) else (terms or []):
             label = group.check_element(label)
@@ -50,23 +41,19 @@ class NovikovScalar:
                 continue
             if label in clean:
                 raise StructuralError(f"duplicate exponent {label}")
-            if self.floor is not None and group.omega(label) <= self.floor:
-                raise StructuralError(
-                    f"term at {label} lies at or below the precision floor"
-                )
             clean[label] = coeff
         self.terms = dict(sorted(clean.items()))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, group, direction, floor=None):
-        return cls(group, direction, {}, floor)
+    def zero(cls, group, direction):
+        return cls(group, direction, {})
 
     @classmethod
-    def monomial(cls, group, direction, coeff, label=None, floor=None):
+    def monomial(cls, group, direction, coeff, label=None):
         label = group.zero if label is None else label
-        return cls(group, direction, {tuple(label): Fraction(coeff)}, floor)
+        return cls(group, direction, {tuple(label): Fraction(coeff)})
 
     @classmethod
     def one(cls, group, direction):
@@ -89,80 +76,43 @@ class NovikovScalar:
             and self.group == other.group
             and self.direction == other.direction
             and self.terms == other.terms
-            and self.floor == other.floor
         )
 
     def __hash__(self):
-        return hash((self.direction, tuple(self.terms.items()), self.floor))
+        return hash((self.direction, tuple(self.terms.items())))
 
     def __repr__(self):
         arrow = "v" if self.direction == DOWN else "^"
         body = " + ".join(f"{c}*q{list(l)}" for l, c in self.terms.items()) or "0"
-        tail = "" if self.floor is None else f" + O({self.floor})"
-        return f"<{arrow} {body}{tail}>"
+        return f"<{arrow} {body}>"
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check_compatible(other)
-        floor = merge_floor(self.floor, other.floor)
         terms = add_terms(dict(self.terms), other.terms.items())
-        if floor is not None:
-            terms = {l: c for l, c in terms.items() if self.group.omega(l) > floor}
-        return NovikovScalar(self.group, self.direction, terms, floor)
+        return NovikovScalar(self.group, self.direction, terms)
 
     def __neg__(self) -> "NovikovScalar":
         return NovikovScalar(
-            self.group, self.direction, {l: -c for l, c in self.terms.items()}, self.floor
+            self.group, self.direction, {l: -c for l, c in self.terms.items()}
         )
 
     def __sub__(self, other):
         return self + (-other)
 
-    def _top_omega(self):
-        if not self.terms:
-            return None
-        return max(self.group.omega(l) for l in self.terms)
-
     def __mul__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check_compatible(other)
-        # Sound floor: unknown tails of one factor meet the leading part of
-        # the other, so floors add through the top omega of the partner.
-        candidates = []
-        for f, partner in ((self.floor, other), (other.floor, self)):
-            if f is None:
-                continue
-            top = partner._top_omega()
-            if top is not None:
-                candidates.append(f + top)
-        if self.floor is not None and other.floor is not None:
-            candidates.append(self.floor + other.floor)
-        floor = max(candidates) if candidates else None
         terms = add_terms({}, (
             (vec_add(la, lb), ca * cb)
             for la, ca in self.terms.items() for lb, cb in other.terms.items()
         ))
-        if floor is not None:
-            terms = {l: c for l, c in terms.items() if self.group.omega(l) > floor}
-        return NovikovScalar(self.group, self.direction, terms, floor)
+        return NovikovScalar(self.group, self.direction, terms)
 
     def scale(self, rational) -> "NovikovScalar":
         r = Fraction(rational)
         return NovikovScalar(
-            self.group, self.direction, {l: r * c for l, c in self.terms.items()}, self.floor
-        )
-
-    def shift(self, label) -> "NovikovScalar":
-        """Multiply by the monomial with exponent `label` and coefficient 1."""
-        label = self.group.check_element(label)
-        floor = None
-        if self.floor is not None:
-            floor = self.floor + self.group.omega(label)
-        return NovikovScalar(
-            self.group,
-            self.direction,
-            {vec_add(l, label): c for l, c in self.terms.items()},
-            floor,
+            self.group, self.direction, {l: r * c for l, c in self.terms.items()}
         )
 
     # -- valuation ----------------------------------------------------------
@@ -170,10 +120,6 @@ class NovikovScalar:
     def valuation(self):
         """Downward: max omega(B); upward: min omega(-A).  Zero: -inf / +inf."""
         if not self.terms:
-            if self.floor is not None:
-                raise IndeterminateError(
-                    "valuation indeterminate: no terms above the precision floor"
-                )
             return NEG_INF if self.direction == DOWN else POS_INF
         if self.direction == DOWN:
             return max(self.group.omega(l) for l in self.terms)

@@ -184,6 +184,9 @@ def test_validate_catches_equivariance_break():
     assert report.ok
     report = C.validate(explicit_generators=[("hi", (1,), F(0), 0)])
     assert "equivariance" in report.codes()
+    # a listed degree is compared, not truncated: -4.5 is not -4
+    report = C.validate(explicit_generators=[("hi", (1,), F(0), -4.5)])
+    assert "equivariance" in report.codes()
 
 
 def test_validate_catches_tie_peak_representative():

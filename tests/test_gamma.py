@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from novispec import GammaGroup, StructuralError
+from novispec import FilteredComplex, GammaGroup, StructuralError
 from novispec.gamma import fraction_gcd, vec_add, vec_neg
 
 
@@ -50,6 +50,18 @@ def test_dimension_mismatch():
     g = GammaGroup((F(1),), (2,))
     with pytest.raises(StructuralError):
         g.omega((1, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: g.check_element((1.5,)),
+    lambda g: g.check_element((F(3, 2),)),
+    lambda g: g.omega((F(1, 2),)),
+    lambda g: GammaGroup((F(1),), (2.7,)),
+    lambda g: FilteredComplex(g, [("x", 0, 1.5)]),
+], ids=["float-cap", "fraction-cap", "fraction-omega", "float-c1", "float-degree"])
+def test_non_integers_rejected_not_truncated(build):
+    with pytest.raises(StructuralError):
+        build(GammaGroup((F(1),), (2,)))
 
 
 @pytest.mark.parametrize("omega, c1", [

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -223,6 +224,10 @@ def test_cli_floor_replaces_manifest_floor(tmp_path):
     # a representative that is not a cycle has no class to measure
     pytest.param(json.dumps({"complexes": [{"name": "c", "path": "not_a_cycle.json"}]}),
                  [], id="representative-not-a-cycle"),
+    # JSON's non-finite numbers have no exact rational
+    *(pytest.param(f'{{"{key}": {value}}}', [], id=f"manifest-{key}-{value}")
+      for key, value in (("eps", "Infinity"), ("eps", "NaN"), ("eps", "1e400"),
+                         ("floor", "-Infinity"), ("floor", "NaN"))),
 ])
 def test_cli_input_error_exit_two(tmp_path, capsys, manifest, flags):
     # the manifold file of the case that names a manifold 7
@@ -329,6 +334,10 @@ _COMPANIONS = {
     # a complex has no floor: only a chain carries one
     pytest.param("complexes", "staircase", _set(["floor"], "1"), "complex-parse",
                  id="complex-floor-not-null"),
+    # non-finite numbers have no exact rational
+    *(pytest.param("complexes", "staircase", _set(["orbits", 0, "action"], value),
+                   "complex-parse", id=f"orbit-action-{value}")
+      for value in (float("inf"), float("nan"))),
 ])
 def test_cli_malformed_fixture_exit_two(tmp_path, capsys, section, shipped, mutate, code):
     raw = mutate(json.loads((REPO / "fixtures" / f"{shipped}.json").read_text()))
@@ -364,6 +373,81 @@ def test_cli_window_too_large_exit_two(tmp_path, capsys):
     path.write_text(json.dumps({"complexes": [{"name": "far", "path": "far.json"}]}))
     assert main(["spectra", str(path)]) == 2
     assert "input error: window-too-large: degree 1 on (" in capsys.readouterr().err
+
+
+def _nodes(node, path=()):
+    """(path, value) of every node of a loaded JSON document below the root."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+def _is_rational(value):
+    try:
+        jsonio.parse_frac(value)
+    except InputError:
+        return False
+    return True
+
+
+_DROP = object()
+# JSON's non-finite literals, which json.loads accepts
+_NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
+
+
+def _fuzz_cases(seed=2004, count=60):
+    """One-step mutations of the shipped complexes, drawn in a fixed order."""
+    rng = random.Random(seed)
+    names = ("staircase", "staircase_lifted", "s2_eps4", "s2_eps8")
+    wrong = ([], {}, "x", 7, 1.5, None, True)
+    cases = []
+    for i in range(count):
+        name = names[i % len(names)]
+        nodes = list(_nodes(json.loads((REPO / "fixtures" / f"{name}.json").read_text())))
+        kind = rng.choice(["non-finite", "wrong-type", "drop-key", "nudge"])
+        if kind == "non-finite":
+            path = rng.choice([p for p, v in nodes if _is_rational(v)])
+            value = rng.choice(_NON_FINITE)
+        elif kind == "wrong-type":
+            path, old = rng.choice(nodes)
+            value = rng.choice([w for w in wrong if type(w) is not type(old)])
+        elif kind == "drop-key":
+            path, value = rng.choice([p for p, _ in nodes if isinstance(p[-1], str)]), _DROP
+        else:
+            path, old = rng.choice([(p, v) for p, v in nodes if type(v) is int])
+            value = old + rng.choice([-1, 1])
+        cases.append(pytest.param(name, path, value,
+                                  id=f"{i}-{name}-{kind}-{'.'.join(map(str, path))}"))
+    return cases
+
+
+@pytest.mark.parametrize("name, path, value", _fuzz_cases())
+def test_cli_mutated_fixture_exits_with_a_code(tmp_path, capsys, name, path, value):
+    # a hostile complex ends in a report (0 or 1) or a coded input error (2),
+    # never in a traceback
+    raw = json.loads((REPO / "fixtures" / f"{name}.json").read_text())
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    literal = None
+    if value is _DROP:
+        del node[path[-1]]
+    elif value in _NON_FINITE:
+        node[path[-1]], literal = "<non-finite>", value
+    else:
+        node[path[-1]] = value
+    text = json.dumps(raw)
+    if literal:
+        text = text.replace('"<non-finite>"', literal)
+    (tmp_path / "f.json").write_text(text)
+    (tmp_path / "m.json").write_text(json.dumps({"complexes": [{"name": "c", "path": "f.json"}]}))
+    assert main(["spectra", str(tmp_path / "m.json"), "--out", str(tmp_path / "r.json")]) in (0, 1, 2)
 
 
 def test_cli_oracle_cap_zero_runs_no_instance(tmp_path):

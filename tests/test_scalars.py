@@ -9,7 +9,6 @@ from novispec import (
     NEG_INF,
     POS_INF,
     GammaGroup,
-    IndeterminateError,
     NovikovScalar,
     StructuralError,
 )
@@ -19,8 +18,8 @@ G = GammaGroup((F(1), F(3, 2)), (0, 1))
 R1 = GammaGroup((F(1),), (2,))
 
 
-def mono(direction, coeff, label, group=G, floor=None):
-    return NovikovScalar.monomial(group, direction, coeff, label, floor)
+def mono(direction, coeff, label, group=G):
+    return NovikovScalar.monomial(group, direction, coeff, label)
 
 
 def test_monomial_product():
@@ -68,27 +67,6 @@ def test_downward_valuation_is_max():
 def test_zero_scalar_valuations():
     assert NovikovScalar.zero(G, DOWN).valuation() == NEG_INF
     assert NovikovScalar.zero(G, UP).valuation() == POS_INF
-
-
-def test_zero_with_floor_is_indeterminate():
-    with pytest.raises(IndeterminateError):
-        NovikovScalar.zero(G, DOWN, floor=F(-5)).valuation()
-
-
-def test_floor_truncates_terms():
-    with pytest.raises(StructuralError):
-        mono(DOWN, 1, (-10, 0), floor=F(-5))
-    s = NovikovScalar(G, DOWN, {(1, 0): F(1)}, floor=F(-5))
-    t = NovikovScalar(G, DOWN, {(-10, 0): F(1), (1, 0): F(2)})
-    total = s + t  # the deep term of t falls at or below the merged floor
-    assert total.floor == F(-5)
-    assert (1, 0) in total.terms and (-10, 0) not in total.terms
-
-
-def test_mul_floor_adds_through_leading_part():
-    x = NovikovScalar(G, DOWN, {(0, 0): F(1)}, floor=F(-2))
-    y = NovikovScalar(G, DOWN, {(3, 0): F(1)})
-    assert (x * y).floor == F(1)  # -2 + omega((3,0))
 
 
 def brute_valuation(terms, direction, group):

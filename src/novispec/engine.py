@@ -51,20 +51,19 @@ action, is built only for what an answer names (the witness and the
 attained generator), and the generator views of a window (`rows`, `cols`,
 `matrix`) only when read.
 
-Complexes and chains are never mutated after construction, so a window is
-a function of (complex, degree, lo, hi) and a query state a function of its
-chain.  `build_window` keeps the last few windows in a small LRU cache keyed
-by the complex's identity, and each window reduces its columns once, lazily
-(`Window.reduction`).  A query state (`_Query`) holds what every query of
-one representative derives from it alone: the complex and cycle checks and
-the query bounds, computed once, and the window and the representative's
-vector on it, built on first read.  A chain defines `__eq__`, so it has no
-hash; `_query` keeps the last few states in a small LRU keyed by the
-chain's identity, each holding its chain.  The invariant, the oracle and
-every membership probe of one representative thus share one check, one
+Complexes and chains are never mutated after construction, so a query
+state is a function of its chain.  A query state (`_Query`) holds what
+every query of one representative derives from it alone: the complex and
+cycle checks and the query bounds, computed once, and the window and the
+representative's vector on it, built on first read; the window reduces its
+columns once, lazily (`Window.reduction`).  The engine keeps one query
+state, the last representative's (`_last_query`), matched by identity;
+a query of another representative replaces it.  The invariant, the oracle
+and every membership probe of one representative thus share one check, one
 window, one vector and one reduction; the oracle reads only the checks and
-the bounds.  The caches are bounded, so they hold at most a few complexes
-alive, and windows are frozen, so a shared one cannot be reassigned.
+the bounds.  A window lives only in that state, or for the length of one
+`dual_spectral_invariant` call, so between calls the engine holds at most
+one window, and `_complex_record` at most a few complexes, alive.
 
 An independent oracle answers the same question bottom-up: the smallest
 level whose strict-superlevel cancellation system is feasible.  It builds
@@ -126,7 +125,7 @@ class Window:
     ascending, so in descending action; the action is the key over `denom`.
     A `Generator` is built only on request: `generator(i)` for one row, and
     the views `rows`, `cols` and `matrix`, built once when first read.
-    Windows are cached and shared by `build_window`: never mutate one.
+    The queries of one representative share its window: never mutate one.
     """
 
     complex: FilteredComplex
@@ -308,9 +307,8 @@ def _degree_generators(C: FilteredComplex, degree: int, lo, hi) -> list:
     return _generators(_degree_keys(C, degree, lo, hi), _complex_record(C).denom)
 
 
-@lru_cache(maxsize=4)
 def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
-    """The degree-`degree` window of C on (lo, hi]; the last few are cached."""
+    """The degree-`degree` window of C on (lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
     record = _complex_record(C)
     col_keys = _degree_keys(C, degree + 1, lo, hi)
@@ -425,29 +423,21 @@ class _Query:
         return self._vector
 
 
-_QUERY_SLOTS = 4
-_queries = {}  # {id(rep): _Query}, least recently used first
+_last_query = None  # the query state of the last representative queried
 
 
 def _query(C: FilteredComplex, rep: NovikovChain) -> _Query:
-    """The query state of `rep`, the last few kept by identity.
+    """The query state of `rep`: the last one if it is `rep`'s, else a new
+    one, which replaces it.
 
-    A chain defines `__eq__`, so it has no hash: each entry holds its chain,
-    so no other object takes its id while the entry lives.  A check that
-    raises stores nothing, so every later call raises again.
+    A check that raises stores nothing, so every later call raises again.
     """
+    global _last_query
     if rep.complex is not C:
         raise StructuralError("representative lives in a different complex")
-    q = _queries.pop(id(rep), None)
-    if q is None or q.rep is not rep:
-        q = _Query(C, rep)
-        if len(_queries) >= _QUERY_SLOTS:
-            del _queries[next(iter(_queries))]
-    _queries[id(rep)] = q
-    return q
-
-
-_query.cache_clear = _queries.clear
+    if _last_query is None or _last_query.rep is not rep:
+        _last_query = _Query(C, rep)
+    return _last_query
 
 
 _ALL_BELOW_FLOOR = "representative lies entirely at or below the precision floor"

@@ -53,6 +53,13 @@ def parse_int(x) -> int:
     return x
 
 
+def parse_str(x) -> str:
+    """A JSON string; numbers, lists and other values are rejected, not coerced."""
+    if not isinstance(x, str):
+        raise InputError(f"not a string: {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # groups and scalars
 
@@ -125,7 +132,7 @@ def complex_to_json(C: FilteredComplex) -> dict:
 def complex_from_json(obj) -> FilteredComplex:
     gamma = gamma_from_json(obj["gamma"])
     orbits = [
-        (row["id"], parse_frac(row["action"]), parse_int(row["degree"]))
+        (parse_str(row["id"]), parse_frac(row["action"]), parse_int(row["degree"]))
         for row in obj["orbits"]
     ]
     if obj.get("floor") is not None:

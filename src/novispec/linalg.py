@@ -16,12 +16,12 @@ there.  The reduction itself walks each column down the columns before it.
 quantum classes, dual functionals and reduction columns are all finite
 combinations whose equal keys add and whose cancelled terms drop.
 
-`_eliminate`, the one sparse row elimination over {column: Fraction} rows,
-serves the oracle, which cross-checks the reduction and so shares no code
-with it beyond `add_terms`.  `solve` back-substitutes one solution, and
-`first_inconsistent_row` names the first row that makes the rows before it
-inconsistent: for rows in descending action, where the rows above any
-level are a prefix, that one index answers every level.
+`first_inconsistent_row`, the one sparse row elimination over
+{column: Fraction} rows, serves the oracle, which cross-checks the
+reduction and so shares no code with it beyond `add_terms`.  It names the
+first row that makes the rows before it inconsistent: for rows in
+descending action, where the rows above any level are a prefix, that one
+index answers every level.
 """
 
 from __future__ import annotations
@@ -30,15 +30,17 @@ import math
 from fractions import Fraction
 
 
-def _eliminate(rows, rhs):
-    """(echelon, k): row elimination of A x = b, stopped at its first
-    inconsistent row k, or k None if every row is consistent.
+def first_inconsistent_row(rows, rhs):
+    """The least k with rows[:k+1] infeasible, or None if A x = b is feasible.
 
-    Rows are eliminated in the order given; the pivot of a row is its
-    smallest column left, scaled to a leading 1.  `echelon` maps each pivot
-    column to its (row with leading 1, right-hand side), for rows < k.
+    `rows` is a list of sparse rows {column: coefficient} and `rhs` the list
+    of their right-hand sides.  Rows are eliminated in the order given; the
+    pivot of a row is its smallest column left, scaled to a leading 1.  The
+    elimination stops at the first row that reduces to zero against the
+    rows before it with a nonzero right-hand side: `rows[:k]` is feasible,
+    so the leading rows are solvable exactly when they number at most k.
     """
-    echelon = {}
+    echelon = {}  # pivot column -> (row with leading 1, right-hand side)
     for k, (row, b) in enumerate(zip(rows, rhs)):
         r = {c: v for c, v in row.items() if v}
         while r and (p := min(r)) in echelon:
@@ -50,38 +52,8 @@ def _eliminate(rows, rhs):
             inv = 1 / Fraction(r[p])
             echelon[p] = ({c: v * inv for c, v in r.items()}, b * inv)
         elif b:
-            return echelon, k
-    return echelon, None
-
-
-def solve(rows, rhs):
-    """One solution x of A x = b over Q, or None if the system is infeasible.
-
-    `rows` is a list of sparse rows {column: coefficient} and `rhs` the list
-    of their right-hand sides, eliminated by `_eliminate`.  x is read off by
-    back substitution in descending pivot column, as a sparse dict with the
-    free variables zero: the solution of the reduced row echelon form, which
-    is unique.
-    """
-    echelon, k = _eliminate(rows, rhs)
-    if k is not None:
-        return None
-    x = {}
-    for p in sorted(echelon, reverse=True):
-        row, b = echelon[p]
-        v = b - sum(c * x[j] for j, c in row.items() if j in x)
-        if v:
-            x[p] = v
-    return x
-
-
-def first_inconsistent_row(rows, rhs):
-    """The least k with rows[:k+1] infeasible, or None if A x = b is feasible.
-
-    `rows[:k]` is then feasible: the leading rows are solvable exactly when
-    they number at most k.
-    """
-    return _eliminate(rows, rhs)[1]
+            return k
+    return None
 
 
 def add_terms(y, pairs):

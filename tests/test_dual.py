@@ -334,7 +334,7 @@ def _dual_by_dense_solve(C, mu, degree):
         # the generators at or below g's level are the first n
         if n < len(gens) and gens[n].action == g.action:
             continue
-        if linalg.solve(rows[:n], values[:n]) is None:
+        if linalg.first_inconsistent_row(rows[:n], values[:n]) is not None:
             return g.action
     return NEG_INF
 

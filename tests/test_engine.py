@@ -252,7 +252,6 @@ def test_window_cap_counts_generators(monkeypatch):
     lo, hi = default_window_bounds(C, mixed)
     top = build_window(C, 3, lo, hi)
     assert len(top.rows) > 10 and not top.cols
-    build_window.cache_clear()
     monkeypatch.setattr(engine, "MAX_WINDOW_GENERATORS", len(top.rows) - 1)
     with pytest.raises(WindowTooLargeError, match=f"degree 3 on .* holds {len(top.rows)} gen"):
         build_window(C, 3, lo, hi)
@@ -421,8 +420,8 @@ def test_valid_fixture_reduction_respects_monotone_formulation():
 @pytest.mark.parametrize("max_orbits, seeds", [(6, range(40)), (12, range(10))])
 def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
     # at every action prefix of a window the filtered reduction's residual r
-    # must keep a row of the prefix exactly when linalg.solve finds the
-    # prefix system infeasible; otherwise r vanishes on the prefix and
+    # must keep a row of the prefix exactly when the row elimination finds
+    # the prefix system infeasible; otherwise r vanishes on the prefix and
     # rhs - r is a boundary, spanned by the reduced columns heading the prefix
     rng = random.Random(max_orbits)
     feasible = infeasible = 0
@@ -444,29 +443,29 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
             for level in sorted({g.action for g in w.rows}):
                 k = sum(1 for g in w.rows if g.action >= level)
                 r = reduction.reduce(dict(enumerate(rhs)), k)
-                if linalg.solve(rows[:k], rhs[:k]) is None:
+                if linalg.first_inconsistent_row(rows[:k], rhs[:k]) is not None:
                     assert r and min(r) < k, (seed, level)
                     infeasible += 1
                     continue
                 assert all(i >= k for i in r), (seed, level)
                 cancelled = [b - r.get(i, 0) for i, b in enumerate(rhs)]
-                assert linalg.solve(rows, cancelled) is not None, (seed, level)
+                assert linalg.first_inconsistent_row(rows, cancelled) is None, (seed, level)
                 # the walk subtracts only reduced columns that head rows < k
                 heads = [reduction.R[j] for p, j in reduction.pivots.items() if p < k]
                 spanned = [{j: col[i] for j, col in enumerate(heads) if i in col}
                            for i in range(len(rhs))]
-                assert linalg.solve(spanned, cancelled) is not None, (seed, level)
+                assert linalg.first_inconsistent_row(spanned, cancelled) is None, (seed, level)
                 feasible += 1
     assert feasible > 20 and infeasible > 20
 
 
 def test_solve_matches_definition():
     # on small sparse systems with zero, duplicate and dependent rows and
-    # inconsistent right-hand sides, linalg.solve's x solves A x = b, lives
-    # on the columns independent of the columns to their left, and is None
-    # exactly when b reduces to nonzero against the columns; and
-    # first_inconsistent_row names the first row k that makes the leading
-    # rows infeasible, None exactly when the whole system is feasible
+    # inconsistent right-hand sides, first_inconsistent_row names the first
+    # row k that makes the leading rows infeasible, None exactly when the
+    # whole system is feasible: a right-hand side A y is always feasible,
+    # and the column reduction, a separate elimination, leaves a residual
+    # on the rows of a prefix exactly when the prefix is infeasible
     rng = random.Random(3)
     feasible = infeasible = 0
     for _ in range(400):
@@ -486,28 +485,29 @@ def test_solve_matches_definition():
                 row = {j: F(rng.randint(-3, 3), rng.randint(1, 3))
                        for j in range(n) if rng.random() < 0.5}
             rows.append(row)
-        if rng.random() < 0.5:
+        consistent = rng.random() < 0.5
+        if consistent:
             y = [F(rng.randint(-2, 2)) for _ in range(n)]
             rhs = [sum((c * y[j] for j, c in row.items()), F(0)) for row in rows]
         else:
             rhs = [F(rng.randint(-2, 2)) for _ in rows]
-        x = linalg.solve(rows, rhs)
-        k = linalg.first_inconsistent_row(rows, rhs)
-        assert (k is None) == (x is not None), (rows, rhs, k)
-        if k is not None:
-            assert linalg.solve(rows[:k], rhs[:k]) is not None, (rows, rhs, k)
-            assert linalg.solve(rows[:k + 1], rhs[:k + 1]) is None, (rows, rhs, k)
         columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
         reduction = linalg.Reduction(columns)
-        r = reduction.reduce(dict(enumerate(rhs)), len(rows))
-        assert (x is None) == bool(r), (rows, rhs)
-        if x is None:
-            infeasible += 1
+
+        def solvable(m):
+            r = reduction.reduce(dict(enumerate(rhs[:m])), m)
+            return all(i >= m for i in r)
+
+        k = linalg.first_inconsistent_row(rows, rhs)
+        assert (k is None) == solvable(len(rows)), (rows, rhs, k)
+        if k is None:
+            feasible += 1
             continue
-        assert all(sum((c * x.get(j, 0) for j, c in row.items()), F(0)) == b
-                   for row, b in zip(rows, rhs)), (rows, rhs, x)
-        assert all(v and reduction.R[j] for j, v in x.items()), (rows, rhs, x)
-        feasible += 1
+        assert not consistent, (rows, rhs, k)
+        assert solvable(k) and not solvable(k + 1), (rows, rhs, k)
+        assert linalg.first_inconsistent_row(rows[:k], rhs[:k]) is None, (rows, rhs, k)
+        assert linalg.first_inconsistent_row(rows[:k + 1], rhs[:k + 1]) == k, (rows, rhs, k)
+        infeasible += 1
     assert feasible > 100 and infeasible > 100
 
 
@@ -774,7 +774,6 @@ def test_queries_build_no_generator_views():
         C, rep = inst.complex, inst.representative
         if rep.is_zero():
             continue
-        build_window.cache_clear()
         result = nv.spectral_invariant(C, rep)
         if result.spectrality != "attained":
             continue
@@ -782,7 +781,7 @@ def test_queries_build_no_generator_views():
         if nv.spectrality_check(lam, C):
             continue
         assert nv.image_membership(C, rep, lam)
-        w = build_window(C, rep.degree, *default_window_bounds(C, rep))
+        w = _query(C, rep).window()
         assert "reduction" in vars(w)
         assert not {"rows", "cols", "matrix"} & set(vars(w)), seed
         assert result.attained_at == w.rows[w.row_index[result.certificate["stratum"][0]]]
@@ -820,12 +819,12 @@ def test_oracle_feasibility_is_monotone(max_orbits):
 
         def feasible(level):
             picked = [i for i, g in enumerate(rows) if g.action > level]
-            return linalg.solve([mat[i] for i in picked],
-                                [rhs[i] for i in picked]) is not None
+            return linalg.first_inconsistent_row([mat[i] for i in picked],
+                                                 [rhs[i] for i in picked]) is None
 
         feasibility = [feasible(level) for level in levels]
         assert feasibility == sorted(feasibility), (k, feasibility)
-        if linalg.solve(mat, rhs) is not None:
+        if linalg.first_inconsistent_row(mat, rhs) is None:
             scan = NEG_INF
         else:
             scan = next(level for level, ok in zip(levels, feasibility) if ok)
@@ -835,9 +834,8 @@ def test_oracle_feasibility_is_monotone(max_orbits):
 
 
 def _clear_caches():
-    build_window.cache_clear()
     _complex_record.cache_clear()
-    _query.cache_clear()
+    engine._last_query = None
 
 
 def _answers(inst, lams, cold):
@@ -863,7 +861,6 @@ def _nonzero_instance(seed):
 
 
 def _first_window_ref(C, rep):
-    build_window(C, rep.degree, *default_window_bounds(C, rep))
     lam = next(lam for lam in (rep.level() - F(1, k) for k in (97, 89, 83))
                if not nv.spectrality_check(lam, C))
     nv.image_membership(C, rep, lam)
@@ -873,9 +870,8 @@ def _first_window_ref(C, rep):
 def test_window_cache_is_transparent_and_bounded():
     inst = _nonzero_instance(3)
     C, rep = inst.complex, inst.representative
-    bounds = default_window_bounds(C, rep)
-    w = build_window(C, rep.degree, *bounds)
-    assert build_window(C, rep.degree, *bounds) is w
+    w = _query(C, rep).window()
+    assert _query(C, rep).window() is w
     assert w.reduction is w.reduction
 
     rng = random.Random(7)
@@ -895,11 +891,10 @@ def test_window_cache_is_transparent_and_bounded():
     first = _nonzero_instance(5)
     ref = _first_window_ref(first.complex, first.representative)
     del first
-    sizes = [build_window.cache_info().maxsize, _complex_record.cache_info().maxsize,
-             engine._QUERY_SLOTS]
-    assert None not in sizes
+    size = _complex_record.cache_info().maxsize
+    assert size is not None
     seed = 100
-    for _ in range(max(sizes) + 1):
+    for _ in range(size + 1):
         inst = _nonzero_instance(seed)
         nv.spectral_invariant(inst.complex, inst.representative)
         seed = inst.seed + 1
@@ -998,15 +993,14 @@ def test_query_state_follows_the_chain_not_its_level():
 
 
 def test_query_state_interleaves_past_its_bound():
-    # A, B, C, D, E, then A again: more representatives than the state keeps,
-    # several on one complex, then short-lived copies of them, each freed
-    # before the next is made, so a copy may take over the id of the last.
-    # Every answer is the one from cold caches.
+    # A, B, C, D, E, F, then A again: representatives that replace each
+    # other's query state, two on each complex, then short-lived copies of
+    # them, each freed before the next is made, so a copy may take over the
+    # id of the last.  Every answer is the one from cold caches.
     reps = []
     for seed in (3, 8, 13):
         inst = _nonzero_instance(seed)
         reps += [(inst.complex, inst.representative), (inst.complex, inst.representative.scale(-3))]
-    assert len(reps) > engine._QUERY_SLOTS + 1
     order = [*range(len(reps)), 0, 3, 1]
     expected = {}
     for i, (C, rep) in enumerate(reps):
@@ -1032,6 +1026,11 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     # probe above the representative's level does not walk the reduction
     counts = Counter()
     boundary, reduce = nv.FilteredComplex.boundary, linalg.Reduction.reduce
+    build = engine.build_window
+
+    def counted_build(*args):
+        counts["build_window"] += 1
+        return build(*args)
 
     def counted_boundary(self, chain):
         counts["boundary"] += 1
@@ -1046,11 +1045,12 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
         counts["reduce"] += 1
         return reduce(self, b, k)
 
+    monkeypatch.setattr(engine, "build_window", counted_build)
     monkeypatch.setattr(nv.FilteredComplex, "boundary", counted_boundary)
     monkeypatch.setattr(linalg, "Reduction", CountedReduction)
     monkeypatch.setattr(linalg.Reduction, "reduce", counted_reduce)
     checked = 0
-    for seed in range(0, 40, 3):
+    for seed in range(100):
         inst = _nonzero_instance(seed)
         C, rep = inst.complex, inst.representative
         lams = _off_spectrum(C, rep, count=12)
@@ -1060,16 +1060,25 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
         # a probe above the level, first: the window is built, not reduced
         assert nv.image_membership(C, rep, above[0]) is True
         assert counts["Reduction"] == 0 and counts["boundary"] == 1
+        assert counts["build_window"] == 1
         _clear_caches()
         counts.clear()
         nv.oracle_rho(C, rep)
-        assert build_window.cache_info().misses == 0
+        assert counts["build_window"] == 0
         rho = nv.spectral_invariant(C, rep).rho
         walks = counts["reduce"]
         for lam in lams:
             assert nv.image_membership(C, rep, lam) == (rho < lam), (seed, lam)
-        assert build_window.cache_info().misses == 1
+        assert counts["build_window"] == 1
         assert counts["Reduction"] == 1 and counts["boundary"] == 1, (seed, counts)
         assert counts["reduce"] - walks == len(lams) - len(above), seed
         checked += len(above) > 0 and len(above) < len(lams)
-    assert checked >= 10
+    assert checked >= 90
+    # the engine keeps the last representative's query state only: A, B,
+    # then A again builds A's window a second time, with the same answer
+    a, b = _nonzero_instance(3), _nonzero_instance(8)
+    _clear_caches()
+    counts.clear()
+    answers = [_outcome(nv.spectral_invariant, inst.complex, inst.representative)
+               for inst in (a, b, a)]
+    assert counts["build_window"] == 3 and answers[2] == answers[0]

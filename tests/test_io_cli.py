@@ -338,6 +338,10 @@ _COMPANIONS = {
     *(pytest.param("complexes", "staircase", _set(["orbits", 0, "action"], value),
                    "complex-parse", id=f"orbit-action-{value}")
       for value in (float("inf"), float("nan"))),
+    # an orbit id is a string, not coerced to one
+    *(pytest.param("complexes", "s2_eps4", _set(["orbits", 1, "id"], value),
+                   "complex-parse", id=f"orbit-id-{type(value).__name__}")
+      for value in ([], 7)),
 ])
 def test_cli_malformed_fixture_exit_two(tmp_path, capsys, section, shipped, mutate, code):
     raw = mutate(json.loads((REPO / "fixtures" / f"{shipped}.json").read_text()))

@@ -67,12 +67,16 @@ one window, and `_complex_record` at most a few complexes, alive.
 
 An independent oracle answers the same question bottom-up: the smallest
 level whose strict-superlevel cancellation system is feasible.  It builds
-its rows itself from `equivariant_image`, the routine behind
-`FilteredComplex.boundary`, apart from the record and the window's
-reduction, and sorts them by descending action, so the rows above any
-level are a prefix and feasibility is monotone in the level.  One top-down
-row elimination (`linalg.first_inconsistent_row`) stops at the first row
-that makes the prefix inconsistent; its action is the answer.
+its rows itself, apart from the record's boundary table, the window and
+its reduction: each column's boundary terms, read from
+`FilteredComplex.boundary_entries`, are summed into sparse rows keyed by
+(orbit, cap).  The rows are sorted by one integer key, (omega key(cap) -
+base key(orbit), orbit, cap) in the oracle's own action units, which is
+descending action, so the rows above any level are a prefix and
+feasibility is monotone in the level.  One top-down row elimination
+(`linalg.first_inconsistent_row`) stops at the first row that makes the
+prefix inconsistent; its action, the oracle's one `Generator`, is the
+answer.
 
 Membership in the image of a truncated complex, the probe API, is one walk
 on the window's reduction, bounded by a row prefix; a level above the
@@ -96,7 +100,6 @@ from .chains import (
     Generator,
     NovikovChain,
     compose_matrices,
-    equivariant_image,
     matrix_entries,
 )
 from .errors import (
@@ -510,10 +513,11 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
     """Bottom-up brute-force answer: the smallest feasible level.
 
     Feasibility of a level is the solvability of the strict-superlevel
-    cancellation system.  Its sparse rows are built once, from the
-    equivariant boundary image of each candidate column, independently of
-    the reduction path, and sorted by (-action, orbit, cap), so the rows
-    above any level are a prefix.  One top-down elimination
+    cancellation system.  Its sparse rows {column: coeff} are built once,
+    keyed by (orbit, cap), from the boundary terms of each candidate
+    column, independently of the reduction path, and sorted by the integer
+    key of (-action, orbit, cap), so the rows above any level are a
+    prefix.  One top-down elimination
     (`linalg.first_inconsistent_row`) stops at the first inconsistent row
     k: a level is feasible exactly when it is at least the action of row k,
     which is the answer.  A system feasible at the window floor (the
@@ -529,24 +533,27 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
             raise IndeterminateError(_ALL_BELOW_FLOOR)
         return NEG_INF
     lo, hi = bounds
-    images = [equivariant_image(C.boundary_entries, {g: 1}, C)
-              for g in _degree_generators(C, rep.degree + 1, lo, hi)]
-    support = set(rep.terms)
-    for img in images:
-        support.update(img)
-    rows = sorted(support, key=lambda g: (-g.action, g.orbit, g.cap))
-    mat = {g: {} for g in rows}
-    for j, img in enumerate(images):
-        for g, c in img.items():
-            mat[g][j] = c
-    k = linalg.first_inconsistent_row([mat[g] for g in rows],
-                                      [-rep.terms.get(g, 0) for g in rows])
+    rhs = {(g.orbit, g.cap): -c for g, c in rep.terms.items()}
+    mat = {target: {} for target in rhs}  # {(orbit, cap): {column: coeff}}
+    for j, (_, orbit, cap, _) in enumerate(_degree_keys(C, rep.degree + 1, lo, hi)):
+        for dst, scalar in C.boundary_entries.get(orbit, {}).items():
+            for label, c in scalar.terms.items():
+                mat.setdefault((dst, vec_add(cap, label)), {})[j] = c
+    # the oracle's own action units: -action times denom is
+    # omega key(cap) - base key(orbit), an integer
+    units, omega_denom = C.gamma.omega_units()
+    denom = math.lcm(omega_denom, *(a.denominator for a, _ in C.orbits.values()))
+    units = [u * (denom // omega_denom) for u in units]
+    base = {orbit: _scaled(a, denom) for orbit, (a, _) in C.orbits.items()}
+    rows = [t for _, t in sorted((sum(map(mul, units, t[1])) - base[t[0]], t) for t in mat)]
+    k = linalg.first_inconsistent_row([mat[t] for t in rows], [rhs.get(t, 0) for t in rows])
     if k is None and not floored:
         return NEG_INF
+    action = None if k is None else C.generator(*rows[k]).action
     # feasible at the floor itself: the answer lies at or below the window
-    if k is None or rows[k].action <= lo:
+    if action is None or action <= lo:
         raise IndeterminateError("no feasible level inside the oracle window")
-    return rows[k].action
+    return action
 
 
 def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> bool:

@@ -25,7 +25,7 @@ from novispec import (
     StructuralError,
     WindowTooLargeError,
 )
-from novispec import engine, jsonio, linalg
+from novispec import chains, engine, jsonio, linalg
 from novispec.chains import equivariant_image
 from novispec.engine import (
     _chain_vector,
@@ -803,13 +803,15 @@ def _oracle_system(C, rep):
     return rows, mat, rhs, levels
 
 
-@pytest.mark.parametrize("max_orbits", [6, 12])
+@pytest.mark.parametrize("max_orbits", [6, 8, 12])
 def test_oracle_feasibility_is_monotone(max_orbits):
     # oracle_rho's one elimination pass, which reads the answer off the first
     # inconsistent row, is valid only if feasibility is upward-closed over
     # the sorted levels; check it at every level, and check the oracle's
-    # answer against a plain linear scan
+    # answer, sorted on its integer keys, against a plain linear scan over
+    # `Generator` rows, on every kind of period group
     checked = 0
+    groups = set()
     for k in range(40):
         inst = random_instance(k, max_orbits=max_orbits)
         C, rep = inst.complex, inst.representative
@@ -830,7 +832,11 @@ def test_oracle_feasibility_is_monotone(max_orbits):
             scan = next(level for level, ok in zip(levels, feasibility) if ok)
         assert nv.oracle_rho(C, rep) == scan == inst.expected_rho, k
         checked += 1
+        groups.add(C.gamma.rank)
+        if C.gamma.omega_units()[1] > 1:
+            groups.add("fractional omega")
     assert checked >= 30
+    assert groups >= {0, 1, 2, "fractional omega"}, groups
 
 
 def _clear_caches():
@@ -1082,3 +1088,53 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     answers = [_outcome(nv.spectral_invariant, inst.complex, inst.representative)
                for inst in (a, b, a)]
     assert counts["build_window"] == 3 and answers[2] == answers[0]
+
+
+def test_oracle_builds_one_generator_and_no_window(monkeypatch):
+    # a timing-free gate on the oracle's own work: its rows come straight
+    # from the boundary terms in integer keys, so a call builds no window,
+    # no reduction and no equivariant image, and one `Generator`, for the
+    # answer row (none for -inf); the query state's checks are built first,
+    # since they are not the oracle's work
+    counts = Counter()
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    class CountedReduction(linalg.Reduction):
+        def __init__(self, columns):
+            counts["Reduction"] += 1
+            super().__init__(columns)
+
+    image = counting("equivariant_image", chains.equivariant_image)
+    monkeypatch.setattr(chains, "equivariant_image", image)
+    # also under the name an `engine` import of it would bind
+    monkeypatch.setattr(engine, "equivariant_image", image, raising=False)
+    monkeypatch.setattr(engine, "build_window", counting("build_window", engine.build_window))
+    monkeypatch.setattr(linalg, "Reduction", CountedReduction)
+    monkeypatch.setattr(nv.FilteredComplex, "generator",
+                        counting("generator", nv.FilteredComplex.generator))
+    outcomes = Counter()
+    for seed in range(100):
+        inst = random_instance(seed, max_orbits=6)
+        C, rep = inst.complex, inst.representative
+        queried = [rep] if rep.is_zero() else [rep, C.chain(rep.terms, rep.level() - 1)]
+        for chain in queried:
+            _clear_caches()
+            _query(C, chain)
+            counts.clear()
+            try:
+                rho = nv.oracle_rho(C, chain)
+            except IndeterminateError:
+                rho = None
+            work = counts["build_window"], counts["Reduction"], counts["equivariant_image"]
+            assert work == (0, 0, 0), (seed, counts)
+            if rho is None:
+                assert counts["generator"] <= 1, (seed, counts)
+            else:
+                assert counts["generator"] == (rho != NEG_INF), (seed, rho, counts)
+            outcomes["raise" if rho is None else rho == NEG_INF] += 1
+    assert outcomes[True] >= 10 and outcomes[False] >= 100 and outcomes["raise"] >= 5, outcomes

@@ -13,6 +13,13 @@ in sorted orbit order, `entry_shifts` gives each term's action and degree
 shift, `compose_matrices` composes, and `equivariant_image` applies a
 matrix to capped generators.
 
+A complex is never mutated, so it caches what it derives from its data:
+`action_keys`, each action as an integer key over one denominator, and
+`boundary_check`, the one rule that makes the boundary a filtered Novikov
+differential (each term lowers the degree by one and never raises the
+action, and d∘d vanishes), decided in those keys.  `validate` reports its
+violations and the engine refuses a complex that has any.
+
 Chains are finite homogeneous combinations of generators with an optional
 action-space precision floor.  Neither a complex nor a scalar carries one, so
 a chain's floor is the package's only precision floor; `merge_floor` joins
@@ -25,7 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from functools import cached_property
+from math import lcm
+from operator import attrgetter, mul
 
 from .errors import DomainError, IndeterminateError, StructuralError
 from .gamma import GammaElement, GammaGroup, integers, vec_add
@@ -268,6 +277,24 @@ class ValidationReport:
         return "<invalid: " + ", ".join(self.codes()) + ">"
 
 
+@dataclass(slots=True)  # built once per complex, never mutated
+class ActionKeys:
+    """A complex's actions as integer keys: each action times `denom`."""
+
+    denom: int  # lcm of the base-action and omega-value denominators
+    base: dict  # {orbit: base action key}
+    omega: tuple  # the omega key of each group generator
+
+
+@dataclass(slots=True)  # built once per complex, never mutated
+class BoundaryCheck:
+    """The boundary's violations, in the order `validate` reports them, and
+    the largest action-key drop of a boundary term (0 if none)."""
+
+    violations: tuple
+    drop: int
+
+
 class FilteredComplex:
     """Finite-rank free module over the downward Novikov ring with filtration."""
 
@@ -322,34 +349,51 @@ class FilteredComplex:
 
     # -- validation -----------------------------------------------------------
 
-    def validate(self, strict_level: bool = False,
-                 explicit_generators=None, representatives=None) -> ValidationReport:
+    @cached_property
+    def action_keys(self) -> ActionKeys:
+        units, omega_denom = self.gamma.omega_units()
+        denom = lcm(omega_denom, *(a.denominator for a, _ in self.orbits.values()))
+        return ActionKeys(
+            denom,
+            {o: a.numerator * (denom // a.denominator) for o, (a, _) in self.orbits.items()},
+            tuple(u * (denom // omega_denom) for u in units),
+        )
+
+    @cached_property
+    def boundary_check(self) -> BoundaryCheck:
+        """Per term in `matrix_entries` order its `degree`, then `level-increase`
+        violation, then the `square` residuals of d∘d.  The term at `label` from
+        src to dst has action key key(dst) - omega key(label), degree deg(dst) - 2 c1(label)."""
+        units = self.action_keys
+        omega, c1 = units.omega, self.gamma.c1_values
         report = ValidationReport()
-        for src, dst, label, shift, dshift in entry_shifts(self.boundary_entries, self, self):
-            sa, sd = self.orbits[src]
-            if dshift != -1:
-                report.add(
-                    "degree",
-                    (src, dst, label),
-                    f"entry {src}->{dst} at {label} maps degree {sd} to {sd + dshift}",
-                )
-            if shift > 0 or (strict_level and shift >= 0):
-                report.add(
-                    "level-increase",
-                    (src, dst, label),
-                    f"entry {src}->{dst} at {label} raises action {sa} -> {sa + shift}",
-                )
+        drop = 0
+        for src, dst, scalar in matrix_entries(self.boundary_entries):
+            (sa, sd), dd = self.orbits[src], self.orbits[dst][1]
+            src_key, dst_key = units.base[src], units.base[dst]
+            for label in scalar.terms:
+                degree = dd - 2 * sum(map(mul, c1, label))
+                key = dst_key - sum(map(mul, omega, label))
+                if degree != sd - 1:
+                    report.add("degree", (src, dst, label),
+                               f"entry {src}->{dst} at {label} maps degree {sd} to {degree}")
+                if key > src_key:
+                    report.add("level-increase", (src, dst, label),
+                               f"entry {src}->{dst} at {label} raises action {sa} -> "
+                               f"{Fraction(key, units.denom)}")
+                drop = max(drop, src_key - key)
         # d(d(x)) = 0 for every base generator; equivariance makes this
         # sufficient for every cap.
         square = compose_matrices(self.boundary_entries, self.boundary_entries)
         for src, dst, scalar in matrix_entries(square):
             if not scalar.is_zero():
                 label, coeff = next(iter(scalar.terms.items()))
-                report.add(
-                    "square",
-                    (src, dst, label),
-                    f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}",
-                )
+                report.add("square", (src, dst, label),
+                           f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}")
+        return BoundaryCheck(tuple(report.violations), drop)
+
+    def validate(self, explicit_generators=None, representatives=None) -> ValidationReport:
+        report = ValidationReport(list(self.boundary_check.violations))
         if explicit_generators:
             for orbit, cap, action, degree in explicit_generators:
                 try:

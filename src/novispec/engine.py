@@ -22,14 +22,13 @@ window spans a pad around the representative's level, so terms spanning more
 than the pad can leave a finite invariant indeterminate.
 
 A window enumerates its generators in integers, never through a
-per-generator omega or `Fraction`.  Every action of a complex is a multiple
-of one denominator, the lcm of the base-action and omega-value
-denominators, so an action is an integer key over it.  Per Chern number,
+per-generator omega or `Fraction`: every action is an integer key over the
+complex's denominator (`FilteredComplex.action_keys`).  Per Chern number,
 `_degree_keys` reads the cap line once (`GammaGroup.cap_line`: a start cap
-and a step of positive omega, here scaled to integers); per orbit, two
-floor divisions give the run of steps inside (lo, hi], and each step adds
-integers.  The runs' lengths are summed before any key is built, so a
-window of more than `MAX_WINDOW_GENERATORS` generators in one degree raises
+and a step of positive omega); per orbit, two floor divisions give the run
+of steps inside (lo, hi], and each step adds integers.  The runs' lengths
+are summed before any key is built, so a window of more than
+`MAX_WINDOW_GENERATORS` generators in one degree raises
 `WindowTooLargeError` at the cost of one pass over the orbits.  A key is
 the tuple (-action key, orbit, cap, degree), so keys sort by action
 descending, then (orbit, cap).  The window keeps its rows and columns as
@@ -37,19 +36,14 @@ keys and its columns as {row index: coeff}, the form `linalg.Reduction`
 takes.  Each column's boundary terms come from a per-complex table
 {src orbit: [(dst, label, coeff)]}: by equivariance the term at `label`
 sends (src, cap) to (dst, cap + label).  A target missing from the
-{(orbit, cap): row index} dict lies below the window floor: no boundary
-term of a valid complex raises the action or misses the degree.  The
-table, the denominator, the default window pad and the base actions modulo
-the period generator, as integers over the denominator (which answer
-`spectrality_check` with one lookup), form one record per complex, kept in
-a small LRU cache (`_complex_record`), which refuses a complex that
-`FilteredComplex.validate` rejects.  The record is computed in the same
-integer units, omega included (`GammaGroup.omega_units`): one `Fraction`
-each for its bottom, top and the pads below and above a level.  The queries read levels off the keys
-and bisect them for row prefixes; a `Generator`, with one `Fraction`
-action, is built only for what an answer names (the witness and the
-attained generator), and the generator views of a window (`rows`, `cols`,
-`matrix`) only when read.
+{(orbit, cap): row index} dict lies below the window floor, since no
+boundary term of a valid complex raises the action or misses the degree.
+The table, the default window pads and the base action keys modulo the
+period form one record per complex, kept in a small LRU cache
+(`_complex_record`), which refuses a complex that violates its
+`FilteredComplex.boundary_check`.  The queries read levels off the keys
+and bisect them for row prefixes; a `Generator` is built only for what an
+answer names, and a window's generator views only when read.
 
 Complexes and chains are never mutated after construction, so a query
 state is a function of its chain.  A query state (`_Query`) holds what
@@ -67,16 +61,8 @@ one window, and `_complex_record` at most a few complexes, alive.
 
 An independent oracle answers the same question bottom-up: the smallest
 level whose strict-superlevel cancellation system is feasible.  It builds
-its rows itself, apart from the record's boundary table, the window and
-its reduction: each column's boundary terms, read from
-`FilteredComplex.boundary_entries`, are summed into sparse rows keyed by
-(orbit, cap).  The rows are sorted by one integer key, (omega key(cap) -
-base key(orbit), orbit, cap) in the oracle's own action units, which is
-descending action, so the rows above any level are a prefix and
-feasibility is monotone in the level.  One top-down row elimination
-(`linalg.first_inconsistent_row`) stops at the first row that makes the
-prefix inconsistent; its action, the oracle's one `Generator`, is the
-answer.
+and eliminates its own rows (`oracle_rho`), apart from the record's
+boundary table, the window and its reduction.
 
 Membership in the image of a truncated complex, the probe API, is one walk
 on the window's reduction, bounded by a row prefix; a level above the
@@ -95,13 +81,7 @@ from itertools import repeat
 from operator import itemgetter, mul
 
 from . import linalg
-from .chains import (
-    FilteredComplex,
-    Generator,
-    NovikovChain,
-    compose_matrices,
-    matrix_entries,
-)
+from .chains import FilteredComplex, Generator, NovikovChain
 from .errors import (
     DomainError,
     IndeterminateError,
@@ -176,63 +156,40 @@ class _ComplexRecord:
     top: Fraction  # highest base action
     pad: Fraction  # half-width of the default windows
     hi_pad: Fraction  # pad minus the period generator, above a default window's level
-    denom: int  # lcm of the base-action and omega-value denominators
     boundary: dict  # {src orbit: [(dst, label, coeff)]}: the boundary terms
-    period: int  # the period generator times denom
-    residues: frozenset  # base actions times denom, modulo period if nonzero
+    period: int  # the period generator as an action key
+    residues: frozenset  # base action keys, modulo period if nonzero
 
 
 @lru_cache(maxsize=4)
 def _complex_record(C: FilteredComplex) -> _ComplexRecord:
-    """The per-complex record, the last few cached; refuses an invalid complex.
+    """The per-complex record, the last few cached.
 
-    Computed in integer action units over `denom`: the term at `label` from
-    src to dst shifts the action key by key(dst) - omega key(label) - key(src)
-    and the degree by deg(dst) - 2 c1(label) - deg(src).
+    Refuses a complex whose `FilteredComplex.boundary_check` has a
+    violation, naming the first; reads the largest action drop off the
+    check and every key off `FilteredComplex.action_keys`.
     """
-    gamma = C.gamma
-    units, omega_denom = gamma.omega_units()
-    denom = math.lcm(omega_denom, *(a.denominator for a, _ in C.orbits.values()))
-    units = [u * (denom // omega_denom) for u in units]  # omega keys of the generators
-    bases = {orbit: (_scaled(a, denom), d) for orbit, (a, d) in C.orbits.items()}
-    boundary = {}
-    drop = 0  # largest action-key drop of a boundary term
-    invalid = False
-    for src, dst, scalar in matrix_entries(C.boundary_entries):
-        (src_key, src_deg), (dst_key, dst_deg) = bases[src], bases[dst]
-        terms = boundary.setdefault(src, [])
-        for label, coeff in scalar.terms.items():
-            shift = dst_key - sum(map(mul, units, label)) - src_key
-            dshift = dst_deg - 2 * sum(map(mul, gamma.c1_values, label)) - src_deg
-            invalid = invalid or dshift != -1 or shift > 0
-            terms.append((dst, label, coeff))
-            drop = max(drop, -shift)
-    square = compose_matrices(C.boundary_entries, C.boundary_entries)
-    if invalid or any(not scalar.is_zero() for _, _, scalar in matrix_entries(square)):
-        v = C.validate().violations[0]
+    check = C.boundary_check
+    if check.violations:
+        v = check.violations[0]
         raise InvalidComplexError(f"invariant:{v.code}: {v.message} (witness {v.witness})")
-    keys = [key for key, _ in bases.values()]
-    bottom, top = min(keys, default=0), max(keys, default=0)
-    period = math.gcd(*units)
+    units = C.action_keys
+    boundary = {src: [(dst, label, coeff) for dst, scalar in sorted(row.items())
+                      for label, coeff in scalar.terms.items()]
+                for src, row in sorted(C.boundary_entries.items())}
+    bases = units.base.values()
+    bottom, top = min(bases, default=0), max(bases, default=0)
+    period = math.gcd(*units.omega)
+    span = 2 * check.drop + 2 * period + (top - bottom) + units.denom
     return _ComplexRecord(
-        Fraction(bottom, denom),
-        Fraction(top, denom),
-        Fraction(2 * drop + 3 * period + (top - bottom) + denom, denom),
-        Fraction(2 * drop + 2 * period + (top - bottom) + denom, denom),
-        denom,
+        Fraction(bottom, units.denom),
+        Fraction(top, units.denom),
+        Fraction(span + period, units.denom),
+        Fraction(span, units.denom),
         boundary,
         period,
-        frozenset(k % period for k in keys) if period else frozenset(keys),
+        frozenset(k % period for k in bases) if period else frozenset(bases),
     )
-
-
-def _scaled(value: Fraction, denom: int) -> int:
-    """`value` times `denom`, for a multiple of 1/`denom`: an exact integer.
-
-    Every action and omega of a complex is such a multiple of its record's
-    denominator, so they compare and reduce as integers.
-    """
-    return value.numerator * (denom // value.denominator)
 
 
 MAX_WINDOW_GENERATORS = 250_000  # generators one degree of a window may hold
@@ -248,27 +205,29 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
     key is built: more than `MAX_WINDOW_GENERATORS` in all raises
     `WindowTooLargeError`.
     """
-    denom = _complex_record(C).denom
+    _complex_record(C)  # refuses an invalid complex
+    units = C.action_keys
     # actions as integer keys over denom: lo < key / denom <= hi
-    lo_key = lo.numerator * denom // lo.denominator
-    hi_key = hi.numerator * denom // hi.denominator
+    lo_key = lo.numerator * units.denom // lo.denominator
+    hi_key = hi.numerator * units.denom // hi.denominator
     lines = {}
     runs = []  # per orbit, lazily: keys ascending in -key
     total = 0
-    for orbit, (base, bdeg) in C.orbits.items():
+    for orbit, (_, bdeg) in C.orbits.items():
         if (bdeg - degree) % 2 != 0:
             continue
         c = (bdeg - degree) // 2
         if c not in lines:  # the cap line in integer action units
             line = C.gamma.cap_line(c)
             if line is not None:
-                start, w0, step, dw = line
-                line = start, _scaled(w0, denom), step, step and _scaled(dw, denom)
+                start, _, step, _ = line
+                w0 = sum(map(mul, units.omega, start))
+                line = start, w0, step, step and sum(map(mul, units.omega, step))
             lines[c] = line
         if lines[c] is None:
             continue
         start, w0, step, dw = lines[c]
-        key = _scaled(base, denom) - w0  # the key of `start`; each step lowers it by dw
+        key = units.base[orbit] - w0  # the key of `start`; each step lowers it by dw
         if step is None:
             if lo_key < key <= hi_key:
                 runs.append([(-key, orbit, start, degree)])
@@ -307,7 +266,7 @@ def _generators(keys, denom: int) -> list:
 def _degree_generators(C: FilteredComplex, degree: int, lo, hi) -> list:
     """All capped generators of one degree with action in (lo, hi], in the
     order of `_degree_keys`."""
-    return _generators(_degree_keys(C, degree, lo, hi), _complex_record(C).denom)
+    return _generators(_degree_keys(C, degree, lo, hi), C.action_keys.denom)
 
 
 def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
@@ -330,7 +289,8 @@ def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
             else:
                 column[i] = coeff
         columns.append(column)
-    return Window(C, lo, hi, degree, record.denom, keys, col_keys, columns, index, truncated)
+    return Window(C, lo, hi, degree, C.action_keys.denom, keys, col_keys, columns, index,
+                  truncated)
 
 
 def _chain_vector(window: Window, chain: NovikovChain):
@@ -515,9 +475,9 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
     Feasibility of a level is the solvability of the strict-superlevel
     cancellation system.  Its sparse rows {column: coeff} are built once,
     keyed by (orbit, cap), from the boundary terms of each candidate
-    column, independently of the reduction path, and sorted by the integer
-    key of (-action, orbit, cap), so the rows above any level are a
-    prefix.  One top-down elimination
+    column, independently of the reduction path, and sorted by (-action,
+    orbit, cap), the action read off `FilteredComplex.action_keys`, so the
+    rows above any level are a prefix.  One top-down elimination
     (`linalg.first_inconsistent_row`) stops at the first inconsistent row
     k: a level is feasible exactly when it is at least the action of row k,
     which is the answer.  A system feasible at the window floor (the
@@ -539,13 +499,10 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
         for dst, scalar in C.boundary_entries.get(orbit, {}).items():
             for label, c in scalar.terms.items():
                 mat.setdefault((dst, vec_add(cap, label)), {})[j] = c
-    # the oracle's own action units: -action times denom is
-    # omega key(cap) - base key(orbit), an integer
-    units, omega_denom = C.gamma.omega_units()
-    denom = math.lcm(omega_denom, *(a.denominator for a, _ in C.orbits.values()))
-    units = [u * (denom // omega_denom) for u in units]
-    base = {orbit: _scaled(a, denom) for orbit, (a, _) in C.orbits.items()}
-    rows = [t for _, t in sorted((sum(map(mul, units, t[1])) - base[t[0]], t) for t in mat)]
+    # -action as a key is omega key(cap) - base key(orbit)
+    units = C.action_keys
+    omega, base = units.omega, units.base
+    rows = [t for _, t in sorted((sum(map(mul, omega, t[1])) - base[t[0]], t) for t in mat)]
     k = linalg.first_inconsistent_row([mat[t] for t in rows], [rhs.get(t, 0) for t in rows])
     if k is None and not floored:
         return NEG_INF
@@ -620,9 +577,10 @@ def _on_spectrum(value: Fraction, C: FilteredComplex) -> bool:
     # base - value lies in the period group g Z iff value = base mod g, and
     # every point of the spectrum is a multiple of 1/denom
     record = _complex_record(C)
-    if record.denom % value.denominator:
+    denom = C.action_keys.denom
+    if denom % value.denominator:
         return False
-    key = _scaled(value, record.denom)
+    key = value.numerator * (denom // value.denominator)
     return (key % record.period if record.period else key) in record.residues
 
 

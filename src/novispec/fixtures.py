@@ -27,9 +27,11 @@ from .chains import (
     entry_shifts,
     equivariant_image,
 )
+from .dual import DualFunctional, Ray
 from .errors import FixtureError
 from .gamma import GammaGroup, vec_add
 from .linalg import add_terms
+from .maps import ChainMap, HamiltonianData, MonodromyShift, ProductMapData
 from .morse import MorseData, build_small_complex
 from .quantum import (
     COHOMOLOGY,
@@ -243,8 +245,6 @@ def transported_product(fix: ManifoldFixture, eps) -> tuple:
     correspondence class <-> critical point; the slack ledger stays at zero
     whenever eps <= fix.max_eps.
     """
-    from .maps import ProductMapData
-
     eps = Fraction(eps)
     if fix.product is None:
         raise FixtureError(f"fixture {fix.name!r} ships no product")
@@ -423,8 +423,6 @@ def random_continuity_pair(seed: int, constant_shift: bool = False) -> Continuit
     quadrature bounds.  With `constant_shift` the move is one constant and
     both bounds are tight.
     """
-    from .maps import ChainMap, HamiltonianData
-
     rng = random.Random(("continuity", seed).__repr__())
     inst = random_instance(seed)
     C = inst.complex
@@ -471,8 +469,6 @@ def random_continuity_pair(seed: int, constant_shift: bool = False) -> Continuit
 
 def random_monodromy(seed: int):
     """Seeded loop shift on a seeded complex; every third one is a pure deck."""
-    from .maps import MonodromyShift
-
     rng = random.Random(("monodromy", seed).__repr__())
     inst = random_instance(seed)
     C, rep = inst.complex, inst.representative
@@ -505,8 +501,6 @@ def random_monodromy(seed: int):
 
 def curated_functionals(C: FilteredComplex):
     """10 continuous and 10 divergent functionals on a rank-one complex."""
-    from .dual import DualFunctional, Ray
-
     if C.gamma.rank != 1:
         raise FixtureError("curated functionals expect a rank-one group")
     orbits = sorted(C.orbits)

@@ -18,7 +18,7 @@ from .dual import DualFunctional, Ray
 from .errors import InputError
 from .fixtures import ManifoldFixture
 from .gamma import GammaGroup
-from .maps import ChainMap, MonodromyShift
+from .maps import ChainMap, MonodromyShift, ProductMapData
 from .morse import MorseData
 from .quantum import COHOMOLOGY, HOMOLOGY, ClassBasis, ProductFixture, QuantumClass
 from .scalars import DOWN, NovikovScalar
@@ -324,8 +324,6 @@ def product_map_to_json(names: tuple, P) -> dict:
 
 
 def product_map_from_json(obj, complexes):
-    from .maps import ProductMapData
-
     try:
         s1 = complexes[obj["source1"]]
         s2 = complexes[obj["source2"]]

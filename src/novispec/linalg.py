@@ -35,22 +35,22 @@ def first_inconsistent_row(rows, rhs):
 
     `rows` is a list of sparse rows {column: coefficient} and `rhs` the list
     of their right-hand sides.  Rows are eliminated in the order given; the
-    pivot of a row is its smallest column left, scaled to a leading 1.  The
-    elimination stops at the first row that reduces to zero against the
-    rows before it with a nonzero right-hand side: `rows[:k]` is feasible,
-    so the leading rows are solvable exactly when they number at most k.
+    pivot of a row is its smallest column left, and a pivot row is kept as
+    it reduced, unscaled.  The elimination stops at the first row that
+    reduces to zero against the rows before it with a nonzero right-hand
+    side: `rows[:k]` is feasible, so the leading rows are solvable exactly
+    when they number at most k.
     """
-    echelon = {}  # pivot column -> (row with leading 1, right-hand side)
+    echelon = {}  # pivot column -> (pivot row, right-hand side)
     for k, (row, b) in enumerate(zip(rows, rhs)):
         r = {c: v for c, v in row.items() if v}
         while r and (p := min(r)) in echelon:
             pivot_row, pivot_b = echelon[p]
-            f = -r[p]
+            f = Fraction(-r[p], pivot_row[p])  # exact on integer input too
             add_terms(r, ((c, f * v) for c, v in pivot_row.items()))
             b += f * pivot_b
         if r:
-            inv = 1 / Fraction(r[p])
-            echelon[p] = ({c: v * inv for c, v in r.items()}, b * inv)
+            echelon[p] = (r, b)
         elif b:
             return k
     return None

@@ -25,7 +25,7 @@ from .chains import (
     merge_floor,
     orbit_matrix,
 )
-from .engine import spectral_invariant
+from .engine import action_spectrum, spectral_invariant
 from .errors import StructuralError
 from .gamma import vec_add, vec_neg
 from .scalars import DOWN, NEG_INF, NovikovScalar
@@ -260,7 +260,8 @@ def verify_continuity(
 
     The forward map must be certified with the upper sandwich bound, the
     reverse map with the reversed one; the invariants of the supplied class
-    pair must then differ by a value inside the sandwich.
+    pair must then differ by a value inside the sandwich.  Two zero classes
+    agree, as in `monodromy_shift`, with no difference or margins.
     """
     lower, upper = shift_bounds(H, F)
     rev_lower, rev_upper = shift_bounds(F, H)
@@ -279,6 +280,9 @@ def verify_continuity(
             raise StructuralError(f"{name} map fails certification: {rep.codes()}")
     rho_H = spectral_invariant(C_H, rep_H).rho
     rho_F = spectral_invariant(C_F, rep_F).rho
+    if rho_H == rho_F == NEG_INF:
+        return ContinuityReport(lower, upper, rho_H, rho_F, None, True, None, None,
+                                tight_lower=False, tight_upper=False)
     diff = rho_F - rho_H
     ok = lower <= diff <= upper
     return ContinuityReport(
@@ -480,10 +484,9 @@ def check_local_constancy(complexes, representatives, step_bounds):
 
     `step_bounds[i]` bounds |rho(i+1) - rho(i)|; if every bound is smaller
     than the minimal spectral gap and all spectra agree, the invariant is
-    forced constant, and this is checked exactly.
+    forced constant, and this is checked exactly.  Equal invariants, -inf
+    included, are a step of 0.
     """
-    from .engine import action_spectrum
-
     if not (len(complexes) == len(representatives) == len(step_bounds) + 1):
         raise StructuralError("family lengths are inconsistent")
     spectra = [action_spectrum(C, CONSTANCY_WINDOW) for C in complexes]
@@ -496,7 +499,8 @@ def check_local_constancy(complexes, representatives, step_bounds):
         for C, rep in zip(complexes, representatives)
     ]
     steps_ok = all(
-        abs(r2 - r1) <= b for r1, r2, b in zip(rhos, rhos[1:], step_bounds)
+        (0 if r1 == r2 else abs(r2 - r1)) <= b
+        for r1, r2, b in zip(rhos, rhos[1:], step_bounds)
     )
     forced = (
         same_spectrum

@@ -26,7 +26,7 @@ from novispec import (
     WindowTooLargeError,
 )
 from novispec import chains, engine, jsonio, linalg
-from novispec.chains import equivariant_image
+from novispec.chains import compose_matrices, entry_shifts, equivariant_image, matrix_entries
 from novispec.engine import (
     _chain_vector,
     _complex_record,
@@ -686,6 +686,46 @@ def test_queries_refuse_an_invalid_complex(name, C, cycle, code):
         assert isinstance(err.value, nv.StructuralError), query
 
 
+# validate()'s violations (code, witness, message) on each invalid complex
+_VIOLATIONS = {
+    "square": [("square", ("x", "z", (0,)), "d(d(x)) has residual 1*q[0] on z")],
+    "degree": [("degree", ("x", "y", (0,)), "entry x->y at (0,) maps degree 1 to 1")],
+    "level-increase": [("level-increase", ("x", "y", (0,)),
+                        "entry x->y at (0,) raises action 0 -> 1/2")],
+    "off-degree": [("degree", ("x", "z", ()), "entry x->z at () maps degree 1 to 2")],
+    "raise-and-degree": [("level-increase", ("a", "b", (0,)),
+                          "entry a->b at (0,) raises action 0 -> 3"),
+                         ("degree", ("a", "c", (1,)), "entry a->c at (1,) maps degree 1 to -1")],
+    "raise-flat": [("level-increase", ("a", "b", (0,)),
+                    "entry a->b at (0,) raises action 0 -> 3")],
+}
+
+
+@pytest.mark.parametrize("name, C, cycle, code", _invalid_complexes())
+def test_violation_text_is_pinned(name, C, cycle, code):
+    # the report and the refusal name the violations in these exact words
+    pinned = _VIOLATIONS[name]
+    assert [(v.code, v.witness, v.message) for v in C.validate().violations] == pinned
+    code, witness, message = pinned[0]
+    with pytest.raises(InvalidComplexError) as err:
+        nv.spectral_invariant(C, C.chain({C.generator(cycle): 1}))
+    assert str(err.value) == f"invariant:{code}: {message} (witness {witness})"
+
+
+def _reference_violations(C):
+    """(code, witness) of each violation of C's boundary, in validate()'s
+    order, decided in `Fraction`s from `entry_shifts` and one d∘d apart
+    from `FilteredComplex.boundary_check`."""
+    out = []
+    for src, dst, label, shift, dshift in entry_shifts(C.boundary_entries, C, C):
+        out += [("degree", (src, dst, label))] * (dshift != -1)
+        out += [("level-increase", (src, dst, label))] * (shift > 0)
+    square = compose_matrices(C.boundary_entries, C.boundary_entries)
+    out += [("square", (src, dst, next(iter(s.terms))))
+            for src, dst, s in matrix_entries(square) if not s.is_zero()]
+    return out
+
+
 def _nudged(rng, C):
     """C with one entry nudged: a boundary label, a base degree or a base
     action."""
@@ -714,9 +754,11 @@ def _nudged(rng, C):
 
 def test_record_refuses_exactly_the_mutants_validate_rejects():
     # one-entry mutants of the shipped complexes and of random instances:
-    # the record refuses a mutant exactly when validate() rejects it, naming
-    # its first violation; on a mutant that stays valid, the engine and the
-    # oracle agree on the carried-over representative and the base cycles
+    # validate() names the violations an independent Fraction check finds,
+    # and the record refuses a mutant exactly when validate() rejects it,
+    # naming its first violation; on a mutant that stays valid, the engine
+    # and the oracle agree on the carried-over representative and the base
+    # cycles
     rng = random.Random(19)
     sources = []
     for path in sorted((REPO / "fixtures").glob("*.json")):
@@ -731,6 +773,7 @@ def test_record_refuses_exactly_the_mutants_validate_rejects():
         for _ in range(5):
             M = _nudged(rng, C)
             report = M.validate()
+            assert [(v.code, v.witness) for v in report.violations] == _reference_violations(M)
             try:
                 _complex_record(M)
             except InvalidComplexError as err:

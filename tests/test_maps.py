@@ -219,6 +219,38 @@ def test_continuity_rejects_wrong_certificates():
         )
 
 
+def _boundary_class_complex():
+    """dx = y over the trivial group, with a free cycle z: y is a zero class."""
+    G0 = GammaGroup((), ())
+    C = nv.FilteredComplex(G0, [("x", F(1), 1), ("y", F(0), 0), ("z", F(0), 0)],
+                           {"x": {"y": mono(1, (), G0)}})
+    return C, C.chain({C.generator("y"): 1}), C.chain({C.generator("z"): 1})
+
+
+def test_continuity_of_two_zero_classes():
+    # both invariants are -inf: they agree, with no difference and no margins
+    C, y, z = _boundary_class_complex()
+    H = grid(["a"], [{"a": 0}, {"a": 0}])
+    one = nv.identity_map(C, 0)
+    report = nv.verify_continuity(C, C, one, one, H, H, y, y)
+    assert report.rho_source == report.rho_target == NEG_INF
+    assert report.ok and report.difference is None
+    assert report.lower_margin is None and report.upper_margin is None
+    assert not report.tight_lower and not report.tight_upper
+    # one zero class alone fails the check
+    for rep_H, rep_F in ((y, z), (z, y)):
+        assert not nv.verify_continuity(C, C, one, one, H, H, rep_H, rep_F).ok
+
+
+def test_local_constancy_of_a_zero_class_family():
+    C, y, z = _boundary_class_complex()
+    out = nv.check_local_constancy([C, C, C], [y, y, y], [F(1, 100), F(1, 100)])
+    assert out["rhos"] == [NEG_INF] * 3
+    assert out["steps_ok"] and out["constant"] and out["ok"]
+    out = nv.check_local_constancy([C, C], [y, z], [F(1, 100)])
+    assert not out["steps_ok"] and not out["constant"]
+
+
 # -- products -------------------------------------------------------------------
 
 

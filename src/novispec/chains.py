@@ -288,11 +288,13 @@ class ActionKeys:
 
 @dataclass(slots=True)  # built once per complex, never mutated
 class BoundaryCheck:
-    """The boundary's violations, in the order `validate` reports them, and
-    the largest action-key drop of a boundary term (0 if none)."""
+    """The boundary's violations, in the order `validate` reports them, the
+    largest action-key drop of a boundary term (0 if none), and every term
+    as a table {src orbit: [(dst, label, coeff)]} in `matrix_entries` order."""
 
     violations: tuple
     drop: int
+    table: dict
 
 
 class FilteredComplex:
@@ -368,10 +370,13 @@ class FilteredComplex:
         omega, c1 = units.omega, self.gamma.c1_values
         report = ValidationReport()
         drop = 0
+        table = {}
         for src, dst, scalar in matrix_entries(self.boundary_entries):
             (sa, sd), dd = self.orbits[src], self.orbits[dst][1]
             src_key, dst_key = units.base[src], units.base[dst]
-            for label in scalar.terms:
+            terms = table.setdefault(src, [])
+            for label, coeff in scalar.terms.items():
+                terms.append((dst, label, coeff))
                 degree = dd - 2 * sum(map(mul, c1, label))
                 key = dst_key - sum(map(mul, omega, label))
                 if degree != sd - 1:
@@ -390,7 +395,7 @@ class FilteredComplex:
                 label, coeff = next(iter(scalar.terms.items()))
                 report.add("square", (src, dst, label),
                            f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}")
-        return BoundaryCheck(tuple(report.violations), drop)
+        return BoundaryCheck(tuple(report.violations), drop, table)
 
     def validate(self, explicit_generators=None, representatives=None) -> ValidationReport:
         report = ValidationReport(list(self.boundary_check.violations))

@@ -234,8 +234,8 @@ def is_cocycle(mu: DualFunctional, degree: int) -> bool:
 
 
 def _default_dual_window(C: FilteredComplex):
-    record = _complex_record(C)
-    return record.bottom - record.pad, record.top + record.pad
+    record, denom = _complex_record(C), C.action_keys.denom
+    return Fraction(record.bottom - record.pad, denom), Fraction(record.top + record.pad, denom)
 
 
 # ---------------------------------------------------------------------------

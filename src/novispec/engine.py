@@ -24,8 +24,9 @@ than the pad can leave a finite invariant indeterminate.
 A window enumerates its generators in integers, never through a
 per-generator omega or `Fraction`: every action is an integer key over the
 complex's denominator (`FilteredComplex.action_keys`).  Per Chern number,
-`_degree_keys` reads the cap line once (`GammaGroup.cap_line`: a start cap
-and a step of positive omega); per orbit, two floor divisions give the run
+the complex's record keeps the cap line (`GammaGroup.cap_line`: a start cap
+and a step of positive omega) with its omegas as integer keys, read once by
+the first window that needs it; per orbit, two floor divisions give the run
 of steps inside (lo, hi], and each step adds integers.  The runs' lengths
 are summed before any key is built, so a window of more than
 `MAX_WINDOW_GENERATORS` generators in one degree raises
@@ -38,19 +39,27 @@ takes.  Each column's boundary terms come from a per-complex table
 sends (src, cap) to (dst, cap + label).  A target missing from the
 {(orbit, cap): row index} dict lies below the window floor, since no
 boundary term of a valid complex raises the action or misses the degree.
-The table, the default window pads and the base action keys modulo the
-period form one record per complex, kept in a small LRU cache
-(`_complex_record`), which refuses a complex that violates its
-`FilteredComplex.boundary_check`.  The queries read levels off the keys
-and bisect them for row prefixes; a `Generator` is built only for what an
-answer names, and a window's generator views only when read.
+The table (taken from `FilteredComplex.boundary_check`, whose pass walks
+every term), the cap lines, the lowest and highest base action and the
+default window pads as keys, and the base action keys modulo the period
+form one record per complex, kept in a small LRU cache (`_complex_record`), which
+refuses a complex that violates its `FilteredComplex.boundary_check`.  The
+queries read levels off the keys and bisect them for row prefixes; a
+window's bounds are each one `Fraction` of keys, a `Generator` is built
+only for what an answer names, and a window's generator views only when
+read.
 
 Complexes and chains are never mutated after construction, so a query
 state is a function of its chain.  A query state (`_Query`) holds what
 every query of one representative derives from it alone: the complex and
 cycle checks and the query bounds, computed once, and the window and the
 representative's vector on it, built on first read; the window reduces its
-columns once, lazily (`Window.reduction`).  The engine keeps one query
+columns once, lazily (`Window.reduction`).  The cycle check (`_is_cycle`)
+sums the record's table over the representative's terms into {(orbit,
+cap): coeff} and compares what survives with the precision floor in
+integer keys; it builds no chain and no `Generator`.  An invariant
+attained by the representative as it stands, unreduced and exact, returns
+the representative itself as its witness.  The engine keeps one query
 state, the last representative's (`_last_query`), matched by identity;
 a query of another representative replaces it.  The invariant, the oracle
 and every membership probe of one representative thus share one check, one
@@ -74,7 +83,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -150,15 +159,18 @@ class Window:
 
 @dataclass(frozen=True)
 class _ComplexRecord:
-    """What the windows and queries of one complex derive from its data."""
+    """What the windows and queries of one complex derive from its data;
+    every action is an integer key over the complex's denominator."""
 
-    bottom: Fraction  # lowest base action
-    top: Fraction  # highest base action
-    pad: Fraction  # half-width of the default windows
-    hi_pad: Fraction  # pad minus the period generator, above a default window's level
+    bottom: int  # lowest base action key
+    top: int  # highest base action key
+    pad: int  # half-width of the default windows
+    hi_pad: int  # pad minus the period generator, above a default window's level
     boundary: dict  # {src orbit: [(dst, label, coeff)]}: the boundary terms
     period: int  # the period generator as an action key
     residues: frozenset  # base action keys, modulo period if nonzero
+    # {Chern number: (start, omega key, step, omega key) or None}, filled on first use
+    lines: dict = field(default_factory=dict)
 
 
 @lru_cache(maxsize=4)
@@ -166,27 +178,26 @@ def _complex_record(C: FilteredComplex) -> _ComplexRecord:
     """The per-complex record, the last few cached.
 
     Refuses a complex whose `FilteredComplex.boundary_check` has a
-    violation, naming the first; reads the largest action drop off the
-    check and every key off `FilteredComplex.action_keys`.
+    violation, naming the first; reads the largest action drop and the
+    boundary table off the check and every key off
+    `FilteredComplex.action_keys`.  Each Chern number's cap line is added
+    to `lines` by the first window that reads it (`_degree_keys`).
     """
     check = C.boundary_check
     if check.violations:
         v = check.violations[0]
         raise InvalidComplexError(f"invariant:{v.code}: {v.message} (witness {v.witness})")
     units = C.action_keys
-    boundary = {src: [(dst, label, coeff) for dst, scalar in sorted(row.items())
-                      for label, coeff in scalar.terms.items()]
-                for src, row in sorted(C.boundary_entries.items())}
     bases = units.base.values()
     bottom, top = min(bases, default=0), max(bases, default=0)
     period = math.gcd(*units.omega)
     span = 2 * check.drop + 2 * period + (top - bottom) + units.denom
     return _ComplexRecord(
-        Fraction(bottom, units.denom),
-        Fraction(top, units.denom),
-        Fraction(span + period, units.denom),
-        Fraction(span, units.denom),
-        boundary,
+        bottom,
+        top,
+        span + period,
+        span,
+        check.table,
         period,
         frozenset(k % period for k in bases) if period else frozenset(bases),
     )
@@ -205,12 +216,11 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
     key is built: more than `MAX_WINDOW_GENERATORS` in all raises
     `WindowTooLargeError`.
     """
-    _complex_record(C)  # refuses an invalid complex
+    lines = _complex_record(C).lines  # the record refuses an invalid complex
     units = C.action_keys
     # actions as integer keys over denom: lo < key / denom <= hi
     lo_key = lo.numerator * units.denom // lo.denominator
     hi_key = hi.numerator * units.denom // hi.denominator
-    lines = {}
     runs = []  # per orbit, lazily: keys ascending in -key
     total = 0
     for orbit, (_, bdeg) in C.orbits.items():
@@ -345,11 +355,34 @@ class SpectralResult:
 
 
 def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
+    """(lo, hi): the record's pads below and above the level of `rep` (the
+    top base action for the zero chain), each one `Fraction` of integer keys."""
     record = _complex_record(C)
+    denom = C.action_keys.denom
     lam = rep.level()
-    if lam == NEG_INF:
-        lam = record.top
-    return lam - record.pad, lam + record.hi_pad
+    key = record.top if lam == NEG_INF else lam.numerator * (denom // lam.denominator)
+    return Fraction(key - record.pad, denom), Fraction(key + record.hi_pad, denom)
+
+
+def _is_cycle(C: FilteredComplex, rep: NovikovChain) -> bool:
+    """Does the boundary of `rep` vanish above its precision floor?
+
+    The record's boundary terms of every term of `rep` are summed into
+    {(orbit, cap): coeff}; a term left by the sum is kept exactly when its
+    action key lies above the floor's, as `FilteredComplex.boundary` keeps it.
+    """
+    table = _complex_record(C).boundary
+    image = linalg.add_terms({}, (((dst, vec_add(g.cap, label)), c * coeff)
+                                  for g, c in rep.terms.items()
+                                  for dst, label, coeff in table.get(g.orbit, ())))
+    floor = rep.floor
+    if not image or floor is None:
+        return not image
+    units = C.action_keys
+    omega, base = units.omega, units.base
+    # an integer key lies above floor * denom exactly when it lies above its floor
+    floor_key = floor.numerator * units.denom // floor.denominator
+    return all(base[dst] - sum(map(mul, omega, cap)) <= floor_key for dst, cap in image)
 
 
 class _Query:
@@ -367,7 +400,7 @@ class _Query:
 
     def __init__(self, C: FilteredComplex, rep: NovikovChain):
         lo, hi = default_window_bounds(C, rep)
-        if not C.boundary(rep).is_zero():
+        if not _is_cycle(C, rep):
             raise DomainError("representative is not a cycle")
         self.rep = rep
         self.bounds = None if rep.is_zero() else (
@@ -414,6 +447,9 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
     floor; no lower floor is ever tried.  A class that vanishes above the
     floor is indeterminate, with the interval (-inf, floor); a
     representative with no terms above it raises `IndeterminateError`.
+    When the representative's own level is the answer (an empty trace) and
+    nothing was dropped, truncated or floored, the witness is the
+    representative itself; otherwise it is a new chain.
     """
     rep = representative
     q = _query(C, rep)
@@ -440,7 +476,10 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
         constraint_rows = bisect_right(keys, neg_key, key=_NEG_KEY)
         r = reduction.reduce(v, constraint_rows)
         if r and min(r) < constraint_rows:
-            witness = C.chain({window.generator(i): c for i, c in v.items()}, result_floor)
+            if trace or inexact:
+                witness = C.chain({window.generator(i): c for i, c in v.items()}, result_floor)
+            else:  # unreduced and exact: the representative is its own witness
+                witness = rep
             stratum = [i for i in sorted(v) if i < constraint_rows]
             cert = {
                 "level": level,

@@ -36,7 +36,7 @@ from novispec.engine import (
     build_window,
     default_window_bounds,
 )
-from novispec.fixtures import BUILTIN_FIXTURES, calibration, random_instance, sphere
+from novispec.fixtures import BUILTIN_FIXTURES, calibration, random_chain, random_instance, sphere
 
 REPO = Path(__file__).resolve().parents[1]
 G1 = GammaGroup((F(1),), (2,))
@@ -1068,22 +1068,61 @@ def test_query_state_interleaves_past_its_bound():
         del copy
 
 
+def test_cycle_check_matches_the_boundary():
+    # the query's cycle check sums the record's boundary table in integer
+    # keys; it accepts exactly the chains whose `FilteredComplex.boundary`
+    # vanishes, also with a floor exactly at an image term's action (the
+    # term drops) and 1/97 either side of it
+    rng = random.Random(23)
+    sources = []
+    for path in sorted((REPO / "fixtures").glob("*.json")):
+        raw = jsonio.load_json(path)
+        if "orbits" in raw:
+            C = jsonio.complex_from_json(raw)
+            reps = [jsonio.chain_from_json(r, C) for r in raw.get("representatives", {}).values()]
+            sources.append((C, reps))
+    for make in BUILTIN_FIXTURES.values():
+        fix = make()
+        C = fix.build(min(F(1, 8), fix.max_eps))
+        sources.append((C, [C.chain([(C.generator(point), F(pc)) for pc, point in chain])
+                            for chain in fix.pd_chains.values()]))
+    for seed in range(40):
+        inst = random_instance(seed, max_orbits=6 if seed % 2 else 12)
+        sources.append((inst.complex, [inst.representative]))
+    outcomes = Counter()
+    for C, reps in sources:
+        degrees = sorted({d for _, d in C.orbits.values()})
+        chains_ = reps + [random_chain(rng, C, rng.choice(degrees)) for _ in range(12)]
+        for chain in chains_:
+            actions = {g.action for g in C.boundary(C.chain(chain.terms)).terms}
+            floors = {None} | {a + d for a in actions for d in (0, F(1, 97), -F(1, 97))}
+            for floor in sorted(floors, key=lambda f: (f is not None, f)):
+                floored = C.chain(chain.terms, floor)
+                expected = C.boundary(floored).is_zero()
+                assert engine._is_cycle(C, floored) == expected, (chain, floor)
+                outcomes[expected, floor is None] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
 def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     # a timing-free guard on the query state: the invariant, the oracle and
     # any number of probes of one representative build one window, one
-    # reduction and check the cycle once; the oracle builds no window, and a
-    # probe above the representative's level does not walk the reduction
+    # reduction and check the cycle once, on the record's boundary table:
+    # no `FilteredComplex.boundary`, no equivariant image, and one cap line
+    # per (complex, Chern number); the oracle builds no window, a probe above
+    # the representative's level does not walk the reduction, and an
+    # invariant attained as the representative stands returns it as its
+    # witness and builds no chain
     counts = Counter()
-    boundary, reduce = nv.FilteredComplex.boundary, linalg.Reduction.reduce
-    build = engine.build_window
+    lines = Counter()  # cap_line calls per (group, Chern number)
+    reduce, cap_line = linalg.Reduction.reduce, nv.GammaGroup.cap_line
+    chain_init = chains.NovikovChain.__init__
 
-    def counted_build(*args):
-        counts["build_window"] += 1
-        return build(*args)
-
-    def counted_boundary(self, chain):
-        counts["boundary"] += 1
-        return boundary(self, chain)
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return counted
 
     class CountedReduction(linalg.Reduction):
         def __init__(self, columns):
@@ -1094,11 +1133,22 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
         counts["reduce"] += 1
         return reduce(self, b, k)
 
-    monkeypatch.setattr(engine, "build_window", counted_build)
-    monkeypatch.setattr(nv.FilteredComplex, "boundary", counted_boundary)
+    def counted_cap_line(self, c1):
+        lines[id(self), c1] += 1
+        return cap_line(self, c1)
+
+    image = counting("equivariant_image", chains.equivariant_image)
+    monkeypatch.setattr(chains, "equivariant_image", image)
+    monkeypatch.setattr(engine, "equivariant_image", image, raising=False)
+    monkeypatch.setattr(engine, "build_window", counting("build_window", engine.build_window))
+    monkeypatch.setattr(engine, "_is_cycle", counting("cycle", engine._is_cycle))
+    monkeypatch.setattr(nv.FilteredComplex, "boundary",
+                        counting("boundary", nv.FilteredComplex.boundary))
+    monkeypatch.setattr(chains.NovikovChain, "__init__", counting("NovikovChain", chain_init))
+    monkeypatch.setattr(nv.GammaGroup, "cap_line", counted_cap_line)
     monkeypatch.setattr(linalg, "Reduction", CountedReduction)
     monkeypatch.setattr(linalg.Reduction, "reduce", counted_reduce)
-    checked = 0
+    checked = own = 0
     for seed in range(100):
         inst = _nonzero_instance(seed)
         C, rep = inst.complex, inst.representative
@@ -1106,31 +1156,47 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
         above = [lam for lam in lams if lam > rep.level()]
         _clear_caches()
         counts.clear()
+        lines.clear()
         # a probe above the level, first: the window is built, not reduced
         assert nv.image_membership(C, rep, above[0]) is True
-        assert counts["Reduction"] == 0 and counts["boundary"] == 1
+        assert counts["Reduction"] == 0 and counts["cycle"] == 1
         assert counts["build_window"] == 1
+        assert max(lines.values()) == 1, (seed, lines)
         _clear_caches()
         counts.clear()
+        lines.clear()
         nv.oracle_rho(C, rep)
         assert counts["build_window"] == 0
-        rho = nv.spectral_invariant(C, rep).rho
+        r = nv.spectral_invariant(C, rep)
+        chains_built = counts["NovikovChain"]
         walks = counts["reduce"]
         for lam in lams:
-            assert nv.image_membership(C, rep, lam) == (rho < lam), (seed, lam)
+            assert nv.image_membership(C, rep, lam) == (r.rho < lam), (seed, lam)
         assert counts["build_window"] == 1
-        assert counts["Reduction"] == 1 and counts["boundary"] == 1, (seed, counts)
+        assert counts["Reduction"] == 1 and counts["cycle"] == 1, (seed, counts)
+        assert counts["boundary"] == counts["equivariant_image"] == 0, (seed, counts)
+        assert max(lines.values()) == 1, (seed, lines)
         assert counts["reduce"] - walks == len(lams) - len(above), seed
         checked += len(above) > 0 and len(above) < len(lams)
-    assert checked >= 90
+        q = engine._last_query
+        exact = not (q.window().truncated or q.vector()[1] or rep.floor is not None)
+        if r.spectrality == "attained" and not r.reduced_trace and exact:
+            assert r.witness is rep and chains_built == 0, (seed, counts)
+            own += 1
+        else:
+            assert r.witness is not rep, seed
+    assert checked >= 90 and own >= 50, (checked, own)
     # the engine keeps the last representative's query state only: A, B,
-    # then A again builds A's window a second time, with the same answer
+    # then A again builds A's window a second time, with the same answer,
+    # but reads its cap lines off A's cached record
     a, b = _nonzero_instance(3), _nonzero_instance(8)
     _clear_caches()
     counts.clear()
+    lines.clear()
     answers = [_outcome(nv.spectral_invariant, inst.complex, inst.representative)
                for inst in (a, b, a)]
     assert counts["build_window"] == 3 and answers[2] == answers[0]
+    assert max(lines.values()) == 1, lines
 
 
 def test_oracle_builds_one_generator_and_no_window(monkeypatch):

@@ -70,6 +70,29 @@ def test_shipped_fixture_files_match_generator():
         assert blob == json.loads(json.dumps(obj)), name
 
 
+ANSWERS_DIGEST = {
+    "rho": "a22b76c29ed552d077a4d3491c8ca7a4ad1d7d367019e1a1739035b70b41df67",
+    "witness": "550dd4f7120d29ddbf81f752a389e333e44a5055c0d134642fa3c0672029e640",
+    "trace": "04c7ea00019b4c133cd31665910e6f7a64b253477f0207d2c5b476a902188899",
+    "spectrality": "ee118a4b74f19a58847f213ecad7c5c5eb66888d8743736655a8763c76e96da1",
+    "attained_at": "55743b5e5843795d31babd80d8ed4d06b2ae98ab6f682993635b6f3ede27d9c2",
+    "certificate": "aa888d5f7b9023d0efa4a9640d3b937ba33083f6b3bd8c201cb99fb7afebb2c1",
+    "oracle": "a22b76c29ed552d077a4d3491c8ca7a4ad1d7d367019e1a1739035b70b41df67",
+    "probes": "c395cdd98e7490b619fac68ea0f358b38677b0db992d75009c1295aa0ffbc178",
+}
+
+
+def test_answers_digest_pinned():
+    # every answer on the random corpus of tools/answers_digest.py, per
+    # field: a change that moves one names the field it moved
+    spec = importlib.util.spec_from_file_location(
+        "answers_digest", REPO / "tools" / "answers_digest.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.digest() == ANSWERS_DIGEST
+
+
 def test_chain_and_functional_roundtrip():
     fix = sphere()
     C = fix.build(F(1, 8))

@@ -26,6 +26,14 @@ a chain's floor is the package's only precision floor; `merge_floor` joins
 two of them.  The level of a chain is the maximal action of
 its support; the peak is the generator attaining it.  Terms are kept in
 descending action, ties broken by (orbit, cap), so `level()` reads the first.
+
+The public `NovikovChain` constructor checks its input: it converts the
+coefficients, sums repeated generators, rejects mixed degrees, applies the
+floor and sorts.  The package's own chain algebra trusts what it builds
+from chains that were checked already: `+` and `-` check the complexes and
+the two degrees once and sort the summed terms, while `scale` and `shift`
+keep their chain's order (a shift moves every action and every cap alike).
+Each passes its terms to `NovikovChain._ordered`, which checks nothing.
 """
 
 from __future__ import annotations
@@ -84,7 +92,16 @@ class NovikovChain:
         self.complex = complex
         self.floor = None if floor is None else Fraction(floor)
         items = terms.items() if isinstance(terms, dict) else (terms or [])
-        clean = add_terms({}, ((g, c if type(c) is Fraction else Fraction(c)) for g, c in items))
+        clean = {}
+        for g, c in items:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            s = clean.get(g)
+            s = c if s is None else s + c
+            if s:
+                clean[g] = s
+            else:
+                clean.pop(g, None)
         degree = None
         for gen in clean:
             if degree is None:
@@ -95,11 +112,17 @@ class NovikovChain:
                 )
         if self.floor is not None:
             clean = {g: c for g, c in clean.items() if g.action > self.floor}
-        # (-action, orbit, cap) order: stable descending action over (orbit, cap)
-        gens = sorted(clean, key=attrgetter("orbit", "cap"))
-        gens.sort(key=attrgetter("action"), reverse=True)
-        self.terms = {g: clean[g] for g in gens}
+        self.terms = _chain_order(clean)
         self.degree = degree if self.terms else None
+
+    @classmethod
+    def _ordered(cls, complex, terms, floor, degree) -> "NovikovChain":
+        """A chain over `terms` as given: summed, nonzero, above `floor` (a
+        `Fraction` or None), of one `degree` and already in chain order."""
+        chain = object.__new__(cls)
+        chain.complex, chain.terms, chain.floor = complex, terms, floor
+        chain.degree = degree if terms else None
+        return chain
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -127,17 +150,25 @@ class NovikovChain:
     def _plus(self, other, pairs) -> "NovikovChain":
         if self.complex is not other.complex:
             raise StructuralError("chains live in different complexes")
-        return NovikovChain(self.complex, [*self.terms.items(), *pairs],
-                            merge_floor(self.floor, other.floor))
+        # homogeneous chains: terms of two degrees never cancel
+        if self.terms and other.terms and self.degree != other.degree:
+            raise StructuralError(
+                f"mixed degrees {self.degree} and {other.degree} in one chain"
+            )
+        floor = merge_floor(self.floor, other.floor)
+        terms = add_terms(dict(self.terms), pairs)
+        if floor is not None:
+            terms = {g: c for g, c in terms.items() if g.action > floor}
+        return NovikovChain._ordered(self.complex, _chain_order(terms), floor,
+                                     self.degree if self.terms else other.degree)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, rational) -> "NovikovChain":
         r = Fraction(rational)
-        return NovikovChain(
-            self.complex, {g: r * c for g, c in self.terms.items()}, self.floor
-        )
+        terms = {g: r * c for g, c in self.terms.items()} if r else {}
+        return NovikovChain._ordered(self.complex, terms, self.floor, self.degree)
 
     def level(self):
         if not self.terms:
@@ -145,16 +176,28 @@ class NovikovChain:
         return next(iter(self.terms)).action
 
     def shift(self, cap: GammaElement) -> "NovikovChain":
-        """Glue `cap` onto every generator (deck transformation)."""
+        """Glue `cap` onto every generator (deck transformation).
+
+        Every action moves by -omega(cap), and adding one vector to every
+        cap keeps their order, so the terms stay in chain order and above
+        the equally moved floor.
+        """
         C = self.complex
+        cap = C.gamma.check_element(cap)
         floor = self.floor
         if floor is not None:
             floor = floor - C.gamma.omega(cap)
-        return NovikovChain(
-            C,
-            {C.generator(g.orbit, vec_add(g.cap, cap)): c for g, c in self.terms.items()},
-            floor,
-        )
+        terms = {C.generator(g.orbit, vec_add(g.cap, cap)): c for g, c in self.terms.items()}
+        degree = None if self.degree is None else self.degree - 2 * C.gamma.c1(cap)
+        return NovikovChain._ordered(C, terms, floor, degree)
+
+
+def _chain_order(terms: dict) -> dict:
+    """`terms` in descending action, ties by (orbit, cap)."""
+    # two stable sorts: descending action over ascending (orbit, cap)
+    gens = sorted(terms, key=attrgetter("orbit", "cap"))
+    gens.sort(key=attrgetter("action"), reverse=True)
+    return {g: terms[g] for g in gens}
 
 
 def equivariant_image(matrix, terms, target: "FilteredComplex") -> dict:
@@ -326,13 +369,13 @@ class FilteredComplex:
     def generator(self, orbit: str, cap: GammaElement | None = None) -> Generator:
         if orbit not in self.orbits:
             raise StructuralError(f"unknown orbit {orbit!r}")
-        cap = self.gamma.zero if cap is None else self.gamma.check_element(cap)
-        action, degree = self.orbits[orbit]
+        gamma, keys = self.gamma, self.action_keys
+        cap = gamma.zero if cap is None else gamma.check_element(cap)
         return Generator(
             orbit,
             cap,
-            action - self.gamma.omega(cap),
-            degree - 2 * self.gamma.c1(cap),
+            Fraction(keys.base[orbit] - sum(map(mul, keys.omega, cap)), keys.denom),
+            self.orbits[orbit][1] - 2 * sum(map(mul, gamma.c1_values, cap)),
         )
 
     def chain(self, terms=None, floor=None) -> NovikovChain:

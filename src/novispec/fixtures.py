@@ -388,14 +388,19 @@ def random_instance(seed: int, max_orbits: int = 6, gamma_window: int = 3) -> Ra
     return RandomInstance(C, rep, expected, degree, seed)
 
 
+# n/d for the coefficient draws of `random_scalar` and `random_chain`
+_FRACTIONS = {(n, d): Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)}
+
+
 def random_scalar(rng: random.Random, gamma: GammaGroup, direction):
     """Exact random scalar: at most 4 terms, exponent coordinates in [-3, 3]."""
     terms = add_terms({}, (
         (tuple(rng.randint(-3, 3) for _ in range(gamma.rank)),
-         Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])))
+         _FRACTIONS[rng.randint(-6, 6), rng.choice([1, 2, 3])])
         for _ in range(rng.randint(0, 4))
     ))
-    return NovikovScalar(gamma, direction, terms)
+    # integer labels of the group's rank and nonzero coefficients
+    return NovikovScalar._checked(gamma, direction, terms)
 
 
 @dataclass
@@ -560,7 +565,7 @@ def random_chain(rng: random.Random, C: FilteredComplex, degree):
     if not candidates:
         return C.chain()
     return C.chain([
-        (rng.choice(candidates), Fraction(rng.randint(-5, 5), rng.choice([1, 2])))
+        (rng.choice(candidates), _FRACTIONS[rng.randint(-5, 5), rng.choice([1, 2])])
         for _ in range(rng.randint(1, 4))
     ])
 

@@ -7,15 +7,24 @@ ring a label A names the term written q^(-A).
 
 Valuations follow the two ring conventions: downward v = max omega(B) over
 the support, upward v = min omega(-A) = -max omega(A); the zero scalar gets
--infinity / +infinity respectively.
+-infinity / +infinity respectively.  Both compare omega in integer units
+(`GammaGroup.omega_units`) and build one `Fraction` for the answer.
+
+The public `NovikovScalar` constructor checks its input: the direction,
+each label against the group, each coefficient, and duplicate labels.
+Sums, negations and products of checked scalars, and the random scalars of
+`fixtures`, already have valid labels and nonzero coefficients, so they
+go through `NovikovScalar._checked`, which only puts the terms in label
+order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError, StructuralError
-from .gamma import GammaGroup, vec_add, vec_neg
+from .gamma import GammaGroup, vec_add
 from .linalg import add_terms
 
 DOWN = "downward"
@@ -43,6 +52,15 @@ class NovikovScalar:
                 raise StructuralError(f"duplicate exponent {label}")
             clean[label] = coeff
         self.terms = dict(sorted(clean.items()))
+
+    @classmethod
+    def _checked(cls, group, direction, terms) -> "NovikovScalar":
+        """A scalar over `terms` as given: a {label: coeff} dict of checked
+        labels and nonzero `Fraction`s, put in label order."""
+        scalar = object.__new__(cls)
+        scalar.group, scalar.direction = group, direction
+        scalar.terms = dict(sorted(terms.items()))
+        return scalar
 
     # -- constructors -------------------------------------------------------
 
@@ -91,10 +109,10 @@ class NovikovScalar:
     def __add__(self, other: "NovikovScalar") -> "NovikovScalar":
         self._check_compatible(other)
         terms = add_terms(dict(self.terms), other.terms.items())
-        return NovikovScalar(self.group, self.direction, terms)
+        return NovikovScalar._checked(self.group, self.direction, terms)
 
     def __neg__(self) -> "NovikovScalar":
-        return NovikovScalar(
+        return NovikovScalar._checked(
             self.group, self.direction, {l: -c for l, c in self.terms.items()}
         )
 
@@ -107,7 +125,7 @@ class NovikovScalar:
             (vec_add(la, lb), ca * cb)
             for la, ca in self.terms.items() for lb, cb in other.terms.items()
         ))
-        return NovikovScalar(self.group, self.direction, terms)
+        return NovikovScalar._checked(self.group, self.direction, terms)
 
     def scale(self, rational) -> "NovikovScalar":
         r = Fraction(rational)
@@ -121,19 +139,19 @@ class NovikovScalar:
         """Downward: max omega(B); upward: min omega(-A).  Zero: -inf / +inf."""
         if not self.terms:
             return NEG_INF if self.direction == DOWN else POS_INF
-        if self.direction == DOWN:
-            return max(self.group.omega(l) for l in self.terms)
-        return min(self.group.omega(vec_neg(l)) for l in self.terms)
+        units, denom = self.group.omega_units()
+        top = max(sum(map(mul, units, l)) for l in self.terms)
+        return Fraction(top if self.direction == DOWN else -top, denom)
 
     def leading(self):
         """(label, coefficient) attaining the valuation; error on ties."""
         if not self.terms:
             raise DomainError("zero scalar has no leading term")
-        v = self.valuation()
-        if self.direction == DOWN:
-            hits = [l for l in self.terms if self.group.omega(l) == v]
-        else:
-            hits = [l for l in self.terms if self.group.omega(vec_neg(l)) == v]
+        # in both directions the labels of the largest omega attain it
+        units, _ = self.group.omega_units()
+        keys = {l: sum(map(mul, units, l)) for l in self.terms}
+        top = max(keys.values())
+        hits = [l for l, k in keys.items() if k == top]
         if len(hits) != 1:
             raise DomainError(f"leading term is ambiguous among {hits}")
         return hits[0], self.terms[hits[0]]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,8 @@ from novispec import (
     NovikovScalar,
     StructuralError,
 )
-from novispec.fixtures import random_chain, random_instance, sphere
+from novispec.chains import equivariant_image, merge_floor
+from novispec.fixtures import calibration, random_chain, random_instance, sphere
 
 G1 = GammaGroup((F(1),), (2,))
 
@@ -328,3 +330,67 @@ def test_subtraction_is_addition_of_the_negative():
     other = two_generator_complex()
     with pytest.raises(StructuralError, match="different complexes"):
         x - other.chain({other.generator("hi"): 1})
+
+
+def _same_chain(got, ref):
+    """Terms in order (dict equality ignores it), floor and degree."""
+    assert list(got.terms.items()) == list(ref.terms.items())
+    assert got.floor == ref.floor and got.degree == ref.degree
+    assert got.complex is ref.complex
+
+
+def test_chain_operations_equal_the_public_constructor():
+    # +, -, negation, scaling, shifting and the boundary build their results
+    # without the public constructor's checks; each must be the chain that
+    # the public constructor gives on the same terms and floor
+    rng = random.Random(26)
+    complexes = [calibration().build(F(1, 8))]
+    complexes += [random_instance(seed).complex for seed in range(20)]
+    seen = Counter()
+    for C in complexes:
+        caps = [C.gamma.zero, tuple(range(1, C.gamma.rank + 1)),
+                tuple(-x for x in range(1, C.gamma.rank + 1))]
+        degrees = sorted({d for _, d in C.orbits.values()})
+        for degree in degrees:
+            for _ in range(4):
+                a = random_chain(rng, C, degree)
+                b = random_chain(rng, C, rng.choice(degrees))
+                for floor in [None] + [g.action + s for g in list(a.terms)[:2]
+                                       for s in (F(1, 97), F(-1, 97))]:
+                    a_f = nv.NovikovChain(C, list(a.terms.items()), floor)
+                    b_f = nv.NovikovChain(C, list(b.terms.items()), rng.choice([None, floor]))
+                    floor_ab = merge_floor(a_f.floor, b_f.floor)
+                    cases = [
+                        (lambda: a_f + b_f, [*a_f.terms.items(), *b_f.terms.items()], floor_ab),
+                        (lambda: a_f - b_f,
+                         [*a_f.terms.items(), *((g, -c) for g, c in b_f.terms.items())], floor_ab),
+                        (lambda: -a_f, [(g, -c) for g, c in a_f.terms.items()], a_f.floor),
+                        (lambda: C.boundary(a_f),
+                         list(equivariant_image(C.boundary_entries, a_f.terms, C).items()),
+                         a_f.floor),
+                    ]
+                    for r in (F(0), F(-1), F(3, 7)):
+                        cases.append((lambda r=r: a_f.scale(r),
+                                      [(g, r * c) for g, c in a_f.terms.items()], a_f.floor))
+                    for cap in caps:
+                        moved = None if a_f.floor is None else a_f.floor - C.gamma.omega(cap)
+                        cases.append((lambda cap=cap: a_f.shift(cap),
+                                      [(C.generator(g.orbit, tuple(x + y for x, y in zip(g.cap, cap))), c)
+                                       for g, c in a_f.terms.items()], moved))
+                    for build, pairs, ref_floor in cases:
+                        try:
+                            ref = nv.NovikovChain(C, pairs, ref_floor)
+                        except StructuralError as exc:
+                            # only a sum of two degrees fails, with the same message
+                            with pytest.raises(StructuralError) as got:
+                                build()
+                            assert str(got.value) == str(exc)
+                            seen["mixed"] += 1
+                            continue
+                        _same_chain(build(), ref)
+                        seen["floored" if ref_floor is not None else "exact"] += 1
+                        seen["nonzero"] += not ref.is_zero()
+                    # floors that drop a term of `a`
+                    seen["cut"] += floor is not None and len(a_f.terms) < len(a.terms)
+    assert seen["mixed"] >= 200 and seen["cut"] >= 200
+    assert min(seen["floored"], seen["exact"], seen["nonzero"]) >= 1000

@@ -403,3 +403,16 @@ def test_non_cocycle_rejected():
     assert not nv.dual_boundary(mu).is_zero()
     with pytest.raises(DomainError):
         nv.dual_spectral_invariant(C, mu, 0)
+
+
+def test_intersection_radius_requires_both_balls():
+    # a base point in exactly one of the two balls is refused either way round
+    _, C = cz_complex()
+    alpha = C.chain({C.generator("top"): 1}, None)
+    near = BallSpec(alpha + C.chain({C.generator("top", (1,)): 1}, None), F(1, 2))
+    far = BallSpec(alpha + C.chain({C.generator("top", (-3,)): 1}, None), F(1, 2))
+    assert nv.in_ball(alpha, near) and not nv.in_ball(alpha, far)
+    assert nv.ball_intersection_radius(near, near, alpha) == F(1, 2)
+    for b1, b2 in ((near, far), (far, near)):
+        with pytest.raises(DomainError, match="not in the intersection"):
+            nv.ball_intersection_radius(b1, b2, alpha)

@@ -1247,3 +1247,25 @@ def test_oracle_builds_one_generator_and_no_window(monkeypatch):
                 assert counts["generator"] == (rho != NEG_INF), (seed, rho, counts)
             outcomes["raise" if rho is None else rho == NEG_INF] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 100 and outcomes["raise"] >= 5, outcomes
+
+
+def test_valuation_bounds_hypothesis_boundary():
+    # the hypothesis eps * (max f - min f) < gap / 2 fails at equality and
+    # holds just below it; f shifted up by one keeps the spread, not max + min
+    fix = calibration()
+    shifted = nv.MorseData(fix.morse.dim, [(p, v + 1, i) for p, v, i in fix.morse.points],
+                           fix.morse.boundary, fix.morse.betti)
+    checked = 0
+    for morse in (fix.morse, shifted):
+        spread = morse.max_value() - morse.min_value()
+        assert spread == 1
+        for a in fix.shipped_classes:
+            gap = nv.leading_data(a).gap
+            edge = F(gap) / 2 / spread
+            at = nv.check_valuation_bounds(morse, edge, a, fix.gamma, fix.pd_chains)
+            assert not at.hypothesis_ok and at.rho is None
+            below = nv.check_valuation_bounds(morse, edge - F(1, 1000), a, fix.gamma,
+                                              fix.pd_chains)
+            assert below.hypothesis_ok and below.rho is not None
+            checked += 1
+    assert checked == 6

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from novispec import (
     UP,
     NEG_INF,
     POS_INF,
+    DomainError,
     GammaGroup,
     NovikovScalar,
     StructuralError,
@@ -140,3 +142,69 @@ def test_add_commutative_associative_negate_involution():
 def test_leading_term():
     a = mono(DOWN, 2, (1, 0)) + mono(DOWN, 5, (-3, 0))
     assert a.leading() == ((1, 0), F(2))
+
+
+def _reference(group, direction, pairs):
+    """The public constructor on (label, coeff) pairs summed in the test."""
+    summed = {}
+    for label, coeff in pairs:
+        summed[label] = summed.get(label, F(0)) + coeff
+    return NovikovScalar(group, direction, list(summed.items()))
+
+
+def _old_valuation(x):
+    """The valuation in `Fraction`s, as defined before integer keys."""
+    if not x.terms:
+        return NEG_INF if x.direction == DOWN else POS_INF
+    if x.direction == DOWN:
+        return max(x.group.omega(l) for l in x.terms)
+    return min(x.group.omega(tuple(-c for c in l)) for l in x.terms)
+
+
+def _old_leading(x):
+    v = _old_valuation(x)
+    sign = 1 if x.direction == DOWN else -1
+    hits = [l for l in x.terms if sign * x.group.omega(l) == v]
+    if len(hits) != 1:
+        raise DomainError(f"leading term is ambiguous among {hits}")
+    return hits[0], x.terms[hits[0]]
+
+
+def test_checked_ops_and_integer_valuations_match_the_public_constructor():
+    rng = random.Random(26)
+    outcomes = Counter()
+    for group in (R1, G):
+        for d in (DOWN, UP):
+            pool = [NovikovScalar.zero(group, d)]
+            pool += [random_scalar(rng, group, d) for _ in range(60)]
+            for x in pool:
+                assert x.terms == _reference(group, d, x.terms.items()).terms
+                assert x.valuation() == _old_valuation(x)
+                if x.is_zero():
+                    with pytest.raises(DomainError, match="zero scalar"):
+                        x.leading()
+                    continue
+                try:
+                    expected = _old_leading(x)
+                except DomainError as exc:
+                    with pytest.raises(DomainError) as got:
+                        x.leading()
+                    assert str(got.value) == str(exc)
+                    outcomes[group.rank, "tie"] += 1
+                else:
+                    assert x.leading() == expected
+                    outcomes[group.rank, "leading"] += 1
+            for x, y in zip(pool, pool[1:] + pool[:1]):
+                negated = [(l, -c) for l, c in x.terms.items()]
+                product = [(tuple(a + b for a, b in zip(la, lb)), ca * cb)
+                           for la, ca in x.terms.items() for lb, cb in y.terms.items()]
+                for got, pairs in ((x + y, [*x.terms.items(), *y.terms.items()]),
+                                   (-x, negated), (x * y, product),
+                                   (x + (-x), [*x.terms.items(), *negated])):
+                    ref = _reference(group, d, pairs)
+                    assert list(got.terms.items()) == list(ref.terms.items())
+                    assert hash(got) == hash(ref) and got == ref
+                    assert (got.group, got.direction) == (group, d)
+    # rank 2 has tied omegas among distinct labels, rank 1 none
+    assert outcomes[2, "tie"] > 0 and outcomes[2, "leading"] > 0
+    assert outcomes[1, "leading"] > 0 and outcomes[1, "tie"] == 0

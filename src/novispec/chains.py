@@ -60,16 +60,21 @@ class Generator:
     """A capped orbit with its derived action and degree.
 
     Equality compares every field; the hash reads only (orbit, cap), which
-    determine the rest, so it never hashes the `Fraction` action.
+    determine the rest, so it never hashes the `Fraction` action.  It is
+    computed once, at construction.
     """
 
     orbit: str
     cap: GammaElement
     action: Fraction
     degree: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.orbit, self.cap)))
 
     def __hash__(self):
-        return hash((self.orbit, self.cap))
+        return self._hash
 
 
 class NovikovChain:
@@ -333,7 +338,11 @@ class ActionKeys:
 class BoundaryCheck:
     """The boundary's violations, in the order `validate` reports them, the
     largest action-key drop of a boundary term (0 if none), and every term
-    as a table {src orbit: [(dst, label, coeff)]} in `matrix_entries` order."""
+    as a table {src orbit: [(dst, drop, coeff)]} in `matrix_entries` order.
+
+    A term's drop is how far it lowers the action key: base key(src) -
+    base key(dst) + omega key(label).  The term sends the generator of
+    -action key k to the generator of dst in -action key k + drop."""
 
     violations: tuple
     drop: int
@@ -385,12 +394,22 @@ class FilteredComplex:
     # -- boundary ------------------------------------------------------------
 
     def boundary(self, chain: NovikovChain) -> NovikovChain:
+        """The boundary of `chain`, with its floor.
+
+        On a complex whose `boundary_check` finds no violation every image
+        term has the chain's degree minus one, so the image is only floored
+        and sorted; otherwise the public constructor checks its degrees.
+        """
         if chain.complex is not self:
             raise StructuralError("chain does not live in this complex")
-        return NovikovChain(
-            self, equivariant_image(self.boundary_entries, chain.terms, self),
-            chain.floor,
-        )
+        image = equivariant_image(self.boundary_entries, chain.terms, self)
+        if self.boundary_check.violations:
+            return NovikovChain(self, image, chain.floor)
+        floor = chain.floor
+        if floor is not None:
+            image = {g: c for g, c in image.items() if g.action > floor}
+        degree = None if chain.degree is None else chain.degree - 1
+        return NovikovChain._ordered(self, _chain_order(image), floor, degree)
 
     # -- validation -----------------------------------------------------------
 
@@ -407,38 +426,46 @@ class FilteredComplex:
     @cached_property
     def boundary_check(self) -> BoundaryCheck:
         """Per term in `matrix_entries` order its `degree`, then `level-increase`
-        violation, then the `square` residuals of d∘d.  The term at `label` from
-        src to dst has action key key(dst) - omega key(label), degree deg(dst) - 2 c1(label)."""
+        violation, then the `square` residuals of d∘d, each named by its
+        smallest label.  The term at `label` from src to dst has action key
+        key(dst) - omega key(label), degree deg(dst) - 2 c1(label)."""
+        entries = self.boundary_entries
         units = self.action_keys
         omega, c1 = units.omega, self.gamma.c1_values
         report = ValidationReport()
-        drop = 0
+        largest = 0
         table = {}
-        for src, dst, scalar in matrix_entries(self.boundary_entries):
+        for src, dst, scalar in matrix_entries(entries):
             (sa, sd), dd = self.orbits[src], self.orbits[dst][1]
-            src_key, dst_key = units.base[src], units.base[dst]
+            shift = units.base[src] - units.base[dst]
             terms = table.setdefault(src, [])
             for label, coeff in scalar.terms.items():
-                terms.append((dst, label, coeff))
                 degree = dd - 2 * sum(map(mul, c1, label))
-                key = dst_key - sum(map(mul, omega, label))
+                drop = shift + sum(map(mul, omega, label))
                 if degree != sd - 1:
                     report.add("degree", (src, dst, label),
                                f"entry {src}->{dst} at {label} maps degree {sd} to {degree}")
-                if key > src_key:
+                if drop < 0:
                     report.add("level-increase", (src, dst, label),
                                f"entry {src}->{dst} at {label} raises action {sa} -> "
-                               f"{Fraction(key, units.denom)}")
-                drop = max(drop, src_key - key)
+                               f"{Fraction(units.base[src] - drop, units.denom)}")
+                terms.append((dst, drop, coeff))
+                largest = max(largest, drop)
         # d(d(x)) = 0 for every base generator; equivariance makes this
         # sufficient for every cap.
-        square = compose_matrices(self.boundary_entries, self.boundary_entries)
-        for src, dst, scalar in matrix_entries(square):
-            if not scalar.is_zero():
-                label, coeff = next(iter(scalar.terms.items()))
-                report.add("square", (src, dst, label),
-                           f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}")
-        return BoundaryCheck(tuple(report.violations), drop, table)
+        for src in sorted(entries):
+            square = {}
+            for mid, s1 in entries[src].items():
+                for dst, s2 in entries.get(mid, {}).items():
+                    add_terms(square.setdefault(dst, {}), (
+                        (vec_add(l1, l2), c * d) for l1, c in s1.terms.items()
+                        for l2, d in s2.terms.items()))
+            for dst in sorted(square):
+                if square[dst]:
+                    label = min(square[dst])
+                    report.add("square", (src, dst, label), f"d(d({src})) has residual "
+                               f"{square[dst][label]}*q{list(label)} on {dst}")
+        return BoundaryCheck(tuple(report.violations), largest, table)
 
     def validate(self, explicit_generators=None, representatives=None) -> ValidationReport:
         report = ValidationReport(list(self.boundary_check.violations))

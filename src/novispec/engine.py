@@ -35,12 +35,18 @@ the tuple (-action key, orbit, cap, degree), so keys sort by action
 descending, then (orbit, cap).  The window keeps its rows and columns as
 keys and its columns as {row index: coeff}, the form `linalg.Reduction`
 takes.  Each column's boundary terms come from a per-complex table
-{src orbit: [(dst, label, coeff)]}: by equivariance the term at `label`
-sends (src, cap) to (dst, cap + label).  A target missing from the
-{(orbit, cap): row index} dict lies below the window floor, since no
-boundary term of a valid complex raises the action or misses the degree.
-The table (taken from `FilteredComplex.boundary_check`, whose pass walks
-every term), the cap lines, the lowest and highest base action and the
+{src orbit: [(dst, drop, coeff)]}: by equivariance each term sends (src,
+cap), at every cap, to the generator of dst whose -action key is larger by
+`drop`.  Within one degree an orbit's generator is named by its action:
+its caps there share one Chern number, so two of them differ by a vector
+of c1 zero, on which omega is nonzero because `GammaGroup` refuses a
+group whose omega and c1 share a kernel vector (`_joint_kernel_nontrivial`).
+So a window indexes its rows by (orbit, -action key), and a column finds
+each target with one integer addition, building no cap.  A target missing
+from that index lies below the window floor, since no boundary term of a
+valid complex raises the action or misses the degree.  The table (taken
+from `FilteredComplex.boundary_check`, whose pass walks every term), the
+cap lines, the lowest and highest base action and the
 default window pads as keys, and the base action keys modulo the period
 form one record per complex, kept in a small LRU cache (`_complex_record`), which
 refuses a complex that violates its `FilteredComplex.boundary_check`.  The
@@ -56,10 +62,12 @@ cycle checks and the query bounds, computed once, and the window and the
 representative's vector on it, built on first read; the window reduces its
 columns once, lazily (`Window.reduction`).  The cycle check (`_is_cycle`)
 sums the record's table over the representative's terms into {(orbit,
-cap): coeff} and compares what survives with the precision floor in
-integer keys; it builds no chain and no `Generator`.  An invariant
+-action key): coeff} and compares what survives with the precision floor
+in integer keys; it builds no chain and no `Generator`.  An invariant
 attained by the representative as it stands, unreduced and exact, returns
-the representative itself as its witness.  The engine keeps one query
+the representative itself as its witness; any other witness is read off
+the window's rows in index order, which is chain order
+(`NovikovChain._ordered`).  The engine keeps one query
 state, the last representative's (`_last_query`), matched by identity;
 a query of another representative replaces it.  The invariant, the oracle
 and every membership probe of one representative thus share one check, one
@@ -115,9 +123,14 @@ class Window:
 
     Rows and columns are integer keys (-action key, orbit, cap, degree),
     ascending, so in descending action; the action is the key over `denom`.
-    A `Generator` is built only on request: `generator(i)` for one row, and
-    the views `rows`, `cols` and `matrix`, built once when first read.
-    The queries of one representative share its window: never mutate one.
+    Rows are addressed by (orbit, -action key): within one degree the caps
+    of an orbit share one Chern number, so two of them differ by a vector
+    of c1 zero, which `GammaGroup` makes omega nonzero on (it refuses a
+    group whose omega and c1 share a kernel vector); the action key thus
+    names the cap.  A `Generator` is built only on request: `generator(i)`
+    for one row, and the views `rows`, `cols`, `matrix` and `row_index`,
+    built once when first read.  The queries of one representative share
+    its window: never mutate one.
     """
 
     complex: FilteredComplex
@@ -128,7 +141,7 @@ class Window:
     keys: list  # row keys: the degree-d generators
     col_keys: list  # column keys: the degree-(d+1) generators
     columns: list  # per column: {row index: nonzero coefficient}
-    row_index: dict  # {(orbit, cap): row index}
+    index: dict  # {(orbit, -action key): row index}
     truncated: bool  # some boundary target fell below the window
 
     def generator(self, i: int) -> Generator:
@@ -151,6 +164,11 @@ class Window:
         return [{rows[i]: c for i, c in col.items()} for col in self.columns]
 
     @cached_property
+    def row_index(self) -> dict:
+        """{(orbit, cap): row index}."""
+        return {(orbit, cap): i for i, (_, orbit, cap, _) in enumerate(self.keys)}
+
+    @cached_property
     def reduction(self) -> linalg.Reduction:
         """The columns reduced in engine order (pivots at the highest action):
         the reduced columns and their pivots, which every query walks."""
@@ -160,13 +178,19 @@ class Window:
 @dataclass(frozen=True)
 class _ComplexRecord:
     """What the windows and queries of one complex derive from its data;
-    every action is an integer key over the complex's denominator."""
+    every action is an integer key over the complex's denominator.
+
+    `boundary` is `FilteredComplex.boundary_check`'s table: each boundary
+    term as its target orbit, the amount it adds to the -action key, and
+    its coefficient.  Within one degree an orbit's generator is named by
+    its action key (see `Window`), so a window finds each term's target at
+    (dst, -key + drop) without building its cap."""
 
     bottom: int  # lowest base action key
     top: int  # highest base action key
     pad: int  # half-width of the default windows
     hi_pad: int  # pad minus the period generator, above a default window's level
-    boundary: dict  # {src orbit: [(dst, label, coeff)]}: the boundary terms
+    boundary: dict  # {src orbit: [(dst, drop, coeff)]}: the boundary terms
     period: int  # the period generator as an action key
     residues: frozenset  # base action keys, modulo period if nonzero
     # {Chern number: (start, omega key, step, omega key) or None}, filled on first use
@@ -230,7 +254,7 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
         if c not in lines:  # the cap line in integer action units
             line = C.gamma.cap_line(c)
             if line is not None:
-                start, _, step, _ = line
+                start, step = line
                 w0 = sum(map(mul, units.omega, start))
                 line = start, w0, step, step and sum(map(mul, units.omega, step))
             lines[c] = line
@@ -285,15 +309,15 @@ def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     record = _complex_record(C)
     col_keys = _degree_keys(C, degree + 1, lo, hi)
     keys = _degree_keys(C, degree, lo, hi)
-    # (orbit, cap) determines a generator; on a valid complex a boundary
-    # target is a row or lies at or below the window floor
-    index = {(orbit, cap): i for i, (_, orbit, cap, _) in enumerate(keys)}
+    # (orbit, -action key) determines a generator of one degree; on a valid
+    # complex a boundary target is a row or lies at or below the window floor
+    index = {(orbit, neg_key): i for i, (neg_key, orbit, _, _) in enumerate(keys)}
     columns = []
     truncated = False
-    for _, orbit, cap, _ in col_keys:
+    for neg_key, orbit, _, _ in col_keys:
         column = {}
-        for dst, label, coeff in record.boundary.get(orbit, ()):
-            i = index.get((dst, vec_add(cap, label)))
+        for dst, drop, coeff in record.boundary.get(orbit, ()):
+            i = index.get((dst, neg_key + drop))
             if i is None:
                 truncated = True
             else:
@@ -311,9 +335,11 @@ def _chain_vector(window: Window, chain: NovikovChain):
     """
     v = {}
     dropped = False
-    index = window.row_index
+    index = window.index
+    units = window.complex.action_keys
+    omega, base = units.omega, units.base
     for gen, coeff in chain.terms.items():
-        i = index.get((gen.orbit, gen.cap))
+        i = index.get((gen.orbit, sum(map(mul, omega, gen.cap)) - base[gen.orbit]))
         if i is None:
             if gen.action <= window.lo:
                 dropped = True
@@ -368,21 +394,25 @@ def _is_cycle(C: FilteredComplex, rep: NovikovChain) -> bool:
     """Does the boundary of `rep` vanish above its precision floor?
 
     The record's boundary terms of every term of `rep` are summed into
-    {(orbit, cap): coeff}; a term left by the sum is kept exactly when its
-    action key lies above the floor's, as `FilteredComplex.boundary` keeps it.
+    {(orbit, -action key): coeff}, which names the image's generators as
+    (orbit, cap) would, since they share one degree (see `Window`); a term
+    left by the sum is kept exactly when its action key lies above the
+    floor's, as `FilteredComplex.boundary` keeps it.
     """
     table = _complex_record(C).boundary
-    image = linalg.add_terms({}, (((dst, vec_add(g.cap, label)), c * coeff)
-                                  for g, c in rep.terms.items()
-                                  for dst, label, coeff in table.get(g.orbit, ())))
+    units = C.action_keys
+    omega, base = units.omega, units.base
+    image = {}
+    for g, c in rep.terms.items():
+        neg_key = sum(map(mul, omega, g.cap)) - base[g.orbit]
+        linalg.add_terms(image, (((dst, neg_key + drop), c * coeff)
+                                 for dst, drop, coeff in table.get(g.orbit, ())))
     floor = rep.floor
     if not image or floor is None:
         return not image
-    units = C.action_keys
-    omega, base = units.omega, units.base
     # an integer key lies above floor * denom exactly when it lies above its floor
     floor_key = floor.numerator * units.denom // floor.denominator
-    return all(base[dst] - sum(map(mul, omega, cap)) <= floor_key for dst, cap in image)
+    return all(-neg_key <= floor_key for _, neg_key in image)
 
 
 class _Query:
@@ -476,11 +506,13 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
         constraint_rows = bisect_right(keys, neg_key, key=_NEG_KEY)
         r = reduction.reduce(v, constraint_rows)
         if r and min(r) < constraint_rows:
+            rows = sorted(v)  # index order is chain order, and every row lies above lo
             if trace or inexact:
-                witness = C.chain({window.generator(i): c for i, c in v.items()}, result_floor)
+                witness = NovikovChain._ordered(
+                    C, {window.generator(i): v[i] for i in rows}, result_floor, window.degree)
             else:  # unreduced and exact: the representative is its own witness
                 witness = rep
-            stratum = [i for i in sorted(v) if i < constraint_rows]
+            stratum = [i for i in rows if i < constraint_rows]
             cert = {
                 "level": level,
                 "stratum": [keys[i][1:3] for i in stratum],
@@ -489,8 +521,9 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
                 "unsolvable": True,
                 "window": (lo, hi),
             }
+            # the witness's first term is its top row, stratum[0]
             return SpectralResult(
-                level, witness, trace, "attained", window.generator(stratum[0]), cert
+                level, witness, trace, "attained", next(iter(witness.terms)), cert
             )
         trace.append(ReductionStep(level, sum(i < constraint_rows for i in v)))
         v = r

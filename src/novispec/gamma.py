@@ -158,11 +158,11 @@ class GammaGroup:
         return q.denominator == 1
 
     def cap_line(self, c1: int):
-        """(A0, omega(A0), K, omega(K)) with {A : c1(A) = c1} = {A0 + t K}.
+        """(A0, K) with {A : c1(A) = c1} = {A0 + t K}.
 
-        K is oriented so that omega(K) > 0; K and omega(K) are None for a
-        one-point line, and the whole result is None if no cap has Chern
-        number c1.  Rank 0 and 1 solve directly; rank 2 solves
+        K is oriented so that omega(K) > 0, decided in integer omega units;
+        K is None for a one-point line, and the whole result is None if no
+        cap has Chern number c1.  Rank 0 and 1 solve directly; rank 2 solves
         d1 x + d2 y = c1 by one extended gcd.  A zero c1 row on rank 2 was
         rejected at construction.
         """
@@ -180,11 +180,9 @@ class GammaGroup:
             if c1 % g != 0:
                 return None
             start, step = (u * (c1 // g), v * (c1 // g)), (d[1] // g, -d[0] // g)
-        w0 = self.omega(start)
-        if step is None:
-            return start, w0, None, None
-        dw = self.omega(step)
-        return (start, w0, step, dw) if dw > 0 else (start, w0, vec_neg(step), -dw)
+        if step is None or sum(map(mul, self._omega_units, step)) > 0:
+            return start, step
+        return start, vec_neg(step)
 
     def caps(self, c1: int, lo, hi) -> list:
         """(A, omega(A)) for every cap A with c1(A) = c1 and lo <= omega(A) < hi.
@@ -195,9 +193,11 @@ class GammaGroup:
         line = self.cap_line(int(c1))
         if line is None:
             return []
-        start, w0, step, dw = line
+        start, step = line
+        w0 = self.omega(start)
         if step is None:
             return [(start, w0)] if lo <= w0 < hi else []
+        dw = self.omega(step)
         first, stop = ceil((Fraction(lo) - w0) / dw), ceil((Fraction(hi) - w0) / dw)
         out = []
         cap, w = vec_add(start, vec_scale(first, step)), w0 + first * dw

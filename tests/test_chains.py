@@ -15,7 +15,7 @@ from novispec import (
     NovikovScalar,
     StructuralError,
 )
-from novispec.chains import equivariant_image, merge_floor
+from novispec.chains import ValidationReport, equivariant_image, merge_floor
 from novispec.fixtures import calibration, random_chain, random_instance, sphere
 
 G1 = GammaGroup((F(1),), (2,))
@@ -42,6 +42,8 @@ def test_generator_hash_agrees_with_equality():
     same = nv.Generator("hi", (2,), F(-1), -8)
     assert g == same and hash(g) == hash(same) == hash(("hi", (2,)))
     assert {g: 1}[same] == 1 and len({g, same}) == 1
+    # the stored hash is no field of the repr
+    assert repr(same) == "Generator(orbit='hi', cap=(2,), action=Fraction(-1, 1), degree=-8)"
     # equality still reads every field; the hash reads (orbit, cap) only
     for other in [nv.Generator("hi", (2,), F(0), -8), nv.Generator("hi", (2,), F(-1), 0),
                   C.generator("hi", (1,)), C.generator("lo", (2,))]:
@@ -180,6 +182,23 @@ def test_validate_catches_degree_drift():
         {"x": {"y": mono(1)}},
     )
     assert "degree" in C.validate().codes()
+
+
+def test_invalid_report_repr_and_boundary():
+    # dx = y + w with deg w = 2 misses the degree, and d(d(x)) = z: the
+    # report names both codes, and the boundary, which trusts the degrees
+    # of a valid complex only, refuses the image of x as two degrees
+    C = nv.FilteredComplex(
+        G1,
+        [("x", F(2), 2), ("y", F(1), 1), ("w", F(1), 2), ("z", F(0), 0)],
+        {"x": {"y": mono(1), "w": mono(1)}, "y": {"z": mono(1)}},
+    )
+    assert repr(C.validate()) == "<invalid: degree, square>"
+    assert repr(ValidationReport()) == "<valid>"
+    with pytest.raises(StructuralError, match="mixed degrees"):
+        C.boundary(C.chain({C.generator("x"): 1}))
+    dy = C.boundary(C.chain({C.generator("y"): 2}, F(-1)))
+    assert dy == C.chain({C.generator("z"): 2}, F(-1)) and dy.degree == 0
 
 
 def test_validate_catches_equivariance_break():

@@ -633,6 +633,98 @@ def test_window_columns_match_equivariant_images():
     assert truncated > 100 and columns > 1000
 
 
+def test_windows_address_rows_by_orbit_and_action_key():
+    # omega = (1, 3/2), c1 = (0, 1): caps (3, 0) and (0, 2) have equal omega
+    # and different Chern numbers, so orbit b carries both at one action, in
+    # two degrees; a window addresses its rows and its columns' targets by
+    # (orbit, -action key) within one degree, and the cycle check sums by
+    # the same key, so both must agree with the images term by term
+    G = GammaGroup((F(1), F(3, 2)), (0, 1))
+    one, k, h = (0, 0), (1, 0), (0, 1)
+    C = nv.FilteredComplex(
+        G,
+        [("a", F(0), 2), ("b", F(-1, 3), 1), ("c", F(1), 3), ("e", F(1, 2), 2)],
+        {"a": {"b": NovikovScalar(G, DOWN, {one: 1, k: 1}), "c": mono(1, h, G)},
+         "b": {"e": mono(1, h, G)},
+         "c": {"e": NovikovScalar(G, DOWN, {one: -1, k: -1})}},
+    )
+    assert C.validate().ok
+    twins = C.generator("b", (3, 0)), C.generator("b", (0, 2))
+    assert twins[0].action == twins[1].action and twins[0].degree != twins[1].degree
+    caps_at = {}  # {(orbit, -action key): caps seen in any degree}
+    for degree in range(-7, 6):
+        for lo, hi in [(F(-8), F(5)), (F(-37, 3), F(11, 2)), (F(-1, 7), F(4, 3))]:
+            w = build_window(C, degree, lo, hi)
+            rows, cols, matrix, cut = _window_from_images(C, degree, lo, hi)
+            assert (w.rows, w.cols, w.matrix, w.truncated) == (rows, cols, matrix, cut)
+            assert w.row_index == {(g.orbit, g.cap): i for i, g in enumerate(rows)}
+            assert w.index == {(orbit, neg_key): i
+                               for i, (neg_key, orbit, _, _) in enumerate(w.keys)}
+            for neg_key, orbit, cap, _ in w.keys:
+                caps_at.setdefault((orbit, neg_key), set()).add(cap)
+    key = -twins[0].action * C.action_keys.denom
+    assert {(3, 0), (0, 2)} <= caps_at[("b", key)]
+    rng = random.Random(27)
+    outcomes = Counter()
+    for degree in range(-5, 5):
+        for _ in range(20):
+            chain = random_chain(rng, C, degree)
+            for cand in (chain, C.boundary(chain)):
+                actions = {g.action for g in C.boundary(cand).terms}
+                for floor in {None} | {a + d for a in actions for d in (0, F(1, 97), -F(1, 97))}:
+                    floored = C.chain(cand.terms, floor)
+                    expected = C.boundary(floored).is_zero()
+                    assert engine._is_cycle(C, floored) == expected, (cand, floor)
+                    outcomes[expected, floor is None] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_reduced_witness_equals_the_public_constructor():
+    # a witness that is not the representative is built from the window's
+    # rows in index order without the public constructor's checks; it must
+    # be the chain that constructor gives on the same terms and floor
+    cases = []
+    for seed in range(200):
+        inst = random_instance(seed)
+        cases.append((inst.complex, inst.representative))
+    for make in BUILTIN_FIXTURES.values():
+        fix = make()
+        C = fix.build(min(F(1, 8), fix.max_eps))
+        for chain in fix.pd_chains.values():
+            rep = C.chain([(C.generator(point), F(pc)) for pc, point in chain])
+            if C.boundary(rep).is_zero():
+                cases.append((C, rep))
+    # plus a boundary from one degree up, which the reduction must remove
+    rng = random.Random(27)
+    cases += [(C, rep + C.boundary(random_chain(rng, C, rep.degree + 1)))
+              for C, rep in cases if not rep.is_zero()]
+    seen = Counter()
+    for C, rep in cases:
+        # a floor 1/3 below the top term, and one 1/3 below every term
+        floors = [None]
+        if rep.terms:
+            floors += {rep.level() - F(1, 3), min(g.action for g in rep.terms) - F(1, 3)}
+        for floor in floors:
+            floored = C.chain(rep.terms, floor)
+            try:
+                result = nv.spectral_invariant(C, floored)
+            except IndeterminateError:
+                seen["indeterminate"] += 1
+                continue
+            witness = result.witness
+            if witness is floored:
+                seen["own"] += 1
+                continue
+            ref = C.chain(list(witness.terms.items()), witness.floor)
+            assert list(witness.terms.items()) == list(ref.terms.items())
+            assert (witness.floor, witness.degree) == (ref.floor, ref.degree)
+            seen["new", result.spectrality, bool(result.reduced_trace), floor is not None] += 1
+    assert seen["own"] >= 50, seen
+    assert seen["new", "attained", True, False] >= 40, seen
+    assert seen["new", "attained", True, True] >= 40, seen
+    assert seen["new", "attained", False, True] >= 40, seen
+
+
 def _invalid_complexes():
     """(name, complex, cycle, first violation code): the structural cases of
     acceptance criterion 8, a boundary term of the wrong degree, and two

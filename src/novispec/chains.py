@@ -60,21 +60,16 @@ class Generator:
     """A capped orbit with its derived action and degree.
 
     Equality compares every field; the hash reads only (orbit, cap), which
-    determine the rest, so it never hashes the `Fraction` action.  It is
-    computed once, at construction.
+    determine the rest, so it never hashes the `Fraction` action.
     """
 
     orbit: str
     cap: GammaElement
     action: Fraction
     degree: int
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.orbit, self.cap)))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.orbit, self.cap))
 
 
 class NovikovChain:
@@ -333,6 +328,10 @@ class ActionKeys:
     base: dict  # {orbit: base action key}
     omega: tuple  # the omega key of each group generator
 
+    def neg_key(self, orbit: str, cap) -> int:
+        """The -action key of (orbit, cap): omega key(cap) - base key(orbit)."""
+        return sum(map(mul, self.omega, cap)) - self.base[orbit]
+
 
 @dataclass(slots=True)  # built once per complex, never mutated
 class BoundaryCheck:
@@ -340,9 +339,9 @@ class BoundaryCheck:
     largest action-key drop of a boundary term (0 if none), and every term
     as a table {src orbit: [(dst, drop, coeff)]} in `matrix_entries` order.
 
-    A term's drop is how far it lowers the action key: base key(src) -
-    base key(dst) + omega key(label).  The term sends the generator of
-    -action key k to the generator of dst in -action key k + drop."""
+    A term's drop is how far it lowers the action key: `neg_key(dst,
+    label) - neg_key(src, 0)`.  The term sends the generator of -action key
+    k to the generator of dst in -action key k + drop."""
 
     violations: tuple
     drop: int
@@ -383,7 +382,7 @@ class FilteredComplex:
         return Generator(
             orbit,
             cap,
-            Fraction(keys.base[orbit] - sum(map(mul, keys.omega, cap)), keys.denom),
+            Fraction(-keys.neg_key(orbit, cap), keys.denom),
             self.orbits[orbit][1] - 2 * sum(map(mul, gamma.c1_values, cap)),
         )
 
@@ -426,45 +425,39 @@ class FilteredComplex:
     @cached_property
     def boundary_check(self) -> BoundaryCheck:
         """Per term in `matrix_entries` order its `degree`, then `level-increase`
-        violation, then the `square` residuals of d∘d, each named by its
-        smallest label.  The term at `label` from src to dst has action key
-        key(dst) - omega key(label), degree deg(dst) - 2 c1(label)."""
+        violation, then the `square` residuals of d∘d.  The term at `label`
+        from src to dst has -action key `action_keys.neg_key(dst, label)`,
+        degree deg(dst) - 2 c1(label)."""
         entries = self.boundary_entries
         units = self.action_keys
-        omega, c1 = units.omega, self.gamma.c1_values
+        c1 = self.gamma.c1_values
         report = ValidationReport()
         largest = 0
         table = {}
         for src, dst, scalar in matrix_entries(entries):
             (sa, sd), dd = self.orbits[src], self.orbits[dst][1]
-            shift = units.base[src] - units.base[dst]
+            src_key = units.base[src]
             terms = table.setdefault(src, [])
             for label, coeff in scalar.terms.items():
                 degree = dd - 2 * sum(map(mul, c1, label))
-                drop = shift + sum(map(mul, omega, label))
+                drop = units.neg_key(dst, label) + src_key
                 if degree != sd - 1:
                     report.add("degree", (src, dst, label),
                                f"entry {src}->{dst} at {label} maps degree {sd} to {degree}")
                 if drop < 0:
                     report.add("level-increase", (src, dst, label),
                                f"entry {src}->{dst} at {label} raises action {sa} -> "
-                               f"{Fraction(units.base[src] - drop, units.denom)}")
+                               f"{Fraction(src_key - drop, units.denom)}")
                 terms.append((dst, drop, coeff))
                 largest = max(largest, drop)
         # d(d(x)) = 0 for every base generator; equivariance makes this
         # sufficient for every cap.
-        for src in sorted(entries):
-            square = {}
-            for mid, s1 in entries[src].items():
-                for dst, s2 in entries.get(mid, {}).items():
-                    add_terms(square.setdefault(dst, {}), (
-                        (vec_add(l1, l2), c * d) for l1, c in s1.terms.items()
-                        for l2, d in s2.terms.items()))
-            for dst in sorted(square):
-                if square[dst]:
-                    label = min(square[dst])
-                    report.add("square", (src, dst, label), f"d(d({src})) has residual "
-                               f"{square[dst][label]}*q{list(label)} on {dst}")
+        square = compose_matrices(entries, entries)
+        for src, dst, scalar in matrix_entries(square):
+            if not scalar.is_zero():
+                label, coeff = next(iter(scalar.terms.items()))
+                report.add("square", (src, dst, label),
+                           f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}")
         return BoundaryCheck(tuple(report.violations), largest, table)
 
     def validate(self, explicit_generators=None, representatives=None) -> ValidationReport:

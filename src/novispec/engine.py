@@ -336,10 +336,9 @@ def _chain_vector(window: Window, chain: NovikovChain):
     v = {}
     dropped = False
     index = window.index
-    units = window.complex.action_keys
-    omega, base = units.omega, units.base
+    neg_key = window.complex.action_keys.neg_key
     for gen, coeff in chain.terms.items():
-        i = index.get((gen.orbit, sum(map(mul, omega, gen.cap)) - base[gen.orbit]))
+        i = index.get((gen.orbit, neg_key(gen.orbit, gen.cap)))
         if i is None:
             if gen.action <= window.lo:
                 dropped = True
@@ -401,10 +400,9 @@ def _is_cycle(C: FilteredComplex, rep: NovikovChain) -> bool:
     """
     table = _complex_record(C).boundary
     units = C.action_keys
-    omega, base = units.omega, units.base
     image = {}
     for g, c in rep.terms.items():
-        neg_key = sum(map(mul, omega, g.cap)) - base[g.orbit]
+        neg_key = units.neg_key(g.orbit, g.cap)
         linalg.add_terms(image, (((dst, neg_key + drop), c * coeff)
                                  for dst, drop, coeff in table.get(g.orbit, ())))
     floor = rep.floor
@@ -571,10 +569,8 @@ def oracle_rho(C: FilteredComplex, representative: NovikovChain):
         for dst, scalar in C.boundary_entries.get(orbit, {}).items():
             for label, c in scalar.terms.items():
                 mat.setdefault((dst, vec_add(cap, label)), {})[j] = c
-    # -action as a key is omega key(cap) - base key(orbit)
-    units = C.action_keys
-    omega, base = units.omega, units.base
-    rows = [t for _, t in sorted((sum(map(mul, omega, t[1])) - base[t[0]], t) for t in mat)]
+    neg_key = C.action_keys.neg_key
+    rows = [t for _, t in sorted((neg_key(*t), t) for t in mat)]
     k = linalg.first_inconsistent_row([mat[t] for t in rows], [rhs.get(t, 0) for t in rows])
     if k is None and not floored:
         return NEG_INF

@@ -14,8 +14,9 @@ shift, `compose_matrices` composes, and `equivariant_image` applies a
 matrix to capped generators.
 
 A complex is never mutated, so it caches what it derives from its data:
-`action_keys`, each action as an integer key over one denominator, and
-`boundary_check`, the one rule that makes the boundary a filtered Novikov
+`action_keys`, each action as an integer key over one denominator, with
+the period, base-key range and cap lines that the engine's windows read,
+and `boundary_check`, the one rule that makes the boundary a filtered Novikov
 differential (each term lowers the degree by one and never raises the
 action, and d∘d vanishes), decided in those keys.  `validate` reports its
 violations and the engine refuses a complex that has any.
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, mul
 
 from .errors import DomainError, IndeterminateError, StructuralError
@@ -320,13 +321,24 @@ class ValidationReport:
         return "<invalid: " + ", ".join(self.codes()) + ">"
 
 
-@dataclass(slots=True)  # built once per complex, never mutated
+@dataclass(slots=True)  # built once per complex; only `lines` fills in later
 class ActionKeys:
-    """A complex's actions as integer keys: each action times `denom`."""
+    """A complex's actions as integer keys: each action times `denom`.
+
+    Besides the keys themselves it holds what the engine's windows and
+    spectrum test read off them: the period generator, the base keys
+    modulo it, the lowest and highest base key, and per Chern number the
+    cap line in keys, which the first window that needs it adds."""
 
     denom: int  # lcm of the base-action and omega-value denominators
     base: dict  # {orbit: base action key}
     omega: tuple  # the omega key of each group generator
+    period: int  # the gcd of the omega keys: the period generator as a key
+    residues: frozenset  # the base keys, modulo period if nonzero
+    bottom: int  # the lowest base key (0 if no orbit)
+    top: int  # the highest base key (0 if no orbit)
+    # {Chern number: (start, omega key, step, omega key) or None}
+    lines: dict = field(default_factory=dict)
 
     def neg_key(self, orbit: str, cap) -> int:
         """The -action key of (orbit, cap): omega key(cap) - base key(orbit)."""
@@ -416,10 +428,13 @@ class FilteredComplex:
     def action_keys(self) -> ActionKeys:
         units, omega_denom = self.gamma.omega_units()
         denom = lcm(omega_denom, *(a.denominator for a, _ in self.orbits.values()))
+        base = {o: a.numerator * (denom // a.denominator) for o, (a, _) in self.orbits.items()}
+        omega = tuple(u * (denom // omega_denom) for u in units)
+        period = gcd(*omega)
         return ActionKeys(
-            denom,
-            {o: a.numerator * (denom // a.denominator) for o, (a, _) in self.orbits.items()},
-            tuple(u * (denom // omega_denom) for u in units),
+            denom, base, omega, period,
+            frozenset(k % period if period else k for k in base.values()),
+            min(base.values(), default=0), max(base.values(), default=0),
         )
 
     @cached_property

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import linalg
 from .chains import FilteredComplex, Generator, NovikovChain, matrix_entries, merge_floor
-from .engine import _complex_record, _degree_generators, build_window
+from .engine import _degree_generators, build_window, window_pad
 from .errors import DomainError, StructuralError
 from .gamma import vec_add, vec_scale, vec_sub
 from .linalg import add_terms
@@ -234,8 +234,8 @@ def is_cocycle(mu: DualFunctional, degree: int) -> bool:
 
 
 def _default_dual_window(C: FilteredComplex):
-    record, denom = _complex_record(C), C.action_keys.denom
-    return Fraction(record.bottom - record.pad, denom), Fraction(record.top + record.pad, denom)
+    pad, keys = window_pad(C), C.action_keys
+    return Fraction(keys.bottom - pad, keys.denom), Fraction(keys.top + pad, keys.denom)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ than the pad can leave a finite invariant indeterminate.
 A window enumerates its generators in integers, never through a
 per-generator omega or `Fraction`: every action is an integer key over the
 complex's denominator (`FilteredComplex.action_keys`).  Per Chern number,
-the complex's record keeps the cap line (`GammaGroup.cap_line`: a start cap
-and a step of positive omega) with its omegas as integer keys, read once by
-the first window that needs it; per orbit, two floor divisions give the run
+the action keys keep the cap line (`GammaGroup.cap_line`: a start cap and a
+step of positive omega) with its omegas as integer keys, read once by the
+first window that needs it; per orbit, two floor divisions give the run
 of steps inside (lo, hi], and each step adds integers.  The runs' lengths
 are summed before any key is built, so a window of more than
 `MAX_WINDOW_GENERATORS` generators in one degree raises
@@ -34,22 +34,24 @@ are summed before any key is built, so a window of more than
 the tuple (-action key, orbit, cap, degree), so keys sort by action
 descending, then (orbit, cap).  The window keeps its rows and columns as
 keys and its columns as {row index: coeff}, the form `linalg.Reduction`
-takes.  Each column's boundary terms come from a per-complex table
-{src orbit: [(dst, drop, coeff)]}: by equivariance each term sends (src,
-cap), at every cap, to the generator of dst whose -action key is larger by
-`drop`.  Within one degree an orbit's generator is named by its action:
-its caps there share one Chern number, so two of them differ by a vector
-of c1 zero, on which omega is nonzero because `GammaGroup` refuses a
-group whose omega and c1 share a kernel vector (`_joint_kernel_nontrivial`).
+takes.  Each column's boundary terms come from the complex's table
+{src orbit: [(dst, drop, coeff)]} (`FilteredComplex.boundary_check`): by
+equivariance each term sends (src, cap), at every cap, to the generator of
+dst whose -action key is larger by `drop`.  Within one degree an orbit's
+generator is named by its action: its caps there share one Chern number,
+so two of them differ by a vector of c1 zero, on which omega is nonzero
+because `GammaGroup` refuses a group whose omega and c1 share a kernel
+vector (`_joint_kernel_nontrivial`).
 So a window indexes its rows by (orbit, -action key), and a column finds
 each target with one integer addition, building no cap.  A target missing
 from that index lies below the window floor, since no boundary term of a
-valid complex raises the action or misses the degree.  The table (taken
-from `FilteredComplex.boundary_check`, whose pass walks every term), the
-cap lines, the lowest and highest base action and the
-default window pads as keys, and the base action keys modulo the period
-form one record per complex, kept in a small LRU cache (`_complex_record`), which
-refuses a complex that violates its `FilteredComplex.boundary_check`.  The
+valid complex raises the action or misses the degree.  Every query
+refuses a complex whose `boundary_check` has a violation
+(`_valid_boundary_check`), and reads the rest off the two facts the
+complex caches: the table and the largest drop from `boundary_check`; the
+period, the base keys modulo it, the lowest and highest base key and the
+cap lines from `action_keys`.  The default windows' pad (`window_pad`) is
+one sum of these keys.  The
 queries read levels off the keys and bisect them for row prefixes; a
 window's bounds are each one `Fraction` of keys, a `Generator` is built
 only for what an answer names, and a window's generator views only when
@@ -61,7 +63,7 @@ every query of one representative derives from it alone: the complex and
 cycle checks and the query bounds, computed once, and the window and the
 representative's vector on it, built on first read; the window reduces its
 columns once, lazily (`Window.reduction`).  The cycle check (`_is_cycle`)
-sums the record's table over the representative's terms into {(orbit,
+sums the boundary table over the representative's terms into {(orbit,
 -action key): coeff} and compares what survives with the precision floor
 in integer keys; it builds no chain and no `Generator`.  An invariant
 attained by the representative as it stands, unreduced and exact, returns
@@ -74,12 +76,12 @@ and every membership probe of one representative thus share one check, one
 window, one vector and one reduction; the oracle reads only the checks and
 the bounds.  A window lives only in that state, or for the length of one
 `dual_spectral_invariant` call, so between calls the engine holds at most
-one window, and `_complex_record` at most a few complexes, alive.
+one window, and one complex, alive.
 
 An independent oracle answers the same question bottom-up: the smallest
 level whose strict-superlevel cancellation system is feasible.  It builds
-and eliminates its own rows (`oracle_rho`), apart from the record's
-boundary table, the window and its reduction.
+and eliminates its own rows (`oracle_rho`), apart from the boundary
+table, the window and its reduction.
 
 Membership in the image of a truncated complex, the probe API, is one walk
 on the window's reduction, bounded by a row prefix; a level above the
@@ -91,14 +93,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from operator import itemgetter, mul
 
 from . import linalg
-from .chains import FilteredComplex, Generator, NovikovChain
+from .chains import BoundaryCheck, FilteredComplex, Generator, NovikovChain
 from .errors import (
     DomainError,
     IndeterminateError,
@@ -128,8 +130,8 @@ class Window:
     of c1 zero, which `GammaGroup` makes omega nonzero on (it refuses a
     group whose omega and c1 share a kernel vector); the action key thus
     names the cap.  A `Generator` is built only on request: `generator(i)`
-    for one row, and the views `rows`, `cols`, `matrix` and `row_index`,
-    built once when first read.  The queries of one representative share
+    for one row, and the views `rows`, `cols` and `matrix`, built once
+    when first read.  The queries of one representative share
     its window: never mutate one.
     """
 
@@ -164,67 +166,27 @@ class Window:
         return [{rows[i]: c for i, c in col.items()} for col in self.columns]
 
     @cached_property
-    def row_index(self) -> dict:
-        """{(orbit, cap): row index}."""
-        return {(orbit, cap): i for i, (_, orbit, cap, _) in enumerate(self.keys)}
-
-    @cached_property
     def reduction(self) -> linalg.Reduction:
         """The columns reduced in engine order (pivots at the highest action):
         the reduced columns and their pivots, which every query walks."""
         return linalg.Reduction(self.columns)
 
 
-@dataclass(frozen=True)
-class _ComplexRecord:
-    """What the windows and queries of one complex derive from its data;
-    every action is an integer key over the complex's denominator.
-
-    `boundary` is `FilteredComplex.boundary_check`'s table: each boundary
-    term as its target orbit, the amount it adds to the -action key, and
-    its coefficient.  Within one degree an orbit's generator is named by
-    its action key (see `Window`), so a window finds each term's target at
-    (dst, -key + drop) without building its cap."""
-
-    bottom: int  # lowest base action key
-    top: int  # highest base action key
-    pad: int  # half-width of the default windows
-    hi_pad: int  # pad minus the period generator, above a default window's level
-    boundary: dict  # {src orbit: [(dst, drop, coeff)]}: the boundary terms
-    period: int  # the period generator as an action key
-    residues: frozenset  # base action keys, modulo period if nonzero
-    # {Chern number: (start, omega key, step, omega key) or None}, filled on first use
-    lines: dict = field(default_factory=dict)
-
-
-@lru_cache(maxsize=4)
-def _complex_record(C: FilteredComplex) -> _ComplexRecord:
-    """The per-complex record, the last few cached.
-
-    Refuses a complex whose `FilteredComplex.boundary_check` has a
-    violation, naming the first; reads the largest action drop and the
-    boundary table off the check and every key off
-    `FilteredComplex.action_keys`.  Each Chern number's cap line is added
-    to `lines` by the first window that reads it (`_degree_keys`).
-    """
+def _valid_boundary_check(C: FilteredComplex) -> BoundaryCheck:
+    """`C.boundary_check`; refuses a complex with a violation, naming the first."""
     check = C.boundary_check
     if check.violations:
         v = check.violations[0]
         raise InvalidComplexError(f"invariant:{v.code}: {v.message} (witness {v.witness})")
-    units = C.action_keys
-    bases = units.base.values()
-    bottom, top = min(bases, default=0), max(bases, default=0)
-    period = math.gcd(*units.omega)
-    span = 2 * check.drop + 2 * period + (top - bottom) + units.denom
-    return _ComplexRecord(
-        bottom,
-        top,
-        span + period,
-        span,
-        check.table,
-        period,
-        frozenset(k % period for k in bases) if period else frozenset(bases),
-    )
+    return check
+
+
+def window_pad(C: FilteredComplex) -> int:
+    """The half-width of the default windows as an action key: twice the
+    largest boundary drop, three periods, the spread of the base keys and
+    one unit of action.  Refuses an invalid complex (`_valid_boundary_check`)."""
+    drop, keys = _valid_boundary_check(C).drop, C.action_keys
+    return 2 * drop + 3 * keys.period + (keys.top - keys.bottom) + keys.denom
 
 
 MAX_WINDOW_GENERATORS = 250_000  # generators one degree of a window may hold
@@ -240,8 +202,9 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
     key is built: more than `MAX_WINDOW_GENERATORS` in all raises
     `WindowTooLargeError`.
     """
-    lines = _complex_record(C).lines  # the record refuses an invalid complex
+    _valid_boundary_check(C)
     units = C.action_keys
+    lines = units.lines
     # actions as integer keys over denom: lo < key / denom <= hi
     lo_key = lo.numerator * units.denom // lo.denominator
     hi_key = hi.numerator * units.denom // hi.denominator
@@ -306,17 +269,17 @@ def _degree_generators(C: FilteredComplex, degree: int, lo, hi) -> list:
 def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     """The degree-`degree` window of C on (lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
-    record = _complex_record(C)
     col_keys = _degree_keys(C, degree + 1, lo, hi)
     keys = _degree_keys(C, degree, lo, hi)
     # (orbit, -action key) determines a generator of one degree; on a valid
     # complex a boundary target is a row or lies at or below the window floor
     index = {(orbit, neg_key): i for i, (neg_key, orbit, _, _) in enumerate(keys)}
+    table = C.boundary_check.table
     columns = []
     truncated = False
     for neg_key, orbit, _, _ in col_keys:
         column = {}
-        for dst, drop, coeff in record.boundary.get(orbit, ()):
+        for dst, drop, coeff in table.get(orbit, ()):
             i = index.get((dst, neg_key + drop))
             if i is None:
                 truncated = True
@@ -380,25 +343,25 @@ class SpectralResult:
 
 
 def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
-    """(lo, hi): the record's pads below and above the level of `rep` (the
-    top base action for the zero chain), each one `Fraction` of integer keys."""
-    record = _complex_record(C)
-    denom = C.action_keys.denom
+    """(lo, hi): `window_pad` below and one period less above the level of
+    `rep` (the top base action for the zero chain), each one `Fraction` of
+    integer keys."""
+    pad, keys = window_pad(C), C.action_keys
     lam = rep.level()
-    key = record.top if lam == NEG_INF else lam.numerator * (denom // lam.denominator)
-    return Fraction(key - record.pad, denom), Fraction(key + record.hi_pad, denom)
+    key = keys.top if lam == NEG_INF else lam.numerator * (keys.denom // lam.denominator)
+    return Fraction(key - pad, keys.denom), Fraction(key + pad - keys.period, keys.denom)
 
 
 def _is_cycle(C: FilteredComplex, rep: NovikovChain) -> bool:
     """Does the boundary of `rep` vanish above its precision floor?
 
-    The record's boundary terms of every term of `rep` are summed into
+    The boundary table's terms of every term of `rep` are summed into
     {(orbit, -action key): coeff}, which names the image's generators as
     (orbit, cap) would, since they share one degree (see `Window`); a term
     left by the sum is kept exactly when its action key lies above the
     floor's, as `FilteredComplex.boundary` keeps it.
     """
-    table = _complex_record(C).boundary
+    table = C.boundary_check.table
     units = C.action_keys
     image = {}
     for g, c in rep.terms.items():
@@ -416,12 +379,13 @@ def _is_cycle(C: FilteredComplex, rep: NovikovChain) -> bool:
 class _Query:
     """What every query of one cycle `rep` derives from it alone.
 
-    Checked and computed at construction: the record (which refuses an
-    invalid complex), that `rep` is a cycle, and the query window `bounds`,
-    (lo, hi): `default_window_bounds` with its floor raised to the
-    representative's precision floor, or None for the zero class, which
-    each query answers itself.  Built on first read: the window and the
-    representative's vector on it (`_chain_vector`).
+    Checked and computed at construction: the complex's boundary
+    (`_valid_boundary_check` refuses an invalid one), that `rep` is a
+    cycle, and the query window `bounds`, (lo, hi): `default_window_bounds`
+    with its floor raised to the representative's precision floor, or None
+    for the zero class, which each query answers itself.  Built on first
+    read: the window and the representative's vector on it
+    (`_chain_vector`).
     """
 
     __slots__ = ("rep", "bounds", "_window", "_vector")
@@ -644,12 +608,12 @@ def spectrality_check(rho, C: FilteredComplex) -> bool:
 def _on_spectrum(value: Fraction, C: FilteredComplex) -> bool:
     # base - value lies in the period group g Z iff value = base mod g, and
     # every point of the spectrum is a multiple of 1/denom
-    record = _complex_record(C)
-    denom = C.action_keys.denom
-    if denom % value.denominator:
+    _valid_boundary_check(C)
+    keys = C.action_keys
+    if keys.denom % value.denominator:
         return False
-    key = value.numerator * (denom // value.denominator)
-    return (key % record.period if record.period else key) in record.residues
+    key = value.numerator * (keys.denom // value.denominator)
+    return (key % keys.period if keys.period else key) in keys.residues
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ so `GammaGroup.cap_line` orients K with omega(K) > 0, and the caps of one
 Chern number in an area range are a run of consecutive t.  `GammaGroup.caps`
 finds that run in closed form and returns each cap with its omega: stepping
 along the line adds omega(K) once per cap.  The engine reads the same line
-in integer action units, and its per-complex record reads omega in the
-same units (`GammaGroup.omega_units`).
+in integer action units, kept on the complex's action keys, which read
+omega in the same units (`GammaGroup.omega_units`).
 """
 
 from __future__ import annotations

@@ -29,10 +29,10 @@ from novispec import chains, engine, jsonio, linalg
 from novispec.chains import compose_matrices, entry_shifts, equivariant_image, matrix_entries
 from novispec.engine import (
     _chain_vector,
-    _complex_record,
     _degree_generators,
     _prefix,
     _query,
+    _valid_boundary_check,
     build_window,
     default_window_bounds,
 )
@@ -533,6 +533,27 @@ def test_degree_generators_pinned():
     assert digest == "f2625ed7c744c0146bc5fd0d22843a5bac14d7db6a11c9f417b2ff452f3da8fa"
 
 
+def test_default_window_bounds_pinned():
+    # the zero chain's query bounds and the dual window, on the builtins, the
+    # shipped complexes and random instances: any change to the pad
+    # arithmetic moves the digest
+    complexes = []
+    for make in BUILTIN_FIXTURES.values():
+        fix = make()
+        complexes.append(fix.build(min(F(1, 8), fix.max_eps)))
+    for path in sorted((REPO / "fixtures").glob("*.json")):
+        raw = jsonio.load_json(path)
+        if "orbits" in raw:
+            complexes.append(jsonio.complex_from_json(raw))
+    complexes += [random_instance(seed).complex for seed in range(30)]
+    bounds = [[str(x) for x in (*default_window_bounds(C, C.chain()),
+                                *nv.dual._default_dual_window(C))]
+              for C in complexes]
+    assert len(bounds) == 39
+    digest = hashlib.sha256(json.dumps(bounds).encode()).hexdigest()
+    assert digest == "a31155d3583c0263e75d316e513392637afcaa9ad663461c0b74fcb85cfdf8b4"
+
+
 # rank 0; rank 1 with one-point cap lines (c1 != 0, and omega = 0); rank 1
 # with c1 = 0 and a negative omega step; rank 2 with steps (3, -2) and
 # (-3, -2), both of negative omega before orientation
@@ -622,7 +643,6 @@ def test_window_columns_match_equivariant_images():
                 w = build_window(C, degree, lo, hi)
                 rows, cols, matrix, cut = _window_from_images(C, degree, lo, hi)
                 assert (w.rows, w.cols, w.matrix, w.truncated) == (rows, cols, matrix, cut)
-                assert w.row_index == {(g.orbit, g.cap): i for i, g in enumerate(rows)}
                 # no reduction level can reach the floor
                 assert all(g.action > lo for g in w.rows)
                 levels = {g.action for g in rows} | {lo, hi, lo - 1, hi + 1}
@@ -657,7 +677,6 @@ def test_windows_address_rows_by_orbit_and_action_key():
             w = build_window(C, degree, lo, hi)
             rows, cols, matrix, cut = _window_from_images(C, degree, lo, hi)
             assert (w.rows, w.cols, w.matrix, w.truncated) == (rows, cols, matrix, cut)
-            assert w.row_index == {(g.orbit, g.cap): i for i, g in enumerate(rows)}
             assert w.index == {(orbit, neg_key): i
                                for i, (neg_key, orbit, _, _) in enumerate(w.keys)}
             for neg_key, orbit, cap, _ in w.keys:
@@ -756,8 +775,8 @@ def _invalid_complexes():
 
 @pytest.mark.parametrize("name, C, cycle, code", _invalid_complexes())
 def test_queries_refuse_an_invalid_complex(name, C, cycle, code):
-    # every query reads the per-complex record, which refuses a complex that
-    # validate() rejects and names its first violation
+    # every query refuses a complex that validate() rejects and names its
+    # first violation
     assert C.validate().violations[0].code == code
     gen = C.generator(cycle)
     rep = C.chain({gen: 1})
@@ -847,7 +866,7 @@ def _nudged(rng, C):
 def test_record_refuses_exactly_the_mutants_validate_rejects():
     # one-entry mutants of the shipped complexes and of random instances:
     # validate() names the violations an independent Fraction check finds,
-    # and the record refuses a mutant exactly when validate() rejects it,
+    # and the engine refuses a mutant exactly when validate() rejects it,
     # naming its first violation; on a mutant that stays valid, the engine
     # and the oracle agree on the carried-over representative and the base
     # cycles
@@ -867,7 +886,7 @@ def test_record_refuses_exactly_the_mutants_validate_rejects():
             report = M.validate()
             assert [(v.code, v.witness) for v in report.violations] == _reference_violations(M)
             try:
-                _complex_record(M)
+                _valid_boundary_check(M)
             except InvalidComplexError as err:
                 assert not report.ok
                 assert str(err).startswith(f"invariant:{report.violations[0].code}: ")
@@ -919,7 +938,9 @@ def test_queries_build_no_generator_views():
         w = _query(C, rep).window()
         assert "reduction" in vars(w)
         assert not {"rows", "cols", "matrix"} & set(vars(w)), seed
-        assert result.attained_at == w.rows[w.row_index[result.certificate["stratum"][0]]]
+        top = result.certificate["stratum"][0]
+        i = next(i for i, key in enumerate(w.keys) if key[1:3] == top)
+        assert result.attained_at == w.generator(i)
         checked += 1
     assert checked >= 10
 
@@ -975,7 +996,6 @@ def test_oracle_feasibility_is_monotone(max_orbits):
 
 
 def _clear_caches():
-    _complex_record.cache_clear()
     engine._last_query = None
 
 
@@ -1027,18 +1047,16 @@ def test_window_cache_is_transparent_and_bounded():
         compared += 1
     assert compared >= 15
 
-    # the caches are bounded: once more than `maxsize` other complexes have
-    # been queried, nothing keeps the first one alive
+    # the cache is bounded: the query state of the last representative is
+    # all that keeps its complex alive, so one query of another
+    # representative frees the first complex
     first = _nonzero_instance(5)
     ref = _first_window_ref(first.complex, first.representative)
     del first
-    size = _complex_record.cache_info().maxsize
-    assert size is not None
-    seed = 100
-    for _ in range(size + 1):
-        inst = _nonzero_instance(seed)
-        nv.spectral_invariant(inst.complex, inst.representative)
-        seed = inst.seed + 1
+    gc.collect()
+    assert ref() is not None
+    inst = _nonzero_instance(100)
+    nv.spectral_invariant(inst.complex, inst.representative)
     del inst
     gc.collect()
     assert ref() is None
@@ -1161,7 +1179,7 @@ def test_query_state_interleaves_past_its_bound():
 
 
 def test_cycle_check_matches_the_boundary():
-    # the query's cycle check sums the record's boundary table in integer
+    # the query's cycle check sums the complex's boundary table in integer
     # keys; it accepts exactly the chains whose `FilteredComplex.boundary`
     # vanishes, also with a floor exactly at an image term's action (the
     # term drops) and 1/97 either side of it
@@ -1199,12 +1217,12 @@ def test_cycle_check_matches_the_boundary():
 def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     # a timing-free guard on the query state: the invariant, the oracle and
     # any number of probes of one representative build one window, one
-    # reduction and check the cycle once, on the record's boundary table:
+    # reduction and check the cycle once, on the complex's boundary table:
     # no `FilteredComplex.boundary`, no equivariant image, and one cap line
-    # per (complex, Chern number); the oracle builds no window, a probe above
-    # the representative's level does not walk the reduction, and an
-    # invariant attained as the representative stands returns it as its
-    # witness and builds no chain
+    # per (complex, Chern number), kept as long as the complex; the oracle
+    # builds no window, a probe above the representative's level does not
+    # walk the reduction, and an invariant attained as the representative
+    # stands returns it as its witness and builds no chain
     counts = Counter()
     lines = Counter()  # cap_line calls per (group, Chern number)
     reduce, cap_line = linalg.Reduction.reduce, nv.GammaGroup.cap_line
@@ -1254,9 +1272,9 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
         assert counts["Reduction"] == 0 and counts["cycle"] == 1
         assert counts["build_window"] == 1
         assert max(lines.values()) == 1, (seed, lines)
+        # the cap lines stay with the complex: `lines` counts both phases
         _clear_caches()
         counts.clear()
-        lines.clear()
         nv.oracle_rho(C, rep)
         assert counts["build_window"] == 0
         r = nv.spectral_invariant(C, rep)
@@ -1280,7 +1298,7 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     assert checked >= 90 and own >= 50, (checked, own)
     # the engine keeps the last representative's query state only: A, B,
     # then A again builds A's window a second time, with the same answer,
-    # but reads its cap lines off A's cached record
+    # but reads its cap lines off A's action keys
     a, b = _nonzero_instance(3), _nonzero_instance(8)
     _clear_caches()
     counts.clear()

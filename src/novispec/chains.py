@@ -34,7 +34,8 @@ floor and sorts.  The package's own chain algebra trusts what it builds
 from chains that were checked already: `+` and `-` check the complexes and
 the two degrees once and sort the summed terms, while `scale` and `shift`
 keep their chain's order (a shift moves every action and every cap alike).
-Each passes its terms to `NovikovChain._ordered`, which checks nothing.
+Each passes its terms to `NovikovChain._ordered`, which checks nothing;
+the seeded generators of `fixtures` build their chains the same way.
 """
 
 from __future__ import annotations

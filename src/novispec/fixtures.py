@@ -10,6 +10,20 @@ Random instances are valid by construction: a direct sum of matched pairs
 unitriangular change of basis.  The invariant of any test class is known in
 advance (the level of its singleton part), giving a ground truth independent
 of both the engine and the oracle.
+
+The seeded generators (`random_instance`, `random_chain`, `random_scalar`,
+`random_continuity_pair`, `random_monodromy`) are defined by their draws:
+the same public `random.Random` calls, with the same arguments, in the same
+order, and the same values built from them.  Tests pin both.  Around the
+draws a generator does little else: it works in integer action keys and
+trusts the parts it builds from checked ones.  An instance's undressed
+shape is plain keys and (orbit, cap) terms, never a complex; only the
+dressed complex goes through the public `FilteredComplex` constructor.
+Boundary and coefficient scalars are built with `NovikovScalar._checked`
+(labels are integer caps of the group's rank, coefficients nonzero
+`Fraction`s), and chains with `NovikovChain._ordered` over generators from
+`FilteredComplex.generator` or the candidate lists, which already have one
+degree and no floor.
 """
 
 from __future__ import annotations
@@ -18,14 +32,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .chains import (
     FilteredComplex,
     Generator,
     NovikovChain,
-    compose_matrices,
-    entry_shifts,
-    equivariant_image,
+    _chain_order,
 )
 from .dual import DualFunctional, Ray
 from .errors import FixtureError
@@ -291,6 +305,11 @@ class RandomInstance:
     seed: int
 
 
+# n/d for the coefficient draws of the generators
+_FRACTIONS = {(n, d): Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)}
+_ONE = _FRACTIONS[1, 1]
+
+
 def _random_gamma(rng: random.Random) -> GammaGroup:
     kind = rng.choice(["trivial", "rank1", "rank1-c0", "rank2"])
     if kind == "trivial":
@@ -305,11 +324,12 @@ def _random_gamma(rng: random.Random) -> GammaGroup:
 
 def _random_caps(rng, gamma, max_shift=3):
     """A small nonnegative-area cap, biased toward zero."""
-    if gamma.rank == 0:
+    rank = gamma.rank
+    if rank == 0:
         return ()
     if rng.random() < 0.45:
-        return gamma.zero
-    if gamma.rank == 1:
+        return (0,) * rank
+    if rank == 1:
         return (rng.randint(0, max_shift),)
     # rank 2 with omega = (1, 3/2): keep omega >= 0 in quanta of 1/2
     a = rng.randint(0, max_shift)
@@ -324,6 +344,11 @@ def random_instance(seed: int, max_orbits: int = 6, gamma_window: int = 3) -> Ra
     arrow each) and singleton cycles s_j in the class degree; the class is a
     combination of singletons and erasable targets.  A layered unitriangular
     filtered automorphism then hides the structure without moving any level.
+
+    The undressed shape is never a complex: its actions are integer keys
+    over `denom` (the grid step, omega and the 1/7 of each drop share it),
+    its boundary and representative are (orbit, cap) terms, and only the
+    dressed complex is built.
     """
     rng = random.Random(seed)
     gamma = _random_gamma(rng)
@@ -332,64 +357,66 @@ def random_instance(seed: int, max_orbits: int = 6, gamma_window: int = 3) -> Ra
     n_single = rng.randint(1, max_orbits - 2 * n_pairs) if max_orbits - 2 * n_pairs >= 1 else 0
     quantum = gamma.period_generator()
     step = quantum if quantum != 0 else Fraction(1, 2)
+    units, omega_denom = gamma.omega_units()
+    denom = lcm(omega_denom, step.denominator, 7)
+    omega = tuple(u * (denom // omega_denom) for u in units)
+    c1 = gamma.c1_values
+    step_key = step.numerator * (denom // step.denominator)
+    span = max(4 * step.denominator // step.numerator, 1)  # steps in [-2, 2]
 
-    def grid(lo, hi):
-        span = int((hi - lo) / step)
-        return lo + rng.randint(0, max(span, 1)) * step
+    def grid():
+        return rng.randint(0, span) * step_key - 2 * denom
 
-    orbits = []
-    boundary = {}
-    singles = []
+    orbits = {}  # {orbit: (action key, degree)}
+    boundary = {}  # {x: [(y, cap, coeff)]}
     pairs = []
     for i in range(n_single):
-        name = f"s{i}"
-        orbits.append((name, grid(Fraction(-2), Fraction(2)), degree))
-        singles.append(name)
+        orbits[f"s{i}"] = (grid(), degree)
     for i in range(n_pairs):
         x, y = f"x{i}", f"y{i}"
         cap = _random_caps(rng, gamma, gamma_window)
-        drop = step * rng.randint(0, 2) + Fraction(1, 7)  # strictly positive
-        y_action = grid(Fraction(-2), Fraction(2))
-        x_action = y_action - gamma.omega(cap) + drop
+        drop = step_key * rng.randint(0, 2) + denom // 7  # strictly positive
+        y_key = grid()
         y_degree = degree + 2 * (rng.randint(-1, 1))
         # entry x -> y at `cap` needs deg(y) - 2*c1(cap) == deg(x) - 1
-        x_degree = y_degree - 2 * gamma.c1(cap) + 1
-        orbits.append((x, x_action, x_degree))
-        orbits.append((y, y_action, y_degree))
-        coeff = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
-        boundary[x] = {y: NovikovScalar.monomial(gamma, DOWN, coeff, cap)}
-        pairs.append((x, y, cap, coeff))
-    C = FilteredComplex(gamma, orbits, boundary)
+        orbits[x] = (y_key - sum(map(mul, omega, cap)) + drop,
+                     y_degree - 2 * sum(map(mul, c1, cap)) + 1)
+        orbits[y] = (y_key, y_degree)
+        coeff = _FRACTIONS[rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2])]
+        boundary[x] = [(y, cap, coeff)]
+        pairs.append((y, cap))
 
-    rep_terms = []
-    expected = NEG_INF
-    for name in singles:
+    rep = {}  # {(orbit, cap): coeff}, one term per orbit
+    expected = None  # the highest singleton term's action key
+    for i in range(n_single):
         if rng.random() < 0.7:
-            c = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+            c = _FRACTIONS[rng.choice([1, -1, 2, 3]), rng.choice([1, 2])]
             cap = _random_caps(rng, gamma, gamma_window)
-            g = C.generator(name, cap)
-            if g.degree != degree:
+            if sum(map(mul, c1, cap)):
                 continue
-            rep_terms.append((g, c))
-            expected = max(expected, g.action)
-    for x, y, cap, coeff in pairs:
+            rep[f"s{i}", cap] = c
+            key = orbits[f"s{i}"][0] - sum(map(mul, omega, cap))
+            expected = key if expected is None else max(expected, key)
+    for y, cap in pairs:
         if rng.random() < 0.6:
-            shift = _random_caps(rng, gamma, gamma_window)
-            g = C.generator(y, vec_add(cap, shift))
-            if g.degree != degree:
+            cap = vec_add(cap, _random_caps(rng, gamma, gamma_window))
+            if orbits[y][1] - 2 * sum(map(mul, c1, cap)) != degree:
                 continue
-            rep_terms.append((g, Fraction(rng.choice([1, -1, 2]), 1)))
-    rep = C.chain(rep_terms)
-    if rep.is_zero() or rep.degree != degree:
-        rep = C.chain()
-        expected = NEG_INF
+            rep[y, cap] = _FRACTIONS[rng.choice([1, -1, 2]), 1]
 
-    C, rep = _dress(rng, C, rep, gamma_window)
+    N = _random_dressing(rng, gamma, omega, orbits, gamma_window)
+    C = FilteredComplex(
+        gamma,
+        [(o, Fraction(key, denom), d) for o, (key, d) in sorted(orbits.items())],
+        _conjugated(gamma, orbits, boundary, N),
+    )
+    terms = add_terms(dict(rep), _pushed(N, rep.items()))  # P(rep)
+    rep = NovikovChain._ordered(
+        C, _chain_order({C.generator(o, cap): c for (o, cap), c in terms.items()}),
+        None, degree,
+    )
+    expected = NEG_INF if expected is None else Fraction(expected, denom)
     return RandomInstance(C, rep, expected, degree, seed)
-
-
-# n/d for the coefficient draws of `random_scalar` and `random_chain`
-_FRACTIONS = {(n, d): Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)}
 
 
 def random_scalar(rng: random.Random, gamma: GammaGroup, direction):
@@ -438,9 +465,11 @@ def random_continuity_pair(seed: int, constant_shift: bool = False) -> Continuit
         rep = C.chain({C.generator(sorted(C.orbits)[0]): 1})
         if not C.boundary(rep).is_zero():
             rep = C.chain()
-    shifts = entry_shifts(C.boundary_entries, C, C)
-    min_slack = min((-shift for _, _, _, shift, _ in shifts), default=Fraction(1))
-    unit = min(Fraction(min_slack) / 4, Fraction(1, 4))
+    # the smallest action drop of a boundary term, read in integer keys
+    drop = min((drop for row in C.boundary_check.table.values() for _, drop, _ in row),
+               default=None)
+    min_slack = Fraction(1) if drop is None else Fraction(drop, C.action_keys.denom)
+    unit = min(min_slack / 4, Fraction(1, 4))
     if constant_shift:
         s = unit * rng.randint(-3, 3)
         deltas = {o: s for o in C.orbits}
@@ -463,8 +492,12 @@ def random_continuity_pair(seed: int, constant_shift: bool = False) -> Continuit
     one = NovikovScalar.one(C.gamma, DOWN)
     forward = ChainMap(C, target, {o: {o: one} for o in C.orbits}, hi)
     backward = ChainMap(target, C, {o: {o: one} for o in C.orbits}, -lo)
-    rep_target = target.chain(
-        {target.generator(g.orbit, g.cap): c for g, c in rep.terms.items()}, rep.floor
+    # the same terms, none at or below a floor (an instance's representative
+    # has none), in the order of the moved actions
+    rep_target = NovikovChain._ordered(
+        target,
+        _chain_order({target.generator(g.orbit, g.cap): c for g, c in rep.terms.items()}),
+        None, rep.degree,
     )
     return ContinuityPair(
         C, target, forward, backward, ham_source, ham_target, rep, rep_target,
@@ -561,18 +594,29 @@ def curated_functionals(C: FilteredComplex):
 def random_chain(rng: random.Random, C: FilteredComplex, degree):
     """Random chain of 1 to 4 terms in one degree (not necessarily a cycle);
     the candidate generators are built once per (complex, degree)."""
-    candidates = _chain_candidates(C, degree)
+    candidates, rank, ordered = _chain_candidates(C, degree)
     if not candidates:
         return C.chain()
-    return C.chain([
-        (rng.choice(candidates), _FRACTIONS[rng.randint(-5, 5), rng.choice([1, 2])])
+    # summed by rank: ordered[rank[g]] is the generator g in chain order
+    terms = add_terms({}, (
+        (rank[rng.choice(candidates)], _FRACTIONS[rng.randint(-5, 5), rng.choice([1, 2])])
         for _ in range(rng.randint(1, 4))
-    ])
+    ))
+    return NovikovChain._ordered(C, {ordered[i]: terms[i] for i in sorted(terms)}, None, degree)
 
 
 @lru_cache(maxsize=4)
 def _chain_candidates(C: FilteredComplex, degree) -> tuple:
-    """`random_chain`'s candidates in `degree`; the last few are cached."""
+    """`random_chain`'s candidates in `degree`, {candidate: its rank in
+    chain order} and the distinct candidates in chain order; the last few
+    are cached.
+
+    Per orbit with a cap line in `degree` the list holds the omega-0 cap,
+    then the caps of omega m * quantum for |m| <= 2, so a nontrivial group
+    lists its omega-0 caps twice (on `czero` in degree 1: 6 candidates, 5
+    distinct) and `random_chain` draws them twice as often as the others.
+    That bias stays: the demo report's bytes depend on these draws.
+    """
     candidates = []
     quantum = C.gamma.period_generator()
     for orbit in sorted(C.orbits):
@@ -580,50 +624,70 @@ def _chain_candidates(C: FilteredComplex, degree) -> tuple:
         if (base_deg - degree) % 2 != 0:
             continue
         c = (base_deg - degree) // 2
-        # the omega-0 cap, then the caps of omega m * quantum, |m| <= 2
         caps = C.gamma.caps(c, 0, quantum or 1)
         caps += C.gamma.caps(c, -2 * quantum, 3 * quantum)
         base = C.base_action(orbit)
         candidates.extend(Generator(orbit, cap, base - w, degree) for cap, w in caps)
-    return tuple(candidates)
+    ordered = tuple(_chain_order(dict.fromkeys(candidates)))
+    return tuple(candidates), {g: i for i, g in enumerate(ordered)}, ordered
 
 
-def _dress(rng, C: FilteredComplex, rep: NovikovChain, gamma_window):
-    """Conjugate by a layered strictly-filtered unitriangular automorphism.
+def _random_dressing(rng, gamma, omega, orbits, gamma_window) -> dict:
+    """N of the dressing P = 1 + N, as rows {src: [(dst, cap, coeff)]}.
 
-    P = 1 + N with N mapping layer-one orbits to strictly lower-action
-    same-degree layer-two orbits, so P and its inverse both preserve levels
-    and the conjugated boundary stays valid.
+    N maps layer-one orbits to strictly lower-action same-degree layer-two
+    orbits, so N∘N = 0, P^-1 = 1 - N, and P and its inverse both preserve
+    levels: the conjugated boundary stays valid.  `orbits` gives each
+    orbit's (action key, degree), with `omega` the group's omega keys.
     """
-    gamma = C.gamma
-    names = sorted(C.orbits)
+    c1 = gamma.c1_values
+    names = sorted(orbits)
     rng.shuffle(names)
     half = len(names) // 2
-    layer1, layer2 = set(names[:half]), set(names[half:])
+    layer2 = sorted(names[half:])
     N = {}
-    for src in sorted(layer1):
-        sa, sd = C.orbits[src]
-        for dst in sorted(layer2):
-            da, dd = C.orbits[dst]
+    for src in sorted(names[:half]):
+        s_key, s_degree = orbits[src]
+        for dst in layer2:
             if rng.random() > 0.5:
                 continue
             cap = _random_caps(rng, gamma, gamma_window)
-            # need degree match dd - 2c1(cap) == sd and strict action drop
-            if dd - 2 * gamma.c1(cap) != sd:
+            d_key, d_degree = orbits[dst]
+            # need degree match deg(dst) - 2c1(cap) == deg(src) and strict action drop
+            if d_degree - 2 * sum(map(mul, c1, cap)) != s_degree:
                 continue
-            if da - gamma.omega(cap) >= sa:
+            if d_key - sum(map(mul, omega, cap)) >= s_key:
                 continue
-            coeff = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
-            N.setdefault(src, {})[dst] = NovikovScalar.monomial(gamma, DOWN, coeff, cap)
+            coeff = _FRACTIONS[rng.choice([1, -1, 2]), rng.choice([1, 2])]
+            N.setdefault(src, []).append((dst, cap, coeff))
+    return N
 
-    one = NovikovScalar.one(gamma, DOWN)
-    P = {o: {o: one, **N.get(o, {})} for o in C.orbits}
-    P_inv = {o: {o: one, **{d: -s for d, s in N.get(o, {}).items()}} for o in C.orbits}
-    boundary = compose_matrices(P, compose_matrices(C.boundary_entries, P_inv))
-    dressed = FilteredComplex(gamma, [(o,) + C.orbits[o] for o in sorted(C.orbits)], boundary)
-    new_rep = dressed.chain(
-        {dressed.generator(g.orbit, g.cap): c
-         for g, c in equivariant_image(P, rep.terms, C).items()},
-        rep.floor,
+
+def _pushed(rows, terms):
+    """(orbit, cap) terms pushed through rows {orbit: [(dst, label, coeff)]}:
+    each lands on (dst, cap + label), not yet summed."""
+    return (
+        ((dst, vec_add(cap, label)), k * c)
+        for (orbit, cap), c in terms
+        for dst, label, k in rows.get(orbit, ())
     )
-    return dressed, new_rep
+
+
+def _conjugated(gamma, orbits, boundary, N) -> dict:
+    """The boundary matrix of P∘d∘P^-1, P = 1 + N, for d given as rows.
+
+    Per base generator s: P^-1 s = s - N s, then d, then P, summed by
+    (orbit, cap) with cancelled terms dropped."""
+    zero = gamma.zero
+    out = {}
+    for src in orbits:
+        if src not in boundary and src not in N:
+            continue  # d(P^-1 src) = d(src) = 0
+        inverse = [((src, zero), _ONE)]
+        inverse += (((dst, cap), -k) for dst, cap, k in N.get(src, ()))
+        image = add_terms({}, _pushed(boundary, inverse))
+        row = out[src] = {}
+        for (dst, label), c in add_terms(dict(image), _pushed(N, image.items())).items():
+            row.setdefault(dst, {})[label] = c
+    return {src: {dst: NovikovScalar._checked(gamma, DOWN, terms) for dst, terms in row.items()}
+            for src, row in out.items()}

@@ -29,18 +29,20 @@ def test_builtins_pass_their_own_invariants():
 
 
 def test_random_instances_are_valid_and_deterministic():
-    for seed in range(40):
-        a = random_instance(seed)
-        b = random_instance(seed)
-        assert a.complex.validate().ok
-        assert a.complex.orbits == b.complex.orbits
-        assert a.representative.terms == b.representative.terms
-        assert a.expected_rho == b.expected_rho
-        assert len(a.complex.orbits) <= 6
-        if not a.representative.is_zero():
+    for max_orbits, seeds in ((6, range(40)), (8, range(20)), (16, range(20))):
+        for seed in seeds:
+            a = random_instance(seed, max_orbits=max_orbits)
+            b = random_instance(seed, max_orbits=max_orbits)
+            assert a.complex.validate().ok
+            assert a.complex.orbits == b.complex.orbits
+            assert a.representative.terms == b.representative.terms
+            assert a.expected_rho == b.expected_rho
+            assert len(a.complex.orbits) <= max_orbits
             assert a.complex.boundary(a.representative).is_zero()
             if a.expected_rho != NEG_INF:
                 assert a.representative.level() >= a.expected_rho
+            # the ground truth is the engine's answer
+            assert nv.spectral_invariant(a.complex, a.representative).rho == a.expected_rho
 
 
 def test_continuity_pairs_are_consistent():
@@ -65,17 +67,20 @@ def test_monodromy_fixture_decks():
     assert decks >= 1
 
 
+def _rho_json(rho):
+    return "-inf" if rho == NEG_INF else jsonio.frac_str(rho)
+
+
 def _seeded_draws():
     """JSON of seeded random instances, chains and scalars, in draw order."""
     out = []
     for max_orbits in (6, 12):
         for k in range(40):
             inst = random_instance(k, max_orbits=max_orbits)
-            rho = inst.expected_rho
             out.append([
                 jsonio.complex_to_json(inst.complex),
                 jsonio.chain_to_json(inst.representative),
-                "-inf" if rho == NEG_INF else jsonio.frac_str(rho),
+                _rho_json(inst.expected_rho),
             ])
     rng = random.Random(5)
     for k in range(20):
@@ -93,6 +98,49 @@ def test_seeded_generators_pinned():
     # any change to a seeded draw, the random dressing included, moves the digest
     blob = json.dumps(_seeded_draws(), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == "fa4dc5e6a08fb5820029b1c4ea9772388087c4bed7e42d5bc3652ae3f13f8990"
+
+
+def _bench_shaped_draws():
+    """JSON of the generator outputs the bench and the CLI build: instances
+    at the bench's sizes and corpora, continuity pairs, monodromy shifts,
+    and the caller's rng state after chain and scalar draws."""
+    out = []
+    for kwargs in ({"max_orbits": 16}, {"max_orbits": 8},
+                   {"max_orbits": 6, "gamma_window": 3}):
+        for k in [*range(60), *range(1_000_000, 1_000_020)]:
+            inst = random_instance(k, **kwargs)
+            out.append([jsonio.complex_to_json(inst.complex),
+                        jsonio.chain_to_json(inst.representative),
+                        _rho_json(inst.expected_rho), inst.degree])
+    for k in range(20):
+        p = random_continuity_pair(k, constant_shift=(k % 3 == 0))
+        out.append([
+            jsonio.complex_to_json(p.source), jsonio.complex_to_json(p.target),
+            jsonio.chain_map_to_json("s", "t", p.forward),
+            jsonio.chain_map_to_json("t", "s", p.backward),
+            [[{q: str(v) for q, v in row.items()} for row in h.values]
+             for h in (p.ham_source, p.ham_target)],
+            jsonio.chain_to_json(p.rep_source), jsonio.chain_to_json(p.rep_target),
+            str(p.rep_source.floor), p.constant_shift,
+        ])
+        C, rep, shift, is_deck = random_monodromy(k)
+        out.append([jsonio.complex_to_json(C),
+                    None if rep is None else jsonio.chain_to_json(rep),
+                    jsonio.monodromy_to_json(shift), is_deck])
+    rng = random.Random(11)
+    for k in range(12):
+        C = random_instance(k, max_orbits=16).complex
+        out.append([jsonio.chain_to_json(random_chain(rng, C, d)) for d in range(-3, 4)])
+        out.append(jsonio.scalar_to_json(random_scalar(rng, C.gamma, DOWN)))
+    out.append(rng.getstate())
+    return out
+
+
+def test_bench_shaped_generators_pinned():
+    # the draw sequence is the generators' contract: a changed, added or
+    # reordered draw moves the digest, and so does any value built from it
+    blob = json.dumps(_bench_shaped_draws(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == "3d574fac60e75362d1b1191aed9c527d618f28e3ebca8f17e287afa0c9ca223f"
 
 
 def _draws(seed, C, cold):

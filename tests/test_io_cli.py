@@ -79,6 +79,7 @@ ANSWERS_DIGEST = {
     "certificate": "aa888d5f7b9023d0efa4a9640d3b937ba33083f6b3bd8c201cb99fb7afebb2c1",
     "oracle": "a22b76c29ed552d077a4d3491c8ca7a4ad1d7d367019e1a1739035b70b41df67",
     "probes": "c395cdd98e7490b619fac68ea0f358b38677b0db992d75009c1295aa0ffbc178",
+    "fixtures": "37ecd1d23af9af6499461c1ae63d19d8347a92a2a1ddeb82377841d238e3e28b",
 }
 
 

@@ -8,8 +8,10 @@ asks, per class, for the spectral invariant, the oracle and 5 membership
 probes, and prints {field: sha256} as JSON: rho, the witness
 (`jsonio.chain_to_json`), the reduced trace, the spectrality, `attained_at`,
 the certificate, the oracle's outcome and the probes.  A raised error counts
-as an answer (its type and message).  Run it on two trees to check that a
-change keeps every answer.
+as an answer (its type and message).  The `fixtures` field hashes the
+questions themselves: each instance's complex (`jsonio.complex_to_json`),
+representative and expected rho.  Run it on two trees to check that a
+change keeps every answer and every seeded instance.
 """
 
 from fractions import Fraction
@@ -27,7 +29,7 @@ from novispec.fixtures import random_instance
 
 SEEDS = range(600)
 FIELDS = ("rho", "witness", "trace", "spectrality", "attained_at", "certificate",
-          "oracle", "probes")
+          "oracle", "probes", "fixtures")
 
 
 def _canon(x):
@@ -59,7 +61,9 @@ def answers(seed: int) -> dict:
     level = rep.level()
     base = level if isinstance(level, Fraction) else Fraction(0)
     r = _ask(nv.spectral_invariant, C, rep)
-    out = {"oracle": _ask(nv.oracle_rho, C, rep),
+    out = {"fixtures": [jsonio.complex_to_json(C), jsonio.chain_to_json(rep),
+                        inst.expected_rho],
+           "oracle": _ask(nv.oracle_rho, C, rep),
            "probes": [_ask(nv.image_membership, C, rep, base + Fraction(k, 7) + Fraction(1, 13))
                       for k in (-6, -3, 0, 3, 6)]}
     if isinstance(r, str):

@@ -14,12 +14,14 @@ shift, `compose_matrices` composes, and `equivariant_image` applies a
 matrix to capped generators.
 
 A complex is never mutated, so it caches what it derives from its data:
-`action_keys`, each action as an integer key over one denominator, with
-the period, base-key range and cap lines that the engine's windows read,
+`action_keys`, the one owner of the integer action lattice (each action as
+a key over one denominator, the period, the base keys modulo it, and per
+Chern number the cap line and its runs of caps, `ActionKeys.cap_run`),
+which the windows, the spectrum, the cycle test and the seeded chains read,
 and `boundary_check`, the one rule that makes the boundary a filtered Novikov
 differential (each term lowers the degree by one and never raises the
 action, and d∘d vanishes), decided in those keys.  `validate` reports its
-violations and the engine refuses a complex that has any.
+violations; `is_cycle` and the engine refuse a complex that has any.
 
 Chains are finite homogeneous combinations of generators with an optional
 action-space precision floor.  Neither a complex nor a scalar carries one, so
@@ -43,10 +45,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import gcd, lcm
 from operator import attrgetter, mul
 
-from .errors import DomainError, IndeterminateError, StructuralError
+from .errors import DomainError, IndeterminateError, InvalidComplexError, StructuralError
 from .gamma import GammaElement, GammaGroup, integers, vec_add
 from .linalg import add_terms
 from .scalars import DOWN, NEG_INF
@@ -322,15 +325,20 @@ class ValidationReport:
         return "<invalid: " + ", ".join(self.codes()) + ">"
 
 
+_NO_RUN = (0, ())
+
+
 @dataclass(slots=True)  # built once per complex; only `lines` fills in later
 class ActionKeys:
     """A complex's actions as integer keys: each action times `denom`.
 
-    Besides the keys themselves it holds what the engine's windows and
-    spectrum test read off them: the period generator, the base keys
+    Besides the keys themselves it holds what the windows, the spectrum
+    and the cycle test read off them: the period generator, the base keys
     modulo it, the lowest and highest base key, and per Chern number the
-    cap line in keys, which the first window that needs it adds."""
+    cap line in keys, read from the group by the first `cap_run` that
+    needs it."""
 
+    gamma: GammaGroup
     denom: int  # lcm of the base-action and omega-value denominators
     base: dict  # {orbit: base action key}
     omega: tuple  # the omega key of each group generator
@@ -344,6 +352,34 @@ class ActionKeys:
     def neg_key(self, orbit: str, cap) -> int:
         """The -action key of (orbit, cap): omega key(cap) - base key(orbit)."""
         return sum(map(mul, self.omega, cap)) - self.base[orbit]
+
+    def cap_run(self, orbit: str, c1: int, degree: int, lo: int, hi: int):
+        """(count, keys) of the caps A of Chern number `c1` with (orbit, A) of
+        action key in (lo, hi]: the keys (-action key, orbit, A, `degree`)
+        are lazy and ascending.  The caps are a run of steps along the cap
+        line, each adding the step's omega key to the -action key."""
+        lines = self.lines
+        if c1 not in lines:
+            line = self.gamma.cap_line(c1)
+            if line is not None:
+                start, step = line
+                line = (start, sum(map(mul, self.omega, start)),
+                        step, step and sum(map(mul, self.omega, step)))
+            lines[c1] = line
+        line = lines[c1]
+        if line is None:
+            return _NO_RUN
+        start, w0, step, dw = line
+        key = self.base[orbit] - w0  # the key of `start`; each step lowers it by dw
+        if step is None:
+            return (1, [(-key, orbit, start, degree)]) if lo < key <= hi else _NO_RUN
+        first, stop = -((hi - key) // dw), -((lo - key) // dw)
+        if first >= stop:
+            return _NO_RUN
+        caps = zip(*(range(x + first * k, x + stop * k, k) if k else repeat(x)
+                     for x, k in zip(start, step)))
+        return stop - first, zip(range(first * dw - key, stop * dw - key, dw), repeat(orbit),
+                                 caps, repeat(degree))
 
 
 @dataclass(slots=True)  # built once per complex, never mutated
@@ -361,6 +397,15 @@ class BoundaryCheck:
     table: dict
 
 
+def _valid_boundary_check(C: "FilteredComplex") -> BoundaryCheck:
+    """`C.boundary_check`; refuses a complex with a violation, naming the first."""
+    check = C.boundary_check
+    if check.violations:
+        v = check.violations[0]
+        raise InvalidComplexError(f"invariant:{v.code}: {v.message} (witness {v.witness})")
+    return check
+
+
 class FilteredComplex:
     """Finite-rank free module over the downward Novikov ring with filtration."""
 
@@ -376,7 +421,8 @@ class FilteredComplex:
             oid = str(oid)
             if oid in self.orbits:
                 raise StructuralError(f"duplicate orbit id {oid!r}")
-            self.orbits[oid] = (Fraction(action), *integers((degree,), f"degree of {oid!r}"))
+            action = action if type(action) is Fraction else Fraction(action)
+            self.orbits[oid] = (action, *integers((degree,), f"degree of {oid!r}"))
         self.boundary_entries = orbit_matrix(boundary or {}, self, self, "boundary")
 
     # -- generators and chains ---------------------------------------------
@@ -423,6 +469,31 @@ class FilteredComplex:
         degree = None if chain.degree is None else chain.degree - 1
         return NovikovChain._ordered(self, _chain_order(image), floor, degree)
 
+    def is_cycle(self, chain: NovikovChain) -> bool:
+        """Does the boundary of `chain` vanish above its precision floor?
+
+        The boundary table's terms are summed into {(orbit, -action key):
+        coeff}, which names the image's generators as (orbit, cap) would,
+        since they share one degree; a sum is kept, as `boundary` keeps it,
+        when its action key lies above the floor's.  Builds no chain and no
+        `Generator`, and refuses an invalid complex (`_valid_boundary_check`).
+        """
+        if chain.complex is not self:
+            raise StructuralError("chain does not live in this complex")
+        table = _valid_boundary_check(self).table
+        keys = self.action_keys
+        image = {}
+        for g, c in chain.terms.items():
+            neg_key = keys.neg_key(g.orbit, g.cap)
+            add_terms(image, (((dst, neg_key + drop), c * coeff)
+                              for dst, drop, coeff in table.get(g.orbit, ())))
+        floor = chain.floor
+        if not image or floor is None:
+            return not image
+        # an integer key lies above floor * denom exactly when it lies above its floor
+        floor_key = floor.numerator * keys.denom // floor.denominator
+        return all(-neg_key <= floor_key for _, neg_key in image)
+
     # -- validation -----------------------------------------------------------
 
     @cached_property
@@ -433,7 +504,7 @@ class FilteredComplex:
         omega = tuple(u * (denom // omega_denom) for u in units)
         period = gcd(*omega)
         return ActionKeys(
-            denom, base, omega, period,
+            self.gamma, denom, base, omega, period,
             frozenset(k % period if period else k for k in base.values()),
             min(base.values(), default=0), max(base.values(), default=0),
         )

@@ -23,12 +23,11 @@ than the pad can leave a finite invariant indeterminate.
 
 A window enumerates its generators in integers, never through a
 per-generator omega or `Fraction`: every action is an integer key over the
-complex's denominator (`FilteredComplex.action_keys`).  Per Chern number,
-the action keys keep the cap line (`GammaGroup.cap_line`: a start cap and a
-step of positive omega) with its omegas as integer keys, read once by the
-first window that needs it; per orbit, two floor divisions give the run
-of steps inside (lo, hi], and each step adds integers.  The runs' lengths
-are summed before any key is built, so a window of more than
+complex's denominator (`FilteredComplex.action_keys`).  Per orbit, the
+action keys give the run of its caps along the cap line of one Chern
+number inside (lo, hi] (`ActionKeys.cap_run`): its length from two floor
+divisions, then its keys, lazily, each step adding integers.  The runs'
+lengths are summed before any key is built, so a window of more than
 `MAX_WINDOW_GENERATORS` generators in one degree raises
 `WindowTooLargeError` at the cost of one pass over the orbits.  A key is
 the tuple (-action key, orbit, cap, degree), so keys sort by action
@@ -50,7 +49,7 @@ refuses a complex whose `boundary_check` has a violation
 (`_valid_boundary_check`), and reads the rest off the two facts the
 complex caches: the table and the largest drop from `boundary_check`; the
 period, the base keys modulo it, the lowest and highest base key and the
-cap lines from `action_keys`.  The default windows' pad (`window_pad`) is
+cap runs from `action_keys`.  The default windows' pad (`window_pad`) is
 one sum of these keys.  The
 queries read levels off the keys and bisect them for row prefixes; a
 window's bounds are each one `Fraction` of keys, a `Generator` is built
@@ -62,10 +61,10 @@ state is a function of its chain.  A query state (`_Query`) holds what
 every query of one representative derives from it alone: the complex and
 cycle checks and the query bounds, computed once, and the window and the
 representative's vector on it, built on first read; the window reduces its
-columns once, lazily (`Window.reduction`).  The cycle check (`_is_cycle`)
-sums the boundary table over the representative's terms into {(orbit,
--action key): coeff} and compares what survives with the precision floor
-in integer keys; it builds no chain and no `Generator`.  An invariant
+columns once, lazily (`Window.reduction`).  The cycle check is the
+complex's own (`FilteredComplex.is_cycle`), decided in integer keys with
+no chain and no `Generator` built, as the CLI and the fixtures decide
+theirs.  An invariant
 attained by the representative as it stands, unreduced and exact, returns
 the representative itself as its witness; any other witness is read off
 the window's rows in index order, which is chain order
@@ -96,15 +95,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import linalg
-from .chains import BoundaryCheck, FilteredComplex, Generator, NovikovChain
+from .chains import FilteredComplex, Generator, NovikovChain, _valid_boundary_check
 from .errors import (
     DomainError,
     IndeterminateError,
-    InvalidComplexError,
     SpectralLevelError,
     StructuralError,
     WindowTooLargeError,
@@ -172,15 +169,6 @@ class Window:
         return linalg.Reduction(self.columns)
 
 
-def _valid_boundary_check(C: FilteredComplex) -> BoundaryCheck:
-    """`C.boundary_check`; refuses a complex with a violation, naming the first."""
-    check = C.boundary_check
-    if check.violations:
-        v = check.violations[0]
-        raise InvalidComplexError(f"invariant:{v.code}: {v.message} (witness {v.witness})")
-    return check
-
-
 def window_pad(C: FilteredComplex) -> int:
     """The half-width of the default windows as an action key: twice the
     largest boundary drop, three periods, the spread of the base keys and
@@ -204,7 +192,7 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
     """
     _valid_boundary_check(C)
     units = C.action_keys
-    lines = units.lines
+    cap_run = units.cap_run
     # actions as integer keys over denom: lo < key / denom <= hi
     lo_key = lo.numerator * units.denom // lo.denominator
     hi_key = hi.numerator * units.denom // hi.denominator
@@ -213,30 +201,10 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
     for orbit, (_, bdeg) in C.orbits.items():
         if (bdeg - degree) % 2 != 0:
             continue
-        c = (bdeg - degree) // 2
-        if c not in lines:  # the cap line in integer action units
-            line = C.gamma.cap_line(c)
-            if line is not None:
-                start, step = line
-                w0 = sum(map(mul, units.omega, start))
-                line = start, w0, step, step and sum(map(mul, units.omega, step))
-            lines[c] = line
-        if lines[c] is None:
-            continue
-        start, w0, step, dw = lines[c]
-        key = units.base[orbit] - w0  # the key of `start`; each step lowers it by dw
-        if step is None:
-            if lo_key < key <= hi_key:
-                runs.append([(-key, orbit, start, degree)])
-                total += 1
-            continue
-        first, stop = -((hi_key - key) // dw), -((lo_key - key) // dw)
-        if first < stop:
-            caps = zip(*(range(x + first * k, x + stop * k, k) if k else repeat(x)
-                         for x, k in zip(start, step)))
-            runs.append(zip(range(first * dw - key, stop * dw - key, dw), repeat(orbit),
-                            caps, repeat(degree)))
-            total += stop - first
+        count, run = cap_run(orbit, (bdeg - degree) // 2, degree, lo_key, hi_key)
+        if count:
+            runs.append(run)
+            total += count
     if total > MAX_WINDOW_GENERATORS:
         raise WindowTooLargeError(
             f"window-too-large: degree {degree} on ({lo}, {hi}] holds {total} "
@@ -352,30 +320,6 @@ def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
     return Fraction(key - pad, keys.denom), Fraction(key + pad - keys.period, keys.denom)
 
 
-def _is_cycle(C: FilteredComplex, rep: NovikovChain) -> bool:
-    """Does the boundary of `rep` vanish above its precision floor?
-
-    The boundary table's terms of every term of `rep` are summed into
-    {(orbit, -action key): coeff}, which names the image's generators as
-    (orbit, cap) would, since they share one degree (see `Window`); a term
-    left by the sum is kept exactly when its action key lies above the
-    floor's, as `FilteredComplex.boundary` keeps it.
-    """
-    table = C.boundary_check.table
-    units = C.action_keys
-    image = {}
-    for g, c in rep.terms.items():
-        neg_key = units.neg_key(g.orbit, g.cap)
-        linalg.add_terms(image, (((dst, neg_key + drop), c * coeff)
-                                 for dst, drop, coeff in table.get(g.orbit, ())))
-    floor = rep.floor
-    if not image or floor is None:
-        return not image
-    # an integer key lies above floor * denom exactly when it lies above its floor
-    floor_key = floor.numerator * units.denom // floor.denominator
-    return all(-neg_key <= floor_key for _, neg_key in image)
-
-
 class _Query:
     """What every query of one cycle `rep` derives from it alone.
 
@@ -392,7 +336,7 @@ class _Query:
 
     def __init__(self, C: FilteredComplex, rep: NovikovChain):
         lo, hi = default_window_bounds(C, rep)
-        if not _is_cycle(C, rep):
+        if not C.is_cycle(rep):
             raise DomainError("representative is not a cycle")
         self.rep = rep
         self.bounds = None if rep.is_zero() else (
@@ -555,7 +499,7 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> b
     the walk would stop at once: the answer is yes without it.
     """
     lam = Fraction(lam)
-    if _on_spectrum(lam, C):
+    if spectrality_check(lam, C):
         raise SpectralLevelError(f"{lam} lies on the action spectrum")
     rep = representative
     if rep.floor is not None and lam <= rep.floor:
@@ -577,39 +521,38 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> b
 
 
 def action_spectrum(C: FilteredComplex, window) -> list:
-    """The spectrum points {base action - period lattice} in [lo, hi], ascending."""
+    """The spectrum points {base action - period lattice} in [lo, hi], ascending.
+
+    Read in the complex's action keys, as `spectrality_check` reads them: a
+    key is a point exactly when it is congruent to a base key modulo the
+    period, so each residue gives one arithmetic run of keys in the window.
+    """
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if hi < lo:
         raise StructuralError("empty spectrum window")
-    g = C.gamma.period_generator()
-    points = set()
-    for orbit in sorted(C.orbits):
-        base = C.base_action(orbit)
-        if g == 0:
-            if lo <= base <= hi:
-                points.add(base)
-            continue
-        m_lo = math.ceil((base - hi) / g)
-        m_hi = math.floor((base - lo) / g)
-        for m in range(m_lo, m_hi + 1):
-            points.add(base - m * g)
-    return sorted(points)
+    keys = C.action_keys
+    lo_key = -(-lo.numerator * keys.denom // lo.denominator)  # ceil(lo * denom)
+    hi_key = hi.numerator * keys.denom // hi.denominator
+    p = keys.period
+    if p:
+        points = {k for r in keys.residues for k in range(lo_key + (r - lo_key) % p, hi_key + 1, p)}
+    else:
+        points = {k for k in keys.residues if lo_key <= k <= hi_key}
+    return [Fraction(k, keys.denom) for k in sorted(points)]
 
 
 def spectrality_check(rho, C: FilteredComplex) -> bool:
     """Exact membership of a computed value in {base action - period lattice}.
 
-    The zero class (-inf) is outside the spectrum.
+    The zero class (-inf) is outside the spectrum.  base - value lies in the
+    period group g Z iff value = base mod g, and every point of the spectrum
+    is a multiple of 1/denom: one lookup of the value's key in the residues.
     """
     # a float is -inf or +inf, or any other float: never a spectrum point
-    return not isinstance(rho, float) and _on_spectrum(Fraction(rho), C)
-
-
-def _on_spectrum(value: Fraction, C: FilteredComplex) -> bool:
-    # base - value lies in the period group g Z iff value = base mod g, and
-    # every point of the spectrum is a multiple of 1/denom
+    if isinstance(rho, float):
+        return False
     _valid_boundary_check(C)
-    keys = C.action_keys
+    value, keys = (rho if type(rho) is Fraction else Fraction(rho)), C.action_keys
     if keys.denom % value.denominator:
         return False
     key = value.numerator * (keys.denom // value.denominator)

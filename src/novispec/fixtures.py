@@ -463,7 +463,7 @@ def random_continuity_pair(seed: int, constant_shift: bool = False) -> Continuit
         # boundary or empty class: fall back to a singleton cycle, which the
         # instance generator always creates
         rep = C.chain({C.generator(sorted(C.orbits)[0]): 1})
-        if not C.boundary(rep).is_zero():
+        if not C.is_cycle(rep):
             rep = C.chain()
     # the smallest action drop of a boundary term, read in integer keys
     drop = min((drop for row in C.boundary_check.table.values() for _, drop, _ in row),
@@ -512,7 +512,7 @@ def random_monodromy(seed: int):
     C, rep = inst.complex, inst.representative
     if rep.is_zero():
         rep = C.chain({C.generator(sorted(C.orbits)[0]): 1})
-        if not C.boundary(rep).is_zero():
+        if not C.is_cycle(rep):
             rep = None
     gamma = C.gamma
     names = sorted(C.orbits)
@@ -612,22 +612,24 @@ def _chain_candidates(C: FilteredComplex, degree) -> tuple:
     are cached.
 
     Per orbit with a cap line in `degree` the list holds the omega-0 cap,
-    then the caps of omega m * quantum for |m| <= 2, so a nontrivial group
-    lists its omega-0 caps twice (on `czero` in degree 1: 6 candidates, 5
+    then the caps of omega m * quantum for |m| <= 2, each run read off
+    `ActionKeys.cap_run` in omega ascending, so a nontrivial group lists
+    its omega-0 caps twice (on `czero` in degree 1: 6 candidates, 5
     distinct) and `random_chain` draws them twice as often as the others.
     That bias stays: the demo report's bytes depend on these draws.
     """
     candidates = []
-    quantum = C.gamma.period_generator()
+    keys = C.action_keys
     for orbit in sorted(C.orbits):
         base_deg = C.base_degree(orbit)
         if (base_deg - degree) % 2 != 0:
             continue
-        c = (base_deg - degree) // 2
-        caps = C.gamma.caps(c, 0, quantum or 1)
-        caps += C.gamma.caps(c, -2 * quantum, 3 * quantum)
-        base = C.base_action(orbit)
-        candidates.extend(Generator(orbit, cap, base - w, degree) for cap, w in caps)
+        c, base = (base_deg - degree) // 2, keys.base[orbit]
+        # omega keys in [w_lo, w_hi) are action keys in (base - w_hi, base - w_lo]
+        for w_lo, w_hi in ((0, keys.period or keys.denom), (-2 * keys.period, 3 * keys.period)):
+            _, run = keys.cap_run(orbit, c, degree, base - w_hi, base - w_lo)
+            candidates.extend(Generator(orbit, cap, Fraction(-k, keys.denom), degree)
+                              for k, _, cap, _ in run)
     ordered = tuple(_chain_order(dict.fromkeys(candidates)))
     return tuple(candidates), {g: i for i, g in enumerate(ordered)}, ordered
 

@@ -10,18 +10,17 @@ Gluing a cap shifts a generator's degree by -2 c1, so the caps of one degree
 are the solutions of c1(A) = c.  These form a cap line: empty, one point, or
 A0 + t K over the integers with c1(K) = 0.  Injectivity makes omega(K) != 0,
 so `GammaGroup.cap_line` orients K with omega(K) > 0, and the caps of one
-Chern number in an area range are a run of consecutive t.  `GammaGroup.caps`
-finds that run in closed form and returns each cap with its omega: stepping
-along the line adds omega(K) once per cap.  The engine reads the same line
-in integer action units, kept on the complex's action keys, which read
-omega in the same units (`GammaGroup.omega_units`).
+Chern number in an area range are a run of consecutive t.  The group only
+solves for the line: a complex's action keys (`chains.ActionKeys`) read it
+once per Chern number in integer action units, with omega in the same units
+(`GammaGroup.omega_units`), and enumerate its runs there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd, lcm
+from math import gcd, lcm
 from operator import add, index, mul, sub
 
 from .errors import StructuralError
@@ -149,14 +148,6 @@ class GammaGroup:
         """Generator of the period group omega(Gamma) inside Q (0 if trivial)."""
         return self._period
 
-    def in_period_group(self, value) -> bool:
-        value = Fraction(value)
-        g = self._period
-        if g == 0:
-            return value == 0
-        q = value / g
-        return q.denominator == 1
-
     def cap_line(self, c1: int):
         """(A0, K) with {A : c1(A) = c1} = {A0 + t K}.
 
@@ -183,28 +174,6 @@ class GammaGroup:
         if step is None or sum(map(mul, self._omega_units, step)) > 0:
             return start, step
         return start, vec_neg(step)
-
-    def caps(self, c1: int, lo, hi) -> list:
-        """(A, omega(A)) for every cap A with c1(A) = c1 and lo <= omega(A) < hi.
-
-        Omega ascending.  Along the cap line A0 + t K, each step adds K to
-        the cap and omega(K) to its omega.
-        """
-        line = self.cap_line(int(c1))
-        if line is None:
-            return []
-        start, step = line
-        w0 = self.omega(start)
-        if step is None:
-            return [(start, w0)] if lo <= w0 < hi else []
-        dw = self.omega(step)
-        first, stop = ceil((Fraction(lo) - w0) / dw), ceil((Fraction(hi) - w0) / dw)
-        out = []
-        cap, w = vec_add(start, vec_scale(first, step)), w0 + first * dw
-        for _ in range(first, stop):
-            out.append((cap, w))
-            cap, w = vec_add(cap, step), w + dw
-        return out
 
 
 def _extended_gcd(a: int, b: int):

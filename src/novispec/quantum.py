@@ -198,29 +198,26 @@ class ProductFixture:
         raise FixtureError(f"fixture incomplete: no structure constants for ({i}, {j})")
 
     def validate(self):
-        """Unit, grading, and associativity on the basis span."""
+        """Unit, grading, and associativity on the basis span, from one
+        product per pair of basis classes."""
         problems = []
         names = sorted(self.basis.classes)
-        unit_class = QuantumClass(
-            self.basis, self.gamma, COHOMOLOGY, [(1, self.unit, self.gamma.zero)]
-        )
+        zero = self.gamma.zero
+        unit_class = QuantumClass(self.basis, self.gamma, COHOMOLOGY, [(1, self.unit, zero)])
+        x = {n: QuantumClass(self.basis, self.gamma, COHOMOLOGY, [(1, n, zero)]) for n in names}
+        products = {}
         for n in names:
-            x = QuantumClass(self.basis, self.gamma, COHOMOLOGY, [(1, n, self.gamma.zero)])
-            if quantum_product(unit_class, x, self) != x:
+            if quantum_product(unit_class, x[n], self) != x[n]:
                 problems.append(f"unit fails on {n}")
             for m in names:
-                y = QuantumClass(self.basis, self.gamma, COHOMOLOGY, [(1, m, self.gamma.zero)])
-                p = quantum_product(x, y, self)
-                if not p.is_zero() and p.degree != x.degree + y.degree:
+                p = products[n, m] = quantum_product(x[n], x[m], self)
+                if not p.is_zero() and p.degree != x[n].degree + x[m].degree:
                     problems.append(f"grading fails on ({n}, {m})")
         for i in names:
             for j in names:
                 for k in names:
-                    xi = QuantumClass(self.basis, self.gamma, COHOMOLOGY, [(1, i, self.gamma.zero)])
-                    xj = QuantumClass(self.basis, self.gamma, COHOMOLOGY, [(1, j, self.gamma.zero)])
-                    xk = QuantumClass(self.basis, self.gamma, COHOMOLOGY, [(1, k, self.gamma.zero)])
-                    left = quantum_product(quantum_product(xi, xj, self), xk, self)
-                    right = quantum_product(xi, quantum_product(xj, xk, self), self)
+                    left = quantum_product(products[i, j], x[k], self)
+                    right = quantum_product(x[i], products[j, k], self)
                     if left != right:
                         problems.append(f"associativity fails on ({i}, {j}, {k})")
         if problems:

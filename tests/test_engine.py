@@ -277,6 +277,56 @@ def test_action_spectrum_half_integer_period():
     assert nv.action_spectrum(C, (0, 1)) == [F(0), F(1, 2), F(1)]
 
 
+def _spectrum_walk(C, lo, hi):
+    """The spectrum points in [lo, hi], ascending, by walking the period
+    lattice of every base action in `Fraction`s: the reference rule."""
+    g = C.gamma.period_generator()
+    points = set()
+    for orbit in sorted(C.orbits):
+        base = C.base_action(orbit)
+        if g == 0:
+            if lo <= base <= hi:
+                points.add(base)
+            continue
+        for m in range(math.ceil((base - hi) / g), math.floor((base - lo) / g) + 1):
+            points.add(base - m * g)
+    return sorted(points)
+
+
+def test_action_spectrum_matches_the_period_lattice_walk():
+    # the key runs per residue give the points of the Fraction walk, with
+    # window ends on the lattice (a base action, moved by whole periods)
+    # and off it, a window of one point, and the trivial group
+    rng = random.Random(31)
+    complexes = [fix.build(min(F(1, 8), fix.max_eps))
+                 for fix in (make() for make in BUILTIN_FIXTURES.values())]
+    for path in sorted((REPO / "fixtures").glob("*.json")):
+        raw = jsonio.load_json(path)
+        if "orbits" in raw:
+            complexes.append(jsonio.complex_from_json(raw))
+    complexes += [random_instance(seed).complex for seed in range(30)]
+    complexes.append(nv.FilteredComplex(G0, [("a", F(1, 3), 0), ("b", F(-2), 1)], {}))
+    assert any(C.gamma.rank == 0 for C in complexes)
+    on = points = 0
+    for C in complexes:
+        g = C.gamma.period_generator()
+        bases = [C.base_action(o) for o in sorted(C.orbits)]
+        ends = [b - k * g for b in bases for k in (-3, 0, 2)]
+        ends += [F(rng.randint(-90, 90), rng.choice([1, 3, 7, 97])) for _ in range(6)]
+        for lo in ends:
+            for hi in ends:
+                if hi < lo:
+                    continue
+                found = nv.action_spectrum(C, (lo, hi))
+                assert found == _spectrum_walk(C, lo, hi), (C.gamma, lo, hi)
+                assert all(type(x) is F for x in found)
+                on += lo in found and hi in found
+                points += len(found)
+        with pytest.raises(StructuralError, match="empty spectrum window"):
+            nv.action_spectrum(C, (1, F(99, 100)))
+    assert on > 100 and points > 1000, (on, points)
+
+
 def test_spectrality_membership():
     C = nv.FilteredComplex(G1, [("a", F(1, 3), 0)], {})
     assert nv.spectrality_check(F(1, 3) - 4, C)
@@ -298,7 +348,7 @@ def test_spectrality_check_matches_period_group_scan():
         lams = [F(0)] + [F(rng.randint(-60, 60), rng.choice([1, 2, 3, 7])) for _ in range(15)]
         lams += [rng.choice(bases) - rng.randint(-5, 5) * g for _ in range(10 if bases else 0)]
         for lam in lams:
-            scan = any(C.gamma.in_period_group(b - lam) for b in bases)
+            scan = any(b == lam if g == 0 else ((b - lam) / g).denominator == 1 for b in bases)
             assert nv.spectrality_check(lam, C) == scan, (C.gamma, bases, lam)
             on += scan
             off += not scan
@@ -693,7 +743,7 @@ def test_windows_address_rows_by_orbit_and_action_key():
                 for floor in {None} | {a + d for a in actions for d in (0, F(1, 97), -F(1, 97))}:
                     floored = C.chain(cand.terms, floor)
                     expected = C.boundary(floored).is_zero()
-                    assert engine._is_cycle(C, floored) == expected, (cand, floor)
+                    assert C.is_cycle(floored) == expected, (cand, floor)
                     outcomes[expected, floor is None] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
@@ -1209,9 +1259,23 @@ def test_cycle_check_matches_the_boundary():
             for floor in sorted(floors, key=lambda f: (f is not None, f)):
                 floored = C.chain(chain.terms, floor)
                 expected = C.boundary(floored).is_zero()
-                assert engine._is_cycle(C, floored) == expected, (chain, floor)
+                assert C.is_cycle(floored) == expected, (chain, floor)
                 outcomes[expected, floor is None] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_cycle_check_refuses_a_foreign_chain_and_an_invalid_complex():
+    C = nv.FilteredComplex(G0, [("x", F(1), 1), ("y", F(0), 0)], {"x": {"y": mono(1, (), G0)}})
+    D = nv.FilteredComplex(G0, [("x", F(1), 1), ("y", F(0), 0)], {})
+    assert C.is_cycle(C.chain({C.generator("y"): 1}))
+    assert not C.is_cycle(C.chain({C.generator("x"): 1}))
+    assert C.is_cycle(C.chain({C.generator("x"): 1}, floor=0))  # the image lies at the floor
+    with pytest.raises(StructuralError, match="does not live in this complex"):
+        C.is_cycle(D.chain({D.generator("y"): 1}))
+    # y -> x raises the action: refused as every query refuses it
+    up = nv.FilteredComplex(G0, [("x", F(1), 0), ("y", F(0), 1)], {"y": {"x": mono(1, (), G0)}})
+    with pytest.raises(InvalidComplexError, match="^invariant:level-increase: "):
+        up.is_cycle(up.chain({up.generator("y"): 1}))
 
 
 def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
@@ -1251,7 +1315,8 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     monkeypatch.setattr(chains, "equivariant_image", image)
     monkeypatch.setattr(engine, "equivariant_image", image, raising=False)
     monkeypatch.setattr(engine, "build_window", counting("build_window", engine.build_window))
-    monkeypatch.setattr(engine, "_is_cycle", counting("cycle", engine._is_cycle))
+    monkeypatch.setattr(nv.FilteredComplex, "is_cycle",
+                        counting("cycle", nv.FilteredComplex.is_cycle))
     monkeypatch.setattr(nv.FilteredComplex, "boundary",
                         counting("boundary", nv.FilteredComplex.boundary))
     monkeypatch.setattr(chains.NovikovChain, "__init__", counting("NovikovChain", chain_init))

@@ -1,9 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import novispec as nv
 from novispec import FilteredComplex, GammaGroup, StructuralError
 from novispec.gamma import fraction_gcd, vec_add, vec_neg
 
@@ -95,19 +97,30 @@ def test_period_generator():
 
 
 def test_in_period_group():
+    # the period group is the spectrum of one orbit at action 0
+    def in_period_group(g, value):
+        return nv.spectrality_check(value, FilteredComplex(g, [("o", 0, 0)]))
+
     g = GammaGroup((F(1), F(3, 2)), (0, 1))
-    assert g.in_period_group(F(5, 2))
-    assert not g.in_period_group(F(1, 3))
+    assert in_period_group(g, F(5, 2))
+    assert not in_period_group(g, F(1, 3))
     trivial = GammaGroup((), ())
-    assert trivial.in_period_group(0)
-    assert not trivial.in_period_group(1)
+    assert in_period_group(trivial, 0)
+    assert not in_period_group(trivial, 1)
 
 
 def _caps(g, c1, lo, hi):
-    """The caps of `g.caps`, after checking the omega returned with each."""
-    found = g.caps(c1, lo, hi)
-    assert all(w == g.omega(a) and isinstance(w, F) for a, w in found)
-    return [a for a, _ in found]
+    """The caps A with c1(A) = c1 and lo <= omega(A) < hi, omega ascending:
+    the `ActionKeys.cap_run` of a one-orbit complex at action 0, after
+    checking its count and the -action key (there omega's key) of each cap."""
+    keys = FilteredComplex(g, [("o", 0, 0)]).action_keys
+    d = keys.denom
+    # an integer omega key w has lo <= w / d < hi iff ceil(lo d) <= w < ceil(hi d)
+    count, run = keys.cap_run("o", c1, 5, -math.ceil(hi * d), -math.ceil(lo * d))
+    found = list(run)
+    assert count == len(found) and all(o == "o" and deg == 5 for _, o, _, deg in found)
+    assert all(F(k, d) == g.omega(a) for k, _, a, _ in found)
+    return [a for _, _, a, _ in found]
 
 
 def _at(g, omega, c1):
@@ -136,7 +149,7 @@ def test_caps_unique_element():
     # rank 1 with c1 = 0: the caps of c1 = 0 are the whole line
     flat_c1 = GammaGroup((F(-3, 2),), (0,))
     assert _at(flat_c1, F(3), 0) == [(-2,)]
-    assert flat_c1.caps(0, -3, 3) == [((2,), -3), ((1,), F(-3, 2)), ((0,), 0), ((-1,), F(3, 2))]
+    assert _caps(flat_c1, 0, -3, 3) == [(2,), (1,), (0,), (-1,)]
     assert _caps(flat_c1, 1, -100, 100) == []
 
 
@@ -170,3 +183,12 @@ def test_caps_match_brute_force(omega, c1):
             assert areas == sorted(areas) and len(set(areas)) == len(areas)
     assert total > 0
 
+
+def test_cap_run_counts_before_it_enumerates():
+    # a run of 10**12 caps is counted, and its keys and caps are lazy
+    keys = FilteredComplex(GammaGroup((F(1, 2),), (0,)), [("o", 0, 0)]).action_keys
+    count, run = keys.cap_run("o", 0, 0, -10**12, 0)
+    assert count == 10**12
+    assert next(run) == (0, "o", (0,), 0) and next(run) == (1, "o", (1,), 0)
+    assert keys.cap_run("o", 1, 0, -10**12, 0)[0] == 0  # no cap of c1 = 1
+    assert keys.cap_run("o", 0, 0, 5, 5)[0] == 0  # an empty key range

@@ -203,3 +203,15 @@ def test_flat_realization_lands_in_complementary_degree():
 def test_fixture_products_validate():
     for fix in (sphere(), projective_plane(), torus()):
         fix.product.validate()
+
+
+def test_product_validate_rejects_a_broken_table():
+    fix = projective_plane()
+    P = fix.product
+    with pytest.raises(FixtureError, match="unknown basis class 'nope'"):
+        nv.ProductFixture(P.basis, P.gamma, "nope", P.table).validate()
+    # hh*hh = 2 h q^L breaks associativity on (h, hh, hh) and its mirrors
+    table = dict(P.table)
+    table["hh", "hh"] = QuantumClass(P.basis, P.gamma, COHOMOLOGY, [(2, "h", (1,))])
+    with pytest.raises(FixtureError, match=r"associativity fails on \(h, hh, hh\)"):
+        nv.ProductFixture(P.basis, P.gamma, "one", table).validate()

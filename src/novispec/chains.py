@@ -27,8 +27,11 @@ Chains are finite homogeneous combinations of generators with an optional
 action-space precision floor.  Neither a complex nor a scalar carries one, so
 a chain's floor is the package's only precision floor; `merge_floor` joins
 two of them.  The level of a chain is the maximal action of
-its support; the peak is the generator attaining it.  Terms are kept in
-descending action, ties broken by (orbit, cap), so `level()` reads the first.
+its support; the peak is the generator attaining it.  A generator is its
+key in its complex's integer action lattice, the tuple (-action key, orbit,
+cap, degree, denom), so within one complex tuple order is chain order:
+descending action, ties broken by (orbit, cap).  Terms are kept in that
+order, so `level()` reads the first, and floors are compared in keys.
 
 The public `NovikovChain` constructor checks its input: it converts the
 coefficients, sums repeated generators, rejects mixed degrees, applies the
@@ -42,12 +45,13 @@ the seeded generators of `fixtures` build their chains the same way.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import gcd, lcm
-from operator import attrgetter, mul
+from operator import mul
 
 from .errors import DomainError, IndeterminateError, InvalidComplexError, StructuralError
 from .gamma import GammaElement, GammaGroup, integers, vec_add
@@ -60,21 +64,35 @@ def merge_floor(a, b):
     return max((f for f in (a, b) if f is not None), default=None)
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A capped orbit with its derived action and degree.
+class Generator(namedtuple("Generator", "neg_key orbit cap degree denom")):
+    """A capped orbit (orbit, cap) as its key: `Generator(neg_key, orbit,
+    cap, degree, denom)`, where `denom` is its complex's action denominator
+    (`FilteredComplex.action_keys.denom`) and `neg_key` is minus its action
+    times `denom`.
 
-    Equality compares every field; the hash reads only (orbit, cap), which
-    determine the rest, so it never hashes the `Fraction` action.
+    `FilteredComplex.generator` builds one from (orbit, cap), and a window
+    from its keys, as `Generator(*key, denom)`.  Within one complex tuple
+    order is chain order, descending action, ties by (orbit, cap); hashing
+    and equality are the tuple's, over every field.
     """
 
-    orbit: str
-    cap: GammaElement
-    action: Fraction
-    degree: int
+    __slots__ = ()
 
-    def __hash__(self):
-        return hash((self.orbit, self.cap))
+    @property
+    def action(self) -> Fraction:
+        return Fraction(-self.neg_key, self.denom)
+
+
+def floor_key(x: Fraction, denom: int) -> int:
+    """The largest integer key at or below `x` times `denom`."""
+    return x.numerator * denom // x.denominator
+
+
+def _above(terms: dict, floor: Fraction, denom: int) -> dict:
+    """The terms whose action lies above `floor`, compared in integer keys:
+    -neg_key / denom > floor exactly when -neg_key > floor_key(floor, denom)."""
+    bound = -floor_key(floor, denom)
+    return {g: c for g, c in terms.items() if g.neg_key < bound}
 
 
 class NovikovChain:
@@ -82,9 +100,10 @@ class NovikovChain:
 
     `terms` is a {generator: coeff} dict or a list of (generator, coeff)
     pairs; repeated generators sum.  The summed terms must share one
-    degree.  A finite floor then truncates: terms at or below it are
-    dropped.  `terms` is kept in descending action, ties by (orbit, cap);
-    `level()` reads the first term.
+    degree and the complex's action denominator: keys over two
+    denominators do not sort by action.  A finite floor then truncates:
+    terms at or below it are dropped.  `terms` is kept in generator order,
+    descending action, ties by (orbit, cap); `level()` reads the first term.
 
     A chain is never mutated after construction, as complexes are not: the
     engine keeps each representative's query state by the chain's identity,
@@ -107,8 +126,12 @@ class NovikovChain:
                 clean[g] = s
             else:
                 clean.pop(g, None)
+        denom = complex.action_keys.denom
         degree = None
         for gen in clean:
+            if gen.denom != denom:
+                raise StructuralError(f"generator {gen.orbit}@{list(gen.cap)} has action "
+                                      f"denominator {gen.denom}, not its complex's {denom}")
             if degree is None:
                 degree = gen.degree
             elif gen.degree != degree:
@@ -116,8 +139,8 @@ class NovikovChain:
                     f"mixed degrees {degree} and {gen.degree} in one chain"
                 )
         if self.floor is not None:
-            clean = {g: c for g, c in clean.items() if g.action > self.floor}
-        self.terms = _chain_order(clean)
+            clean = _above(clean, self.floor, denom)
+        self.terms = dict(sorted(clean.items()))
         self.degree = degree if self.terms else None
 
     @classmethod
@@ -163,8 +186,8 @@ class NovikovChain:
         floor = merge_floor(self.floor, other.floor)
         terms = add_terms(dict(self.terms), pairs)
         if floor is not None:
-            terms = {g: c for g, c in terms.items() if g.action > floor}
-        return NovikovChain._ordered(self.complex, _chain_order(terms), floor,
+            terms = _above(terms, floor, self.complex.action_keys.denom)
+        return NovikovChain._ordered(self.complex, dict(sorted(terms.items())), floor,
                                      self.degree if self.terms else other.degree)
 
     def __neg__(self):
@@ -183,9 +206,9 @@ class NovikovChain:
     def shift(self, cap: GammaElement) -> "NovikovChain":
         """Glue `cap` onto every generator (deck transformation).
 
-        Every action moves by -omega(cap), and adding one vector to every
-        cap keeps their order, so the terms stay in chain order and above
-        the equally moved floor.
+        Every -action key moves by omega key(cap), and adding one vector to
+        every cap keeps their order, so the terms stay in chain order and
+        above the equally moved floor.
         """
         C = self.complex
         cap = C.gamma.check_element(cap)
@@ -195,14 +218,6 @@ class NovikovChain:
         terms = {C.generator(g.orbit, vec_add(g.cap, cap)): c for g, c in self.terms.items()}
         degree = None if self.degree is None else self.degree - 2 * C.gamma.c1(cap)
         return NovikovChain._ordered(C, terms, floor, degree)
-
-
-def _chain_order(terms: dict) -> dict:
-    """`terms` in descending action, ties by (orbit, cap)."""
-    # two stable sorts: descending action over ascending (orbit, cap)
-    gens = sorted(terms, key=attrgetter("orbit", "cap"))
-    gens.sort(key=attrgetter("action"), reverse=True)
-    return {g: terms[g] for g in gens}
 
 
 def equivariant_image(matrix, terms, target: "FilteredComplex") -> dict:
@@ -290,7 +305,8 @@ def level_and_peak(chain: NovikovChain):
     lam = chain.level()
     if chain.floor is not None and lam <= chain.floor:
         raise IndeterminateError("level lies at or below the precision floor")
-    peaks = [g for g in chain.terms if g.action == lam]
+    top = next(iter(chain.terms)).neg_key
+    peaks = [g for g in chain.terms if g.neg_key == top]
     if len(peaks) != 1:
         raise DomainError(
             f"peak is ambiguous: {len(peaks)} generators share the top action {lam}"
@@ -439,10 +455,11 @@ class FilteredComplex:
         gamma, keys = self.gamma, self.action_keys
         cap = gamma.zero if cap is None else gamma.check_element(cap)
         return Generator(
+            keys.neg_key(orbit, cap),
             orbit,
             cap,
-            Fraction(-keys.neg_key(orbit, cap), keys.denom),
             self.orbits[orbit][1] - 2 * sum(map(mul, gamma.c1_values, cap)),
+            keys.denom,
         )
 
     def chain(self, terms=None, floor=None) -> NovikovChain:
@@ -465,9 +482,9 @@ class FilteredComplex:
             return NovikovChain(self, image, chain.floor)
         floor = chain.floor
         if floor is not None:
-            image = {g: c for g, c in image.items() if g.action > floor}
+            image = _above(image, floor, self.action_keys.denom)
         degree = None if chain.degree is None else chain.degree - 1
-        return NovikovChain._ordered(self, _chain_order(image), floor, degree)
+        return NovikovChain._ordered(self, dict(sorted(image.items())), floor, degree)
 
     def is_cycle(self, chain: NovikovChain) -> bool:
         """Does the boundary of `chain` vanish above its precision floor?
@@ -476,23 +493,21 @@ class FilteredComplex:
         coeff}, which names the image's generators as (orbit, cap) would,
         since they share one degree; a sum is kept, as `boundary` keeps it,
         when its action key lies above the floor's.  Builds no chain and no
-        `Generator`, and refuses an invalid complex (`_valid_boundary_check`).
+        cap, and refuses an invalid complex (`_valid_boundary_check`).
         """
         if chain.complex is not self:
             raise StructuralError("chain does not live in this complex")
         table = _valid_boundary_check(self).table
-        keys = self.action_keys
         image = {}
         for g, c in chain.terms.items():
-            neg_key = keys.neg_key(g.orbit, g.cap)
-            add_terms(image, (((dst, neg_key + drop), c * coeff)
+            add_terms(image, (((dst, g.neg_key + drop), c * coeff)
                               for dst, drop, coeff in table.get(g.orbit, ())))
         floor = chain.floor
         if not image or floor is None:
             return not image
-        # an integer key lies above floor * denom exactly when it lies above its floor
-        floor_key = floor.numerator * keys.denom // floor.denominator
-        return all(-neg_key <= floor_key for _, neg_key in image)
+        # an integer key lies above floor * denom exactly when it lies above its floor key
+        top = floor_key(floor, self.action_keys.denom)
+        return all(-neg_key <= top for _, neg_key in image)
 
     # -- validation -----------------------------------------------------------
 
@@ -567,8 +582,8 @@ class FilteredComplex:
             try:
                 level_and_peak(chain)
             except DomainError:
-                lam = chain.level()
-                peaks = tuple(g.orbit for g in chain.terms if g.action == lam)
+                lam, top = chain.level(), next(iter(chain.terms)).neg_key
+                peaks = tuple(g.orbit for g in chain.terms if g.neg_key == top)
                 report.add("tie-peak", (name,) + peaks,
                            f"representative {name!r} has a tied peak at level {lam}")
             except IndeterminateError:

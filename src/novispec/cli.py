@@ -15,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__, jsonio
@@ -227,21 +228,23 @@ def _oracle_cap(value) -> int:
 def _validate_manifold(fix, eps):
     """The capped eps and the complex built at it, once checked: PD chains
     are cycles, cochains are closed duals, pairing is the table (the
-    product, if any, was validated when the fixture was built)."""
+    product, if any, was validated when the fixture was built).  Each class
+    is realized once, when a check first reads it, so the checks run, and
+    fail, in the order they would with a realization per check."""
     eps = min(Fraction(eps), fix.max_eps)
     C = fix.build(eps)
     rep = C.validate()
     if not rep.ok:
         raise InputError(f"built complex invalid: {rep.codes()}")
+    pd_chain = cache(lambda name: realize_flat(flat(fix.cls(name)), C, fix.pd_chains))
     for name in sorted(fix.basis.classes):
-        chain = realize_flat(flat(fix.cls(name)), C, fix.pd_chains)
-        if not C.is_cycle(chain):
+        if not C.is_cycle(pd_chain(name)):
             raise InputError(f"chain representative of {name!r} is not a cycle")
         mu = embed_class(fix.cls(name), C, fix.cochains)
         if not dual_boundary(mu).is_zero():
             raise InputError(f"cochain representative of {name!r} is not closed")
         for other in sorted(fix.basis.classes):
-            got = mu.evaluate(realize_flat(flat(fix.cls(other)), C, fix.pd_chains))
+            got = mu.evaluate(pd_chain(other))
             want = fix.basis.pairing_table.get((name, other), Fraction(0))
             if got != want:
                 raise InputError(

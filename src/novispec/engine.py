@@ -30,52 +30,43 @@ divisions, then its keys, lazily, each step adding integers.  The runs'
 lengths are summed before any key is built, so a window of more than
 `MAX_WINDOW_GENERATORS` generators in one degree raises
 `WindowTooLargeError` at the cost of one pass over the orbits.  A key is
-the tuple (-action key, orbit, cap, degree), so keys sort by action
-descending, then (orbit, cap).  The window keeps its rows and columns as
-keys and its columns as {row index: coeff}, the form `linalg.Reduction`
-takes.  Each column's boundary terms come from the complex's table
-{src orbit: [(dst, drop, coeff)]} (`FilteredComplex.boundary_check`): by
-equivariance each term sends (src, cap), at every cap, to the generator of
-dst whose -action key is larger by `drop`.  Within one degree an orbit's
-generator is named by its action: its caps there share one Chern number,
-so two of them differ by a vector of c1 zero, on which omega is nonzero
-because `GammaGroup` refuses a group whose omega and c1 share a kernel
-vector (`_joint_kernel_nontrivial`).
+the tuple (-action key, orbit, cap, degree), a `Generator` without its
+denominator, so keys sort in chain order, and a window's generators are
+its keys with the complex's `denom` appended.  The window keeps its
+columns as {row index: coeff}, the form `linalg.Reduction` takes.  Each
+column's boundary terms come from the complex's table {src orbit: [(dst,
+drop, coeff)]} (`FilteredComplex.boundary_check`): by equivariance each
+term sends (src, cap), at every cap, to the generator of dst whose
+-action key is larger by `drop`.  Within one degree an orbit's generator
+is named by its action: its caps there share one Chern number, so two of
+them differ by a vector of c1 zero, on which omega is nonzero because
+`GammaGroup` refuses a group whose omega and c1 share a kernel vector.
 So a window indexes its rows by (orbit, -action key), and a column finds
 each target with one integer addition, building no cap.  A target missing
 from that index lies below the window floor, since no boundary term of a
 valid complex raises the action or misses the degree.  Every query
 refuses a complex whose `boundary_check` has a violation
-(`_valid_boundary_check`), and reads the rest off the two facts the
-complex caches: the table and the largest drop from `boundary_check`; the
-period, the base keys modulo it, the lowest and highest base key and the
-cap runs from `action_keys`.  The default windows' pad (`window_pad`) is
-one sum of these keys.  The
-queries read levels off the keys and bisect them for row prefixes; a
-window's bounds are each one `Fraction` of keys, a `Generator` is built
-only for what an answer names, and a window's generator views only when
-read.
+(`_valid_boundary_check`); the window pad (`window_pad`) is one sum of
+the largest drop and the `action_keys`.  Levels are read off the keys,
+which are bisected for row prefixes.
 
 Complexes and chains are never mutated after construction, so a query
 state is a function of its chain.  A query state (`_Query`) holds what
 every query of one representative derives from it alone: the complex and
-cycle checks and the query bounds, computed once, and the window and the
+cycle checks (`FilteredComplex.is_cycle`, decided in integer keys), the
+query bounds and the level, computed once, and the window and the
 representative's vector on it, built on first read; the window reduces its
-columns once, lazily (`Window.reduction`).  The cycle check is the
-complex's own (`FilteredComplex.is_cycle`), decided in integer keys with
-no chain and no `Generator` built, as the CLI and the fixtures decide
-theirs.  An invariant
-attained by the representative as it stands, unreduced and exact, returns
-the representative itself as its witness; any other witness is read off
-the window's rows in index order, which is chain order
-(`NovikovChain._ordered`).  The engine keeps one query
-state, the last representative's (`_last_query`), matched by identity;
-a query of another representative replaces it.  The invariant, the oracle
-and every membership probe of one representative thus share one check, one
-window, one vector and one reduction; the oracle reads only the checks and
-the bounds.  A window lives only in that state, or for the length of one
-`dual_spectral_invariant` call, so between calls the engine holds at most
-one window, and one complex, alive.
+columns once, lazily (`Window.reduction`).  An invariant attained by the
+representative as it stands, unreduced and exact, returns the
+representative itself as its witness; any other witness is read off the
+window's rows in index order, which is chain order.  The engine keeps one
+query state, the last representative's (`_last_query`), matched by
+identity; a query of another representative replaces it.  The invariant,
+the oracle and every membership probe of one representative thus share
+one check, one window, one vector and one reduction; the oracle reads
+only the checks and the bounds.  A window lives only in that state, or
+for the length of one `dual_spectral_invariant` call, so between calls
+the engine holds at most one window, and one complex, alive.
 
 An independent oracle answers the same question bottom-up: the smallest
 level whose strict-superlevel cancellation system is feasible.  It builds
@@ -98,7 +89,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from . import linalg
-from .chains import FilteredComplex, Generator, NovikovChain, _valid_boundary_check
+from .chains import FilteredComplex, Generator, NovikovChain, _valid_boundary_check, floor_key
 from .errors import (
     DomainError,
     IndeterminateError,
@@ -121,14 +112,11 @@ class Window:
     """Per-degree exact matrix model of a complex on an action window.
 
     Rows and columns are integer keys (-action key, orbit, cap, degree),
-    ascending, so in descending action; the action is the key over `denom`.
-    Rows are addressed by (orbit, -action key): within one degree the caps
-    of an orbit share one Chern number, so two of them differ by a vector
-    of c1 zero, which `GammaGroup` makes omega nonzero on (it refuses a
-    group whose omega and c1 share a kernel vector); the action key thus
-    names the cap.  A `Generator` is built only on request: `generator(i)`
-    for one row, and the views `rows`, `cols` and `matrix`, built once
-    when first read.  The queries of one representative share
+    ascending, so in chain order; the action is the key over `denom`.
+    Rows are addressed by (orbit, -action key), which within one degree
+    names the cap.  The generators are the keys with `denom` appended:
+    `generator(i)` for one row, and the views `rows`, `cols` and `matrix`,
+    built once when first read.  The queries of one representative share
     its window: never mutate one.
     """
 
@@ -145,16 +133,15 @@ class Window:
 
     def generator(self, i: int) -> Generator:
         """The generator of row `i`."""
-        neg_key, orbit, cap, degree = self.keys[i]
-        return Generator(orbit, cap, Fraction(-neg_key, self.denom), degree)
+        return Generator(*self.keys[i], self.denom)
 
     @cached_property
     def rows(self) -> list:
-        return _generators(self.keys, self.denom)
+        return [Generator(*key, self.denom) for key in self.keys]
 
     @cached_property
     def cols(self) -> list:
-        return _generators(self.col_keys, self.denom)
+        return [Generator(*key, self.denom) for key in self.col_keys]
 
     @cached_property
     def matrix(self) -> list:
@@ -194,8 +181,7 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
     units = C.action_keys
     cap_run = units.cap_run
     # actions as integer keys over denom: lo < key / denom <= hi
-    lo_key = lo.numerator * units.denom // lo.denominator
-    hi_key = hi.numerator * units.denom // hi.denominator
+    lo_key, hi_key = floor_key(lo, units.denom), floor_key(hi, units.denom)
     runs = []  # per orbit, lazily: keys ascending in -key
     total = 0
     for orbit, (_, bdeg) in C.orbits.items():
@@ -217,21 +203,11 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
     return keyed
 
 
-def _generators(keys, denom: int) -> list:
-    """The generators of `keys`, one shared `Fraction` per distinct action."""
-    out = []
-    last = action = None
-    for neg_key, orbit, cap, degree in keys:
-        if neg_key != last:
-            last, action = neg_key, Fraction(-neg_key, denom)
-        out.append(Generator(orbit, cap, action, degree))
-    return out
-
-
 def _degree_generators(C: FilteredComplex, degree: int, lo, hi) -> list:
     """All capped generators of one degree with action in (lo, hi], in the
     order of `_degree_keys`."""
-    return _generators(_degree_keys(C, degree, lo, hi), C.action_keys.denom)
+    denom = C.action_keys.denom
+    return [Generator(*key, denom) for key in _degree_keys(C, degree, lo, hi)]
 
 
 def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
@@ -267,9 +243,8 @@ def _chain_vector(window: Window, chain: NovikovChain):
     v = {}
     dropped = False
     index = window.index
-    neg_key = window.complex.action_keys.neg_key
     for gen, coeff in chain.terms.items():
-        i = index.get((gen.orbit, neg_key(gen.orbit, gen.cap)))
+        i = index.get((gen.orbit, gen.neg_key))
         if i is None:
             if gen.action <= window.lo:
                 dropped = True
@@ -315,8 +290,7 @@ def default_window_bounds(C: FilteredComplex, rep: NovikovChain):
     `rep` (the top base action for the zero chain), each one `Fraction` of
     integer keys."""
     pad, keys = window_pad(C), C.action_keys
-    lam = rep.level()
-    key = keys.top if lam == NEG_INF else lam.numerator * (keys.denom // lam.denominator)
+    key = keys.top if rep.is_zero() else -next(iter(rep.terms)).neg_key
     return Fraction(key - pad, keys.denom), Fraction(key + pad - keys.period, keys.denom)
 
 
@@ -327,18 +301,18 @@ class _Query:
     (`_valid_boundary_check` refuses an invalid one), that `rep` is a
     cycle, and the query window `bounds`, (lo, hi): `default_window_bounds`
     with its floor raised to the representative's precision floor, or None
-    for the zero class, which each query answers itself.  Built on first
-    read: the window and the representative's vector on it
-    (`_chain_vector`).
+    for the zero class, which each query answers itself, and the
+    representative's `level`.  Built on first read: the window and the
+    representative's vector on it (`_chain_vector`).
     """
 
-    __slots__ = ("rep", "bounds", "_window", "_vector")
+    __slots__ = ("rep", "bounds", "level", "_window", "_vector")
 
     def __init__(self, C: FilteredComplex, rep: NovikovChain):
         lo, hi = default_window_bounds(C, rep)
         if not C.is_cycle(rep):
             raise DomainError("representative is not a cycle")
-        self.rep = rep
+        self.rep, self.level = rep, rep.level()
         self.bounds = None if rep.is_zero() else (
             lo if rep.floor is None else max(lo, rep.floor), hi)
         self._window = self._vector = None
@@ -508,7 +482,7 @@ def image_membership(C: FilteredComplex, representative: NovikovChain, lam) -> b
     if q.bounds is None:
         return True
     w = q.window()  # built even when unread: a window over the cap raises
-    if lam > rep.level():
+    if lam > q.level:
         return True
     v, _ = q.vector()
     k = _prefix(w, lam)
@@ -531,8 +505,7 @@ def action_spectrum(C: FilteredComplex, window) -> list:
     if hi < lo:
         raise StructuralError("empty spectrum window")
     keys = C.action_keys
-    lo_key = -(-lo.numerator * keys.denom // lo.denominator)  # ceil(lo * denom)
-    hi_key = hi.numerator * keys.denom // hi.denominator
+    lo_key, hi_key = -floor_key(-lo, keys.denom), floor_key(hi, keys.denom)  # ceil, floor
     p = keys.period
     if p:
         points = {k for r in keys.residues for k in range(lo_key + (r - lo_key) % p, hi_key + 1, p)}

@@ -44,12 +44,15 @@ def test_generator_cap_shifts_action_and_degree():
 def test_generator_hash_agrees_with_equality():
     C = two_generator_complex()
     g = C.generator("hi", (2,))
-    same = nv.Generator("hi", (2,), F(-1), -8)
-    assert g == same and hash(g) == hash(same) == hash(("hi", (2,)))
+    # (-action key, orbit, cap, degree, denom): omega key 2 minus base key 1
+    same = nv.Generator(1, "hi", (2,), -8, 1)
+    assert g == same and hash(g) == hash(same) and g.action == same.action == F(-1)
     assert {g: 1}[same] == 1 and len({g, same}) == 1
-    # equality still reads every field; the hash reads (orbit, cap) only
-    for other in [nv.Generator("hi", (2,), F(0), -8), nv.Generator("hi", (2,), F(-1), 0),
-                  C.generator("hi", (1,)), C.generator("lo", (2,))]:
+    # equality and the hash read every field
+    changed = {"neg_key": 0, "orbit": "lo", "cap": (1,), "degree": 0, "denom": 2}
+    for other in [g._replace(**{field: value}) for field, value in changed.items()] + [
+            nv.Generator(2, "hi", (2,), -8, 2),  # the same action over another denom
+            C.generator("hi", (1,)), C.generator("lo", (2,))]:
         assert other != g
         assert len({g, other}) == 2
     gens = [C.generator(o, (k,)) for o in C.orbits for k in range(-3, 4)]
@@ -59,16 +62,54 @@ def test_generator_hash_agrees_with_equality():
 def test_generator_pickled_in_another_process_hashes_afresh():
     # str hashes differ between processes, so a generator unpickled from
     # a process with another hash seed must hash as one built here
-    code = ("import pickle, sys; from fractions import Fraction; import novispec as nv; "
-            "sys.stdout.buffer.write(pickle.dumps(nv.Generator('hi', (2,), Fraction(-1), -8)))")
+    code = ("import pickle, sys; import novispec as nv; "
+            "sys.stdout.buffer.write(pickle.dumps(nv.Generator(1, 'hi', (2,), -8, 1)))")
     env = dict(os.environ, PYTHONHASHSEED="27",
                PYTHONPATH=str(Path(nv.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          check=True).stdout
     loaded = pickle.loads(out)
     fresh = two_generator_complex().generator("hi", (2,))
+    assert type(loaded) is nv.Generator and loaded.action == F(-1)
     assert loaded == fresh and hash(loaded) == hash(fresh)
     assert {fresh: 1}[loaded] == 1 and len({fresh, loaded}) == 1
+
+
+def test_chain_rejects_a_generator_of_another_denominator():
+    # keys over two denominators do not sort by action
+    C = two_generator_complex()
+    D = nv.FilteredComplex(G1, [("hi", F(1, 2), 0), ("lo", F(0), 0)], {})
+    assert (C.action_keys.denom, D.action_keys.denom) == (1, 2)
+    foreign = D.generator("lo")
+    assert foreign.action == C.generator("lo").action
+    for terms in ({foreign: 1}, [(C.generator("hi"), 1), (foreign, 2)]):
+        with pytest.raises(StructuralError, match="action denominator 2, not its complex's 1"):
+            C.chain(terms)
+    assert D.chain({foreign: 1}).level() == 0
+
+
+def test_integer_floor_test_agrees_with_the_action():
+    # floors on the 1/denom grid (each term's action, one step either side)
+    # and off it; the constructor, sums and the boundary floor alike
+    rng = random.Random(43)
+    checked = 0
+    for seed in range(40):
+        C = random_instance(seed).complex
+        denom = C.action_keys.denom
+        for degree in sorted({d for _, d in C.orbits.values()}):
+            a = random_chain(rng, C, degree)
+            b = random_chain(rng, C, degree - 1)
+            for floor in {g.action + s for g in [*a.terms, *b.terms]
+                          for s in (0, F(1, denom), F(-1, denom), F(1, 3 * denom),
+                                    F(-2, 7 * denom))}:
+                assert list(C.chain(a.terms, floor).terms) == [
+                    g for g in a.terms if g.action > floor]
+                assert list((b + C.chain({}, floor)).terms) == [
+                    g for g in b.terms if g.action > floor]
+                assert list(C.boundary(C.chain(a.terms, floor)).terms) == [
+                    g for g in C.boundary(C.chain(a.terms)).terms if g.action > floor]
+                checked += 1
+    assert checked > 500, checked
 
 
 def test_chain_sums_terms_before_degree_check_and_floor():
@@ -307,7 +348,9 @@ def test_ultrametric_level_of_sum():
 
 
 def _assert_ordered(chain):
-    """Terms in (-action, orbit, cap) order; level() is the top action."""
+    """Terms in generator order, which is the (-action, orbit, cap) order;
+    level() is the top action."""
+    assert list(chain.terms) == sorted(chain.terms)
     keys = [(-g.action, g.orbit, g.cap) for g in chain.terms]
     assert keys == sorted(keys)
     assert chain.level() == max((g.action for g in chain.terms), default=NEG_INF)
@@ -343,6 +386,18 @@ def test_terms_stay_in_level_order():
         assert a.scale(0).level() == NEG_INF
         checked += not a.is_zero()
     assert checked >= 20
+
+
+@pytest.mark.parametrize("max_orbits", [6, 12])
+def test_seeded_chains_are_in_generator_order(max_orbits):
+    # tuple order of the generators is the Fraction reference order
+    rng = random.Random(max_orbits)
+    for seed in range(100):
+        inst = random_instance(seed, max_orbits=max_orbits)
+        C = inst.complex
+        _assert_ordered(inst.representative)
+        for degree in sorted({d for _, d in C.orbits.values()}):
+            _assert_ordered(random_chain(rng, C, degree))
 
 
 def test_subtraction_is_addition_of_the_negative():

@@ -3,10 +3,13 @@ import hashlib
 import json
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 
+import pytest
+
 import novispec as nv
-from novispec import DOWN, NEG_INF, UP, GammaGroup, jsonio
+from novispec import DOWN, NEG_INF, UP, GammaGroup, cli, fixtures, jsonio
 from novispec.cli import _validate_manifold
 from novispec.fixtures import (
     BUILTIN_FIXTURES,
@@ -18,6 +21,7 @@ from novispec.fixtures import (
     random_monodromy,
     random_scalar,
 )
+from novispec.quantum import ProductFixture
 
 
 def test_builtins_pass_their_own_invariants():
@@ -26,6 +30,73 @@ def test_builtins_pass_their_own_invariants():
         _validate_manifold(fix, F(1, 8))
         C = fix.build(min(F(1, 8), fix.max_eps))
         assert C.validate().ok
+
+
+def test_builtin_tables_validate_once_per_process(monkeypatch):
+    # each build is a fresh fixture; the fixed product table of a builtin is
+    # validated on its first build only, and again after a failed validation
+    calls = Counter()
+    validate = ProductFixture.validate
+
+    def counting(self):
+        calls[tuple(sorted(self.basis.classes))] += 1
+        return validate(self)
+
+    monkeypatch.setattr(ProductFixture, "validate", counting)
+    monkeypatch.setattr(fixtures, "_VALIDATED_TABLES", set())
+    first, again = load_builtin("s2"), load_builtin("s2")
+    assert first is not again and first.product is not again.product
+    for name in sorted(BUILTIN_FIXTURES):
+        load_builtin(name)
+        load_builtin(name)
+    assert sum(calls.values()) == 3 and set(calls.values()) == {1}
+
+    def failing(self):
+        raise nv.FixtureError("broken table")
+
+    monkeypatch.setattr(fixtures, "_VALIDATED_TABLES", set())
+    monkeypatch.setattr(ProductFixture, "validate", failing)
+    with pytest.raises(nv.FixtureError, match="broken table"):
+        load_builtin("cp2")
+    monkeypatch.setattr(ProductFixture, "validate", counting)
+    calls.clear()
+    load_builtin("cp2")
+    load_builtin("cp2")
+    assert sum(calls.values()) == 1
+
+
+def test_manifold_check_realizes_each_class_once(monkeypatch):
+    realized = []
+    realize = cli.realize_flat
+    monkeypatch.setattr(cli, "realize_flat",
+                        lambda b, C, pd: realized.append(b) or realize(b, C, pd))
+    for name in sorted(BUILTIN_FIXTURES):
+        fix = load_builtin(name)
+        realized.clear()
+        _validate_manifold(fix, F(1, 8))
+        assert len(realized) == len(fix.basis.classes), name
+
+    # a broken manifold reports the first error that a realization per
+    # check would: the checks keep their order
+    def first_error(mutate):
+        fix = load_builtin("tilted")
+        mutate(fix)
+        with pytest.raises(nv.NovispecError) as err:
+            _validate_manifold(fix, F(1, 8))
+        return f"{type(err.value).__name__}: {err.value}"
+
+    def drop_pt_and_break_one(fix):
+        del fix.pd_chains["pt"]
+        fix.pd_chains["one"] = [(1, "m1")]
+
+    assert first_error(lambda fix: fix.pd_chains.pop("pt")) == (
+        "StructuralError: no chain representative for class 'pt'")
+    assert first_error(drop_pt_and_break_one) == (
+        "InputError: chain representative of 'one' is not a cycle")
+    assert first_error(lambda fix: fix.pd_chains.update(pt=[(1, "s")])) == (
+        "InputError: chain pairing (pt, pt) = 0 != table 1")
+    assert first_error(lambda fix: fix.cochains.update(pt=[(2, "M")])) == (
+        "InputError: chain pairing (pt, pt) = 2 != table 1")
 
 
 def test_random_instances_are_valid_and_deterministic():

@@ -356,7 +356,7 @@ class ActionKeys:
 
     gamma: GammaGroup
     denom: int  # lcm of the base-action and omega-value denominators
-    base: dict  # {orbit: base action key}
+    base: dict  # {orbit: base action key}, in orbit-name order
     omega: tuple  # the omega key of each group generator
     period: int  # the gcd of the omega keys: the period generator as a key
     residues: frozenset  # the base keys, modulo period if nonzero
@@ -515,7 +515,8 @@ class FilteredComplex:
     def action_keys(self) -> ActionKeys:
         units, omega_denom = self.gamma.omega_units()
         denom = lcm(omega_denom, *(a.denominator for a, _ in self.orbits.values()))
-        base = {o: a.numerator * (denom // a.denominator) for o, (a, _) in self.orbits.items()}
+        base = {o: a.numerator * (denom // a.denominator)
+                for o, (a, _) in sorted(self.orbits.items())}
         omega = tuple(u * (denom // omega_denom) for u in units)
         period = gcd(*omega)
         return ActionKeys(

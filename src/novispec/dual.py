@@ -20,6 +20,7 @@ the functional detects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +47,9 @@ class BallSpec:
         object.__setattr__(self, "radius", Fraction(self.radius))
 
 
+_PAST_ALL = (math.inf,)  # sorts after every generator
+
+
 def _difference_level(a: NovikovChain, b: NovikovChain):
     """level(a - b) in one pass over both supports, without building a - b.
 
@@ -58,11 +62,14 @@ def _difference_level(a: NovikovChain, b: NovikovChain):
     # chains are homogeneous, so terms of two degrees never cancel
     if a.terms and b.terms and a.degree != b.degree:
         raise StructuralError(f"mixed degrees {a.degree} and {b.degree} in one chain")
-    # terms run in descending action: the first that does not cancel is the top
-    top = max(next((g.action for g, c in x.terms.items() if y.terms.get(g) != c), NEG_INF)
+    # terms run in chain order, which is tuple order: of the first terms of
+    # each chain that do not cancel, the smaller is the top
+    top = min(next((g for g, c in x.terms.items() if y.terms.get(g) != c), _PAST_ALL)
               for x, y in ((a, b), (b, a)))
-    floor = merge_floor(a.floor, b.floor)
-    return top if floor is None or top > floor else NEG_INF
+    if top is _PAST_ALL:
+        return NEG_INF
+    level, floor = top.action, merge_floor(a.floor, b.floor)
+    return level if floor is None or level > floor else NEG_INF
 
 
 def in_ball(beta: NovikovChain, ball: BallSpec) -> bool:

@@ -12,8 +12,10 @@ the generators one degree up, and every level is answered by one filtered
 column reduction of them (`linalg.Reduction`, pivots at the highest
 action): the representative is walked down its pivots (`reduce`) as far as
 the prefix of rows at or above the level, which a bisection of the
-action-sorted rows finds.  The representative stays sparse; the residual
-of each walk is the next representative.
+action-sorted rows finds.  Most window columns are reduced as they
+stand, and the reduction shares them instead of copying them.  The
+representative stays sparse; the residual of each walk is the next
+representative.
 
 Each query reads one window, `default_window_bounds`, its floor raised to
 the representative's own.  Every row lies above the floor, so a class that
@@ -32,12 +34,16 @@ lengths are summed before any key is built, so a window of more than
 `WindowTooLargeError` at the cost of one pass over the orbits.  A key is
 the tuple (-action key, orbit, cap, degree), a `Generator` without its
 denominator, so keys sort in chain order, and a window's generators are
-its keys with the complex's `denom` appended.  The window keeps its
-columns as {row index: coeff}, the form `linalg.Reduction` takes.  Each
-column's boundary terms come from the complex's table {src orbit: [(dst,
-drop, coeff)]} (`FilteredComplex.boundary_check`): by equivariance each
-term sends (src, cap), at every cap, to the generator of dst whose
--action key is larger by `drop`.  Within one degree an orbit's generator
+its keys with the complex's `denom` appended.  A window sorts them on the
+action key alone: its runs are laid out in orbit-name order
+(`ActionKeys.base` is kept in that order) and the sort is stable, so ties
+in action break by orbit, as in chain order, since within one degree an
+orbit has at most one generator per action key (below).  The window
+keeps its columns as {row index: coeff}, the form `linalg.Reduction`
+takes.  Each column's boundary terms come from the complex's table {src
+orbit: [(dst, drop, coeff)]} (`FilteredComplex.boundary_check`): by
+equivariance each term sends (src, cap), at every cap, to the generator
+of dst whose -action key is larger by `drop`.  Within one degree an orbit's generator
 is named by its action: its caps there share one Chern number, so two of
 them differ by a vector of c1 zero, on which omega is nonzero because
 `GammaGroup` refuses a group whose omega and c1 share a kernel vector.
@@ -165,6 +171,7 @@ def window_pad(C: FilteredComplex) -> int:
 
 
 MAX_WINDOW_GENERATORS = 250_000  # generators one degree of a window may hold
+_NEG_KEY = itemgetter(0)  # a key's -action key
 
 
 def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
@@ -175,16 +182,20 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
     order is by action descending, then (orbit, cap).  Each orbit's
     generators are a run of steps along its cap line, counted before any
     key is built: more than `MAX_WINDOW_GENERATORS` in all raises
-    `WindowTooLargeError`.
+    `WindowTooLargeError`.  The runs are laid out in orbit-name order (the
+    order of `ActionKeys.base`) and sorted stably on the action key alone:
+    within one degree an orbit has at most one generator per action key,
+    so ties break by orbit, as the full key sort would break them.
     """
     _valid_boundary_check(C)
-    units = C.action_keys
+    units, orbits = C.action_keys, C.orbits
     cap_run = units.cap_run
     # actions as integer keys over denom: lo < key / denom <= hi
     lo_key, hi_key = floor_key(lo, units.denom), floor_key(hi, units.denom)
-    runs = []  # per orbit, lazily: keys ascending in -key
+    runs = []  # per orbit in name order, lazily: keys ascending in -key
     total = 0
-    for orbit, (_, bdeg) in C.orbits.items():
+    for orbit in units.base:
+        bdeg = orbits[orbit][1]
         if (bdeg - degree) % 2 != 0:
             continue
         count, run = cap_run(orbit, (bdeg - degree) // 2, degree, lo_key, hi_key)
@@ -199,7 +210,7 @@ def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
     keyed = []
     for run in runs:
         keyed += run
-    keyed.sort()
+    keyed.sort(key=_NEG_KEY)
     return keyed
 
 
@@ -254,9 +265,6 @@ def _chain_vector(window: Window, chain: NovikovChain):
             )
         v[i] = coeff
     return v, dropped
-
-
-_NEG_KEY = itemgetter(0)
 
 
 def _prefix(window: Window, level):

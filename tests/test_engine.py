@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import itertools
@@ -493,9 +494,10 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
         mix = [F(rng.randint(-2, 2)) for _ in w.cols]
         image = [sum((a * m for a, m in zip(row, mix)), F(0)) for row in dense]
         reduction = linalg.Reduction(w.columns)
+        actions = [g.action for g in w.rows]
         for rhs in ([-c for c in v], image):
-            for level in sorted({g.action for g in w.rows}):
-                k = sum(1 for g in w.rows if g.action >= level)
+            for level in sorted(set(actions)):
+                k = sum(1 for a in actions if a >= level)
                 r = reduction.reduce(dict(enumerate(rhs)), k)
                 if linalg.first_inconsistent_row(rows[:k], rhs[:k]) is not None:
                     assert r and min(r) < k, (seed, level)
@@ -563,6 +565,93 @@ def test_solve_matches_definition():
         assert linalg.first_inconsistent_row(rows[:k + 1], rhs[:k + 1]) == k, (rows, rhs, k)
         infeasible += 1
     assert feasible > 100 and infeasible > 100
+
+
+def _reference_reduction(columns):
+    """The column reduction as one plain loop: copy each column without its
+    zero coefficients, walk it down the pivots before it, head its top row."""
+    R, pivots = [], {}
+    for j, col in enumerate(columns):
+        r = {i: c for i, c in col.items() if c}
+        while r and (p := min(r)) in pivots:
+            pivot = R[pivots[p]]
+            f = -r[p] / pivot[p]
+            linalg.add_terms(r, ((i, f * c) for i, c in pivot.items()))
+        if r:
+            pivots[min(r)] = j
+        R.append(r)
+    return R, pivots
+
+
+def test_reduction_matches_the_reference_walk(monkeypatch):
+    # a column whose top row heads nothing yet is taken as it stands, shared
+    # with the caller; R and the pivots must equal the plain walk's entry for
+    # entry, and no column a caller passed in may change
+    reduced = []  # (columns, a deep copy taken before the reduction, reduction)
+
+    class Recorded(linalg.Reduction):
+        def __init__(self, columns):
+            before = copy.deepcopy(columns)
+            super().__init__(columns)
+            reduced.append((columns, before, self))
+
+    monkeypatch.setattr(linalg, "Reduction", Recorded)
+    # the window columns of seeded instances, read by an invariant and probes
+    windows = 0
+    for max_orbits in (6, 12):
+        for seed in range(100):
+            inst = random_instance(seed, max_orbits=max_orbits)
+            C, rep = inst.complex, inst.representative
+            if rep.is_zero():
+                continue
+            w = _query(C, rep).window()
+            before = copy.deepcopy(w.columns)
+            nv.spectral_invariant(C, rep)
+            half = F(1, 2 * w.denom)  # off the 1/denom grid, so off the spectrum
+            for neg_key, _, _, _ in w.keys[::7]:
+                lam = F(-neg_key, w.denom) + half
+                if rep.floor is None or lam > rep.floor:
+                    nv.image_membership(C, rep, lam)
+            assert _query(C, rep).window() is w
+            assert w.columns == before, (max_orbits, seed)
+            windows += 1
+    assert windows > 150 and len(reduced) == windows
+    # the dual's columns on the builtins: each gains the functional's row,
+    # whose value may be zero
+    for name in sorted(BUILTIN_FIXTURES):
+        fix = BUILTIN_FIXTURES[name]()
+        C = fix.build(min(F(1, 8), fix.max_eps))
+        for a in fix.shipped_classes:
+            mu = nv.embed_class(a, C, fix.cochains)
+            nv.dual_spectral_invariant(C, mu, fix.morse.dim // 2 - a.degree)
+    assert len(reduced) > windows + 10
+    # random sparse systems with zero coefficients, empty and repeated columns
+    rng = random.Random(32)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        columns = []
+        for _ in range(rng.randint(1, 8)):
+            kind = rng.choice(("empty", "repeat", "copy", "random")) if columns else "random"
+            if kind == "empty":
+                columns.append({})
+            elif kind == "repeat":
+                columns.append(rng.choice(columns))  # the same dict twice
+            elif kind == "copy":
+                columns.append(dict(rng.choice(columns)))
+            else:
+                columns.append({i: F(rng.randint(-2, 2), rng.randint(1, 3))
+                                for i in range(n) if rng.random() < 0.5})
+        linalg.Reduction(columns)
+    shared = walked = 0
+    for columns, before, reduction in reduced:
+        assert columns == before
+        assert (reduction.R, reduction.pivots) == _reference_reduction(before)
+        for r, col in zip(reduction.R, columns):
+            if r is col:
+                shared += 1
+            elif r:
+                walked += 1
+    assert shared > 1000 and walked > 100, (shared, walked)
 
 
 def test_degree_generators_pinned():
@@ -697,9 +786,10 @@ def test_window_columns_match_equivariant_images():
                 assert (w.rows, w.cols, w.matrix, w.truncated) == (rows, cols, matrix, cut)
                 # no reduction level can reach the floor
                 assert all(g.action > lo for g in w.rows)
-                levels = {g.action for g in rows} | {lo, hi, lo - 1, hi + 1}
+                actions = [g.action for g in rows]
+                levels = set(actions) | {lo, hi, lo - 1, hi + 1}
                 for level in levels | {lam + F(1, 97) for lam in levels}:
-                    assert _prefix(w, level) == sum(1 for g in rows if g.action >= level)
+                    assert _prefix(w, level) == sum(1 for a in actions if a >= level)
                 truncated += cut
                 columns += len(cols)
     assert truncated > 100 and columns > 1000

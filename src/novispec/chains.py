@@ -16,12 +16,13 @@ matrix to capped generators.
 A complex is never mutated, so it caches what it derives from its data:
 `action_keys`, the one owner of the integer action lattice (each action as
 a key over one denominator, the period, the base keys modulo it, and per
-Chern number the cap line and its runs of caps, `ActionKeys.cap_run`),
-which the windows, the spectrum, the cycle test and the seeded chains read,
-and `boundary_check`, the one rule that makes the boundary a filtered Novikov
-differential (each term lowers the degree by one and never raises the
-action, and d∘d vanishes), decided in those keys.  `validate` reports its
-violations; `is_cycle` and the engine refuse a complex that has any.
+Chern number the cap line and its runs of caps as ranges of generator ids,
+`ActionKeys.cap_run`), which the windows, the spectrum, the cycle test and
+the seeded chains read, and `boundary_check`, the one rule that makes the
+boundary a filtered Novikov differential (each term lowers the degree by
+one and never raises the action, and d∘d vanishes), decided in those keys.
+`validate` reports its violations; `is_cycle` and the engine refuse a
+complex that has any.
 
 Chains are finite homogeneous combinations of generators with an optional
 action-space precision floor.  Neither a complex nor a scalar carries one, so
@@ -341,7 +342,7 @@ class ValidationReport:
         return "<invalid: " + ", ".join(self.codes()) + ">"
 
 
-_NO_RUN = (0, ())
+_NO_RUN = range(0)
 
 
 @dataclass(slots=True)  # built once per complex; only `lines` fills in later
@@ -352,7 +353,9 @@ class ActionKeys:
     and the cycle test read off them: the period generator, the base keys
     modulo it, the lowest and highest base key, and per Chern number the
     cap line in keys, read from the group by the first `cap_run` that
-    needs it."""
+    needs it.  Within one degree a generator is named by an id, -action
+    key * (number of orbits) + (its orbit's rank in `base`): `cap_run`
+    gives a run of ids as a `range`, and `run_keys` decodes runs."""
 
     gamma: GammaGroup
     denom: int  # lcm of the base-action and omega-value denominators
@@ -369,11 +372,12 @@ class ActionKeys:
         """The -action key of (orbit, cap): omega key(cap) - base key(orbit)."""
         return sum(map(mul, self.omega, cap)) - self.base[orbit]
 
-    def cap_run(self, orbit: str, c1: int, degree: int, lo: int, hi: int):
-        """(count, keys) of the caps A of Chern number `c1` with (orbit, A) of
-        action key in (lo, hi]: the keys (-action key, orbit, A, `degree`)
-        are lazy and ascending.  The caps are a run of steps along the cap
-        line, each adding the step's omega key to the -action key."""
+    def cap_run(self, rank: int, orbit: str, c1: int, lo: int, hi: int) -> range:
+        """The ids, ascending, of (orbit, A) over the caps A of Chern number
+        `c1` with action key in (lo, hi]; `rank` is the orbit's rank in
+        `base`.  The caps are a run of steps along the cap line, each adding
+        the step's omega key to the -action key, so the ids are a `range`
+        whose length is counted by two floor divisions."""
         lines = self.lines
         if c1 not in lines:
             line = self.gamma.cap_line(c1)
@@ -385,32 +389,55 @@ class ActionKeys:
         line = lines[c1]
         if line is None:
             return _NO_RUN
-        start, w0, step, dw = line
+        _, w0, step, dw = line
+        width = len(self.base)
         key = self.base[orbit] - w0  # the key of `start`; each step lowers it by dw
         if step is None:
-            return (1, [(-key, orbit, start, degree)]) if lo < key <= hi else _NO_RUN
+            return (range(rank - key * width, rank + (1 - key) * width, width)
+                    if lo < key <= hi else _NO_RUN)
         first, stop = -((hi - key) // dw), -((lo - key) // dw)
-        if first >= stop:
-            return _NO_RUN
-        caps = zip(*(range(x + first * k, x + stop * k, k) if k else repeat(x)
-                     for x, k in zip(start, step)))
-        return stop - first, zip(range(first * dw - key, stop * dw - key, dw), repeat(orbit),
-                                 caps, repeat(degree))
+        return range(rank + (first * dw - key) * width, rank + (stop * dw - key) * width,
+                     dw * width)
+
+    def run_keys(self, runs, degree: int) -> list:
+        """The keys (-action key, orbit, cap, `degree`) of `runs`, a list of
+        (orbit, Chern number, ids) whose ids are a nonempty `cap_run` of that
+        orbit and Chern number or a slice of one, run after run, each
+        ascending."""
+        width, base, lines = len(self.base), self.base, self.lines
+        keys = []
+        for orbit, c1, ids in runs:
+            start, w0, step, dw = lines[c1]
+            neg_key = ids.start // width
+            if step is None:
+                keys.append((neg_key, orbit, start, degree))
+                continue
+            n, t = len(ids), (neg_key - w0 + base[orbit]) // dw  # t steps from `start`
+            keys += zip(range(neg_key, neg_key + n * dw, dw), repeat(orbit),
+                        zip(*[range(x + t * k, x + (t + n) * k, k) if k else repeat(x)
+                              for x, k in zip(start, step)]),
+                        repeat(degree))
+        return keys
 
 
 @dataclass(slots=True)  # built once per complex, never mutated
 class BoundaryCheck:
     """The boundary's violations, in the order `validate` reports them, the
-    largest action-key drop of a boundary term (0 if none), and every term
-    as a table {src orbit: [(dst, drop, coeff)]} in `matrix_entries` order.
+    largest action-key drop of a boundary term (0 if none) and the least
+    (None if none), the orbits' ranks {orbit: rank in name order}, and per
+    source rank the terms as [(offset, coeff)].
 
     A term's drop is how far it lowers the action key: `neg_key(dst,
-    label) - neg_key(src, 0)`.  The term sends the generator of -action key
-    k to the generator of dst in -action key k + drop."""
+    label) - neg_key(src, 0)`, and its offset is how far it moves the id
+    (`ActionKeys`): drop * (number of orbits) + rank(dst) - rank(src).
+    By equivariance the term sends the generator of id i of src, at every
+    cap, to the generator of id i + offset of dst."""
 
     violations: tuple
     drop: int
-    table: dict
+    least: int | None
+    ranks: dict
+    offsets: list
 
 
 def _valid_boundary_check(C: "FilteredComplex") -> BoundaryCheck:
@@ -489,25 +516,26 @@ class FilteredComplex:
     def is_cycle(self, chain: NovikovChain) -> bool:
         """Does the boundary of `chain` vanish above its precision floor?
 
-        The boundary table's terms are summed into {(orbit, -action key):
-        coeff}, which names the image's generators as (orbit, cap) would,
-        since they share one degree; a sum is kept, as `boundary` keeps it,
-        when its action key lies above the floor's.  Builds no chain and no
-        cap, and refuses an invalid complex (`_valid_boundary_check`).
+        The boundary's terms are summed into {id: coeff} (`ActionKeys`),
+        which names the image's generators as (orbit, cap) would, since
+        they share one degree; a sum is kept, as `boundary` keeps it, when
+        its action key lies above the floor's.  Builds no chain and no cap,
+        and refuses an invalid complex (`_valid_boundary_check`).
         """
         if chain.complex is not self:
             raise StructuralError("chain does not live in this complex")
-        table = _valid_boundary_check(self).table
+        check = _valid_boundary_check(self)
+        ranks, offsets, width = check.ranks, check.offsets, len(check.ranks)
         image = {}
         for g, c in chain.terms.items():
-            add_terms(image, (((dst, g.neg_key + drop), c * coeff)
-                              for dst, drop, coeff in table.get(g.orbit, ())))
+            i = g.neg_key * width + (rank := ranks[g.orbit])
+            add_terms(image, ((i + off, c * coeff) for off, coeff in offsets[rank]))
         floor = chain.floor
         if not image or floor is None:
             return not image
-        # an integer key lies above floor * denom exactly when it lies above its floor key
-        top = floor_key(floor, self.action_keys.denom)
-        return all(-neg_key <= top for _, neg_key in image)
+        # an action key lies above the floor's exactly when its id lies below this
+        bound = -floor_key(floor, self.action_keys.denom) * width
+        return all(i >= bound for i in image)
 
     # -- validation -----------------------------------------------------------
 
@@ -535,12 +563,14 @@ class FilteredComplex:
         units = self.action_keys
         c1 = self.gamma.c1_values
         report = ValidationReport()
-        largest = 0
-        table = {}
+        ranks = dict(zip(units.base, range(len(units.base))))
+        width = len(ranks)
+        offsets = [[] for _ in ranks]
+        drops = []
         for src, dst, scalar in matrix_entries(entries):
             (sa, sd), dd = self.orbits[src], self.orbits[dst][1]
             src_key = units.base[src]
-            terms = table.setdefault(src, [])
+            terms, shift = offsets[ranks[src]], ranks[dst] - ranks[src]
             for label, coeff in scalar.terms.items():
                 degree = dd - 2 * sum(map(mul, c1, label))
                 drop = units.neg_key(dst, label) + src_key
@@ -551,8 +581,8 @@ class FilteredComplex:
                     report.add("level-increase", (src, dst, label),
                                f"entry {src}->{dst} at {label} raises action {sa} -> "
                                f"{Fraction(src_key - drop, units.denom)}")
-                terms.append((dst, drop, coeff))
-                largest = max(largest, drop)
+                terms.append((drop * width + shift, coeff))
+                drops.append(drop)
         # d(d(x)) = 0 for every base generator; equivariance makes this
         # sufficient for every cap.
         square = compose_matrices(entries, entries)
@@ -561,7 +591,8 @@ class FilteredComplex:
                 label, coeff = next(iter(scalar.terms.items()))
                 report.add("square", (src, dst, label),
                            f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}")
-        return BoundaryCheck(tuple(report.violations), largest, table)
+        return BoundaryCheck(tuple(report.violations), max([0, *drops]), min(drops, default=None),
+                             ranks, offsets)
 
     def validate(self, explicit_generators=None, representatives=None) -> ValidationReport:
         report = ValidationReport(list(self.boundary_check.violations))

@@ -13,9 +13,9 @@ step by one.
 The dual invariant reads one engine window, the one a degree down: its
 columns are the generators of the functional's degree with their boundary
 images.  Each column gains one row below every boundary row, the
-functional's value on its generator, and the columns are reduced in
-ascending action: the first column to head that row is the first cycle
-the functional detects.
+functional's value on its generator where it is nonzero, and the columns
+are reduced in ascending action: the first column to head that row is the
+first cycle the functional detects.
 """
 
 from __future__ import annotations
@@ -294,9 +294,9 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int)
     # columns, with their boundary images above its floor
     w = build_window(C, degree - 1, *_default_dual_window(C))
     gens = w.cols[::-1]
-    mu_row = len(w.keys)
-    columns = [dict(col) for col in w.columns[::-1]]
-    for gen, col in zip(gens, columns):
-        col[mu_row] = mu.value(gen)
-    j = linalg.Reduction(columns).pivots.get(mu_row)
+    # mu's row, an id past every window row, only where mu is nonzero: a
+    # column that mu does not see stays the window's own, with no zero
+    columns = [col if not (value := mu.value(gen)) else {**col, w.floor: value}
+               for gen, col in zip(gens, w.columns[::-1])]
+    j = linalg.Reduction(columns).pivots.get(w.floor)
     return NEG_INF if j is None else gens[j].action

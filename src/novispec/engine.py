@@ -11,11 +11,11 @@ certificate.  The window columns are the equivariant boundary images of
 the generators one degree up, and every level is answered by one filtered
 column reduction of them (`linalg.Reduction`, pivots at the highest
 action): the representative is walked down its pivots (`reduce`) as far as
-the prefix of rows at or above the level, which a bisection of the
-action-sorted rows finds.  Most window columns are reduced as they
-stand, and the reduction shares them instead of copying them.  The
-representative stays sparse; the residual of each walk is the next
-representative.
+the rows at or above the level, whose ids lie below one bound,
+(-action key + 1) times the number of orbits.  Most window columns are
+reduced as they stand, and the reduction shares them instead of copying
+them.  The representative stays sparse; the residual of each walk is the
+next representative.
 
 Each query reads one window, `default_window_bounds`, its floor raised to
 the representative's own.  Every row lies above the floor, so a class that
@@ -23,38 +23,30 @@ vanishes there is indeterminate, with the interval (-inf, floor).  The
 window spans a pad around the representative's level, so terms spanning more
 than the pad can leave a finite invariant indeterminate.
 
-A window enumerates its generators in integers, never through a
-per-generator omega or `Fraction`: every action is an integer key over the
-complex's denominator (`FilteredComplex.action_keys`).  Per orbit, the
-action keys give the run of its caps along the cap line of one Chern
-number inside (lo, hi] (`ActionKeys.cap_run`): its length from two floor
-divisions, then its keys, lazily, each step adding integers.  The runs'
-lengths are summed before any key is built, so a window of more than
-`MAX_WINDOW_GENERATORS` generators in one degree raises
-`WindowTooLargeError` at the cost of one pass over the orbits.  A key is
-the tuple (-action key, orbit, cap, degree), a `Generator` without its
-denominator, so keys sort in chain order, and a window's generators are
-its keys with the complex's `denom` appended.  A window sorts them on the
-action key alone: its runs are laid out in orbit-name order
-(`ActionKeys.base` is kept in that order) and the sort is stable, so ties
-in action break by orbit, as in chain order, since within one degree an
-orbit has at most one generator per action key (below).  The window
-keeps its columns as {row index: coeff}, the form `linalg.Reduction`
-takes.  Each column's boundary terms come from the complex's table {src
-orbit: [(dst, drop, coeff)]} (`FilteredComplex.boundary_check`): by
-equivariance each term sends (src, cap), at every cap, to the generator
-of dst whose -action key is larger by `drop`.  Within one degree an orbit's generator
-is named by its action: its caps there share one Chern number, so two of
-them differ by a vector of c1 zero, on which omega is nonzero because
-`GammaGroup` refuses a group whose omega and c1 share a kernel vector.
-So a window indexes its rows by (orbit, -action key), and a column finds
-each target with one integer addition, building no cap.  A target missing
-from that index lies below the window floor, since no boundary term of a
-valid complex raises the action or misses the degree.  Every query
-refuses a complex whose `boundary_check` has a violation
-(`_valid_boundary_check`); the window pad (`window_pad`) is one sum of
-the largest drop and the `action_keys`.  Levels are read off the keys,
-which are bisected for row prefixes.
+A window names its rows and columns by integer ids and never lists its
+rows (after Ripser, which never stores its boundary matrix).  Every action
+is an integer key over the complex's denominator
+(`FilteredComplex.action_keys`), and within one degree an orbit's
+generator is named by its action: its caps there share one Chern number,
+so two of them differ by a vector of c1 zero, on which omega is nonzero
+because `GammaGroup` refuses a group whose omega and c1 share a kernel
+vector.  So the id -action key * (number of orbits) + (the orbit's rank in
+name order) names a generator of one degree, and id order is chain order:
+descending action, ties by orbit.  Per orbit, the ids inside (lo, hi] are
+one `range` along the cap line of one Chern number (`ActionKeys.cap_run`),
+so a window holds those ranges, and their lengths are summed before any id
+is read: a window of more than `MAX_WINDOW_GENERATORS` generators in one
+degree raises `WindowTooLargeError` at the cost of one pass over the
+orbits.  A column is {column id + offset: coeff} over the boundary's terms
+from its orbit (`BoundaryCheck.offsets`, by equivariance one integer per
+term at every cap), building no cap; a target at or past the floor's id
+lies below the window, since no boundary term of a valid complex raises
+the action or misses the degree.  A generator is decoded from its id only
+for the witness and the `rows`, `cols` and `matrix` views
+(`ActionKeys.run_keys`), and the oracle's columns are the keys of the same
+runs (`_degree_keys`).  Every query refuses a complex whose
+`boundary_check` has a violation (`_valid_boundary_check`); the window pad
+(`window_pad`) is one sum of the largest drop and the `action_keys`.
 
 Complexes and chains are never mutated after construction, so a query
 state is a function of its chain.  A query state (`_Query`) holds what
@@ -64,8 +56,8 @@ query bounds and the level, computed once, and the window and the
 representative's vector on it, built on first read; the window reduces its
 columns once, lazily (`Window.reduction`).  An invariant attained by the
 representative as it stands, unreduced and exact, returns the
-representative itself as its witness; any other witness is read off the
-window's rows in index order, which is chain order.  The engine keeps one
+representative itself as its witness; any other witness is decoded from
+the ids of its rows, in id order, which is chain order.  The engine keeps one
 query state, the last representative's (`_last_query`), matched by
 identity; a query of another representative replaces it.  The invariant,
 the oracle and every membership probe of one representative thus share
@@ -76,11 +68,11 @@ the engine holds at most one window, and one complex, alive.
 
 An independent oracle answers the same question bottom-up: the smallest
 level whose strict-superlevel cancellation system is feasible.  It builds
-and eliminates its own rows (`oracle_rho`), apart from the boundary
-table, the window and its reduction.
+and eliminates its own rows (`oracle_rho`) from the boundary entries,
+apart from the boundary check's offsets, the window and its reduction.
 
 Membership in the image of a truncated complex, the probe API, is one walk
-on the window's reduction, bounded by a row prefix; a level above the
+on the window's reduction, bounded by an id; a level above the
 representative's own needs no walk, since no row of it lies at or above
 that level.
 """
@@ -88,7 +80,7 @@ that level.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -117,13 +109,14 @@ from .scalars import NEG_INF, POS_INF
 class Window:
     """Per-degree exact matrix model of a complex on an action window.
 
-    Rows and columns are integer keys (-action key, orbit, cap, degree),
-    ascending, so in chain order; the action is the key over `denom`.
-    Rows are addressed by (orbit, -action key), which within one degree
-    names the cap.  The generators are the keys with `denom` appended:
-    `generator(i)` for one row, and the views `rows`, `cols` and `matrix`,
-    built once when first read.  The queries of one representative share
-    its window: never mutate one.
+    Rows and columns are integer ids (`ActionKeys`): -action key times
+    `width`, the number of orbits, plus the orbit's rank in name order.
+    Within one degree an id names a generator and id order is chain order.
+    The rows are never listed: `runs` holds, per orbit in rank order, the
+    `range` of its row ids, and an id at or past `floor` lies at or below
+    the window floor.  `generators` decodes ids, as do the views `rows`,
+    `cols` and `matrix`, built once when first read.  The queries of one
+    representative share its window: never mutate one.
     """
 
     complex: FilteredComplex
@@ -131,28 +124,39 @@ class Window:
     hi: Fraction
     degree: int
     denom: int  # the complex's action denominator
-    keys: list  # row keys: the degree-d generators
-    col_keys: list  # column keys: the degree-(d+1) generators
-    columns: list  # per column: {row index: nonzero coefficient}
-    index: dict  # {(orbit, -action key): row index}
+    width: int  # the number of orbits
+    floor: int  # -floor key(lo) * width: no row id reaches it
+    runs: list  # per orbit with rows: the range of its row ids, ascending
+    col_ids: list  # column ids, ascending: the degree-(d+1) generators
+    columns: list  # per column: {row id: nonzero coefficient}
     truncated: bool  # some boundary target fell below the window
 
-    def generator(self, i: int) -> Generator:
-        """The generator of row `i`."""
-        return Generator(*self.keys[i], self.denom)
+    def generators(self, ids, degree: int) -> list:
+        """The generators of `degree` named by `ids`: the orbit from the
+        rank, the cap from the orbit's cap line."""
+        C = self.complex
+        keys, orbits = C.action_keys, C.orbits
+        names, width, denom = list(keys.base), self.width, self.denom
+        runs = [(orbit := names[i % width], (orbits[orbit][1] - degree) // 2, range(i, i + 1))
+                for i in ids]
+        return [Generator(*key, denom) for key in keys.run_keys(runs, degree)]
+
+    def count(self, bound: int) -> int:
+        """The number of rows of id below `bound`."""
+        return sum(bisect_left(run, bound) for run in self.runs)
 
     @cached_property
     def rows(self) -> list:
-        return [Generator(*key, self.denom) for key in self.keys]
+        return self.generators(sorted(i for run in self.runs for i in run), self.degree)
 
     @cached_property
     def cols(self) -> list:
-        return [Generator(*key, self.denom) for key in self.col_keys]
+        return self.generators(self.col_ids, self.degree + 1)
 
     @cached_property
     def matrix(self) -> list:
         """Per column: {row generator: nonzero coefficient}."""
-        rows = self.rows
+        rows = dict(zip(sorted(i for run in self.runs for i in run), self.rows))
         return [{rows[i]: c for i, c in col.items()} for col in self.columns]
 
     @cached_property
@@ -174,43 +178,49 @@ MAX_WINDOW_GENERATORS = 250_000  # generators one degree of a window may hold
 _NEG_KEY = itemgetter(0)  # a key's -action key
 
 
-def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
-    """The keys (-action key, orbit, cap, degree) of all capped generators
-    of one degree with action in (lo, hi], ascending.
-
-    The action key is the action times the complex's denominator, so the
-    order is by action descending, then (orbit, cap).  Each orbit's
-    generators are a run of steps along its cap line, counted before any
-    key is built: more than `MAX_WINDOW_GENERATORS` in all raises
-    `WindowTooLargeError`.  The runs are laid out in orbit-name order (the
-    order of `ActionKeys.base`) and sorted stably on the action key alone:
-    within one degree an orbit has at most one generator per action key,
-    so ties break by orbit, as the full key sort would break them.
-    """
+def _degree_runs(C: FilteredComplex, degree: int, lo, hi) -> list:
+    """Per orbit in name order with generators of one degree with action in
+    (lo, hi]: (orbit, Chern number, ids), the ids a `range`
+    (`ActionKeys.cap_run`).  The runs are counted before any id is read:
+    more than `MAX_WINDOW_GENERATORS` in all raises `WindowTooLargeError`.
+    Refuses an invalid complex (`_valid_boundary_check`)."""
     _valid_boundary_check(C)
     units, orbits = C.action_keys, C.orbits
     cap_run = units.cap_run
     # actions as integer keys over denom: lo < key / denom <= hi
     lo_key, hi_key = floor_key(lo, units.denom), floor_key(hi, units.denom)
-    runs = []  # per orbit in name order, lazily: keys ascending in -key
+    runs = []
     total = 0
-    for orbit in units.base:
+    for rank, orbit in enumerate(units.base):
         bdeg = orbits[orbit][1]
         if (bdeg - degree) % 2 != 0:
             continue
-        count, run = cap_run(orbit, (bdeg - degree) // 2, degree, lo_key, hi_key)
-        if count:
-            runs.append(run)
-            total += count
+        c1 = (bdeg - degree) // 2
+        ids = cap_run(rank, orbit, c1, lo_key, hi_key)
+        if ids:
+            runs.append((orbit, c1, ids))
+            total += len(ids)
     if total > MAX_WINDOW_GENERATORS:
         raise WindowTooLargeError(
             f"window-too-large: degree {degree} on ({lo}, {hi}] holds {total} "
             f"generators, over the cap of {MAX_WINDOW_GENERATORS}"
         )
-    keyed = []
-    for run in runs:
-        keyed += run
-    keyed.sort(key=_NEG_KEY)
+    return runs
+
+
+def _degree_keys(C: FilteredComplex, degree: int, lo, hi) -> list:
+    """The keys (-action key, orbit, cap, degree) of all capped generators
+    of one degree with action in (lo, hi], ascending.
+
+    The order is by action descending, then (orbit, cap): the runs of
+    `_degree_runs`, decoded (`ActionKeys.run_keys`) in orbit-name order, are
+    sorted stably on the action key alone, and within one degree an orbit
+    has at most one generator per action key, so ties break by orbit.
+    """
+    runs = _degree_runs(C, degree, lo, hi)
+    keyed = C.action_keys.run_keys(runs, degree)
+    if len(runs) > 1:
+        keyed.sort(key=_NEG_KEY)
     return keyed
 
 
@@ -224,53 +234,55 @@ def _degree_generators(C: FilteredComplex, degree: int, lo, hi) -> list:
 def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     """The degree-`degree` window of C on (lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
-    col_keys = _degree_keys(C, degree + 1, lo, hi)
-    keys = _degree_keys(C, degree, lo, hi)
-    # (orbit, -action key) determines a generator of one degree; on a valid
-    # complex a boundary target is a row or lies at or below the window floor
-    index = {(orbit, neg_key): i for i, (neg_key, orbit, _, _) in enumerate(keys)}
-    table = C.boundary_check.table
+    col_runs = _degree_runs(C, degree + 1, lo, hi)
+    runs = [ids for _, _, ids in _degree_runs(C, degree, lo, hi)]
+    denom, offsets = C.action_keys.denom, C.boundary_check.offsets
+    width = len(offsets)
+    # on a valid complex a boundary target is a row or lies at or below the floor
+    floor = -floor_key(lo, denom) * width
+    col_ids = []
+    for _, _, ids in col_runs:
+        col_ids += ids
+    col_ids.sort()
     columns = []
     truncated = False
-    for neg_key, orbit, _, _ in col_keys:
+    for c in col_ids:
         column = {}
-        for dst, drop, coeff in table.get(orbit, ()):
-            i = index.get((dst, neg_key + drop))
-            if i is None:
-                truncated = True
+        for off, coeff in offsets[c % width]:
+            if c + off < floor:
+                column[c + off] = coeff
             else:
-                column[i] = coeff
+                truncated = True
         columns.append(column)
-    return Window(C, lo, hi, degree, C.action_keys.denom, keys, col_keys, columns, index,
-                  truncated)
+    return Window(C, lo, hi, degree, denom, width, floor, runs, col_ids, columns, truncated)
 
 
 def _chain_vector(window: Window, chain: NovikovChain):
-    """Sparse coordinates {row: coeff} of a chain; below-window terms drop.
+    """Sparse coordinates {row id: coeff} of a chain; below-window terms drop.
 
     Returns (vector, dropped): terms at or below the floor are truncated per
     the precision semantics, terms above the window top are a caller error.
+    A term of the window's degree is a row exactly when its id lies in
+    [top, floor), which names it as the window does.
     """
-    v = {}
-    dropped = False
-    index = window.index
+    v, dropped = {}, False
+    ranks, width, floor = window.complex.boundary_check.ranks, window.width, window.floor
+    top = -floor_key(window.hi, window.denom) * width
     for gen, coeff in chain.terms.items():
-        i = index.get((gen.orbit, gen.neg_key))
-        if i is None:
-            if gen.action <= window.lo:
-                dropped = True
-                continue
-            raise StructuralError(
-                f"chain term {gen.orbit}@{gen.cap} lies outside the window"
-            )
-        v[i] = coeff
+        i = gen.neg_key * width + ranks[gen.orbit]
+        if i >= floor:
+            dropped = True
+        elif i < top:
+            raise StructuralError(f"chain term {gen.orbit}@{gen.cap} lies outside the window")
+        else:
+            v[i] = coeff
     return v, dropped
 
 
-def _prefix(window: Window, level):
-    """Number of rows at or above `level` (the rows are action descending)."""
+def _prefix(window: Window, level) -> int:
+    """The id bound of the rows at or above `level`: their ids lie below it."""
     # action >= level exactly when -key <= -ceil(level * denom)
-    return bisect_right(window.keys, -math.ceil(level * window.denom), key=_NEG_KEY)
+    return (1 - math.ceil(level * window.denom)) * window.width
 
 
 # ---------------------------------------------------------------------------
@@ -385,35 +397,36 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
     inexact = dropped or window.truncated or rep.floor is not None
     result_floor = lo if inexact else None
     reduction = window.reduction
-    keys = window.keys
+    width = window.width
     trace = []
     # every row lies above `lo`, so each level does too
     while v:
-        neg_key = keys[min(v)][0]
+        neg_key = min(v) // width
         level = Fraction(-neg_key, window.denom)
-        constraint_rows = bisect_right(keys, neg_key, key=_NEG_KEY)
-        r = reduction.reduce(v, constraint_rows)
-        if r and min(r) < constraint_rows:
-            rows = sorted(v)  # index order is chain order, and every row lies above lo
+        bound = (neg_key + 1) * width  # the rows at or above `level` lie below it
+        r = reduction.reduce(v, bound)
+        if r and min(r) < bound:
             if trace or inexact:
+                rows = sorted(v)  # id order is chain order, and every row lies above lo
                 witness = NovikovChain._ordered(
-                    C, {window.generator(i): v[i] for i in rows}, result_floor, window.degree)
+                    C, dict(zip(window.generators(rows, window.degree), map(v.get, rows))),
+                    result_floor, window.degree)
             else:  # unreduced and exact: the representative is its own witness
                 witness = rep
-            stratum = [i for i in rows if i < constraint_rows]
             cert = {
                 "level": level,
-                "stratum": [keys[i][1:3] for i in stratum],
-                "constraint_rows": constraint_rows,
+                # the rows of v below `bound` are the witness's terms at `level`
+                "stratum": [(g.orbit, g.cap) for g in witness.terms if g.neg_key == neg_key],
+                "constraint_rows": window.count(bound),
                 "columns": len(window.columns),
                 "unsolvable": True,
                 "window": (lo, hi),
             }
-            # the witness's first term is its top row, stratum[0]
+            # the witness's first term is its top row
             return SpectralResult(
                 level, witness, trace, "attained", next(iter(witness.terms)), cert
             )
-        trace.append(ReductionStep(level, sum(i < constraint_rows for i in v)))
+        trace.append(ReductionStep(level, sum(i < bound for i in v)))
         v = r
     if inexact:
         # vanishes above the floor only: the value is an interval

@@ -472,8 +472,7 @@ def random_continuity_pair(seed: int, constant_shift: bool = False) -> Continuit
         if not C.is_cycle(rep):
             rep = C.chain()
     # the smallest action drop of a boundary term, read in integer keys
-    drop = min((drop for row in C.boundary_check.table.values() for _, drop, _ in row),
-               default=None)
+    drop = C.boundary_check.least
     min_slack = Fraction(1) if drop is None else Fraction(drop, C.action_keys.denom)
     unit = min(min_slack / 4, Fraction(1, 4))
     if constant_shift:
@@ -621,18 +620,19 @@ def _chain_candidates(C: FilteredComplex, degree) -> tuple:
     distinct) and `random_chain` draws them twice as often as the others.
     That bias stays: the demo report's bytes depend on these draws.
     """
-    candidates = []
+    runs = []
     keys = C.action_keys
-    for orbit in sorted(C.orbits):
+    for rank, (orbit, base) in enumerate(keys.base.items()):  # in name order
         base_deg = C.base_degree(orbit)
         if (base_deg - degree) % 2 != 0:
             continue
-        c, base = (base_deg - degree) // 2, keys.base[orbit]
+        c = (base_deg - degree) // 2
         # omega keys in [w_lo, w_hi) are action keys in (base - w_hi, base - w_lo]
         for w_lo, w_hi in ((0, keys.period or keys.denom), (-2 * keys.period, 3 * keys.period)):
-            _, run = keys.cap_run(orbit, c, degree, base - w_hi, base - w_lo)
-            candidates.extend(Generator(*key, keys.denom) for key in run)
-    return tuple(candidates)
+            ids = keys.cap_run(rank, orbit, c, base - w_hi, base - w_lo)
+            if ids:
+                runs.append((orbit, c, ids))
+    return tuple(Generator(*key, keys.denom) for key in keys.run_keys(runs, degree))
 
 
 def _random_dressing(rng, gamma, omega, orbits, gamma_window) -> dict:

@@ -3,19 +3,19 @@
 `Reduction` serves the engine, membership, the dual invariant and the
 pairing check of a class basis: one sparse column reduction of a filtered
 boundary matrix, which keeps only the reduced columns R and their pivots.
-Rows are numbered from the top of the filtration (row 0 has the highest
-action) and the pivot of a column is its first nonzero row.  Cut down to
-any row prefix, the reduced columns stay reduced, so one reduction answers
-the cancellation system at every action level.  Its one walk, `reduce`,
-subtracts pivot columns from a vector until its top row lies past a given
-row prefix or heads no reduced column, and returns the residual: the
-vector is a boundary on the prefix exactly when the residual vanishes
+Rows are numbered from the top of the filtration (a smaller number has a
+higher action) and the pivot of a column is its first nonzero row.  Cut
+down to any row prefix, the reduced columns stay reduced, so one reduction
+answers the cancellation system at every action level.  Its one walk,
+`reduce`, subtracts pivot columns from a vector until its top row lies past
+a given row prefix or heads no reduced column, and returns the residual:
+the vector is a boundary on the prefix exactly when the residual vanishes
 there.  The reduction itself walks each column down the columns before it,
-except a column that is reduced as it stands: nonempty, with no zero
-coefficient, and a top row that heads no reduced column yet.  Such a
-column is its own reduced column, taken without a copy or a walk (the
-"emergent pairs" of Ripser), so R may share its dicts with the caller's
-columns; columns are never mutated, since `reduce` copies its input.
+except a column that is reduced as it stands: empty, or with no zero
+coefficient and a top row that heads no reduced column yet.  Such a column
+is its own reduced column, taken without a copy or a walk (the "emergent
+pairs" of Ripser), so R may share its dicts with the caller's columns;
+columns are never mutated, since `reduce` copies its input.
 
 `add_terms` is the one sparse sum of the package: chains, scalars,
 quantum classes, dual functionals and reduction columns are all finite
@@ -82,19 +82,20 @@ class Reduction:
     Each column is walked down the pivots of the reduced columns before it
     (`reduce` with no row bound); a column left nonzero heads its top row.
     `R[j]` is the reduced column and `pivots` maps each pivot row to the
-    one nonzero reduced column it heads.  A nonempty column with no zero
-    coefficient whose top row heads nothing yet is reduced as it stands:
-    `R[j]` is then the caller's own dict, with no copy and no walk, so
+    one nonzero reduced column it heads.  An empty column, or one with no
+    zero coefficient whose top row heads nothing yet, is reduced as it
+    stands: `R[j]` is then the caller's own dict, with no copy or walk, so
     neither the caller nor a reader of `R` may mutate it.
     """
 
     def __init__(self, columns):
         R, pivots = self.R, self.pivots = [], {}
         for j, col in enumerate(columns):
-            if col and (p := min(col)) not in pivots and all(col.values()):
+            if col and ((p := min(col)) in pivots or not all(col.values())):
+                if col := self.reduce(col):
+                    pivots[min(col)] = j
+            elif col:
                 pivots[p] = j  # reduced as it stands: R[j] is the column itself
-            elif col := self.reduce(col):
-                pivots[min(col)] = j
             R.append(col)
 
     def reduce(self, b, k=math.inf):

@@ -28,10 +28,17 @@ from novispec import (
     WindowTooLargeError,
 )
 from novispec import chains, engine, jsonio, linalg
-from novispec.chains import compose_matrices, entry_shifts, equivariant_image, matrix_entries
+from novispec.chains import (
+    Generator,
+    compose_matrices,
+    entry_shifts,
+    equivariant_image,
+    matrix_entries,
+)
 from novispec.engine import (
     _chain_vector,
     _degree_generators,
+    _degree_keys,
     _prefix,
     _query,
     _valid_boundary_check,
@@ -488,8 +495,9 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
         w = build_window(C, rep.degree, *default_window_bounds(C, rep))
         dense = [[col.get(g, F(0)) for col in w.matrix] for g in w.rows]
         rows = [{j: c for j, c in enumerate(row) if c} for row in dense]
+        ids = _row_ids(w)  # the row ids, in the order of `w.rows`
         sparse, _ = _chain_vector(w, rep)
-        v = [sparse.get(i, F(0)) for i in range(len(w.rows))]
+        v = [sparse.get(i, F(0)) for i in ids]
         # the representative, and a boundary (feasible at every level)
         mix = [F(rng.randint(-2, 2)) for _ in w.cols]
         image = [sum((a * m for a, m in zip(row, mix)), F(0)) for row in dense]
@@ -498,18 +506,21 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
         for rhs in ([-c for c in v], image):
             for level in sorted(set(actions)):
                 k = sum(1 for a in actions if a >= level)
-                r = reduction.reduce(dict(enumerate(rhs)), k)
+                bound = _prefix(w, level)  # the ids of those k rows lie below it
+                assert w.count(bound) == k
+                assert all((i < bound) == (j < k) for j, i in enumerate(ids))
+                r = reduction.reduce(dict(zip(ids, rhs)), bound)
                 if linalg.first_inconsistent_row(rows[:k], rhs[:k]) is not None:
-                    assert r and min(r) < k, (seed, level)
+                    assert r and min(r) < bound, (seed, level)
                     infeasible += 1
                     continue
-                assert all(i >= k for i in r), (seed, level)
-                cancelled = [b - r.get(i, 0) for i, b in enumerate(rhs)]
+                assert all(i >= bound for i in r), (seed, level)
+                cancelled = [b - r.get(i, 0) for i, b in zip(ids, rhs)]
                 assert linalg.first_inconsistent_row(rows, cancelled) is None, (seed, level)
                 # the walk subtracts only reduced columns that head rows < k
-                heads = [reduction.R[j] for p, j in reduction.pivots.items() if p < k]
+                heads = [reduction.R[j] for p, j in reduction.pivots.items() if p < bound]
                 spanned = [{j: col[i] for j, col in enumerate(heads) if i in col}
-                           for i in range(len(rhs))]
+                           for i in ids]
                 assert linalg.first_inconsistent_row(spanned, cancelled) is None, (seed, level)
                 feasible += 1
     assert feasible > 20 and infeasible > 20
@@ -608,16 +619,16 @@ def test_reduction_matches_the_reference_walk(monkeypatch):
             before = copy.deepcopy(w.columns)
             nv.spectral_invariant(C, rep)
             half = F(1, 2 * w.denom)  # off the 1/denom grid, so off the spectrum
-            for neg_key, _, _, _ in w.keys[::7]:
-                lam = F(-neg_key, w.denom) + half
+            for i in _row_ids(w)[::7]:
+                lam = F(-(i // w.width), w.denom) + half
                 if rep.floor is None or lam > rep.floor:
                     nv.image_membership(C, rep, lam)
             assert _query(C, rep).window() is w
             assert w.columns == before, (max_orbits, seed)
             windows += 1
     assert windows > 150 and len(reduced) == windows
-    # the dual's columns on the builtins: each gains the functional's row,
-    # whose value may be zero
+    # the dual's columns on the builtins: a column gains the functional's
+    # row where the functional is nonzero, and many are empty
     for name in sorted(BUILTIN_FIXTURES):
         fix = BUILTIN_FIXTURES[name]()
         C = fix.build(min(F(1, 8), fix.max_eps))
@@ -750,6 +761,11 @@ def test_degree_generators_match_brute_force(omega, c1):
     assert on_bounds > 0
 
 
+def _row_ids(w):
+    """A window's row ids, ascending."""
+    return sorted(i for run in w.runs for i in run)
+
+
 def _window_from_images(C, degree, lo, hi):
     """A window rebuilt term by term through `equivariant_image`:
     (rows, columns, matrix, truncated)."""
@@ -789,27 +805,32 @@ def test_window_columns_match_equivariant_images():
                 actions = [g.action for g in rows]
                 levels = set(actions) | {lo, hi, lo - 1, hi + 1}
                 for level in levels | {lam + F(1, 97) for lam in levels}:
-                    assert _prefix(w, level) == sum(1 for a in actions if a >= level)
+                    assert w.count(_prefix(w, level)) == sum(1 for a in actions if a >= level)
                 truncated += cut
                 columns += len(cols)
     assert truncated > 100 and columns > 1000
 
 
-def test_windows_address_rows_by_orbit_and_action_key():
-    # omega = (1, 3/2), c1 = (0, 1): caps (3, 0) and (0, 2) have equal omega
-    # and different Chern numbers, so orbit b carries both at one action, in
-    # two degrees; a window addresses its rows and its columns' targets by
-    # (orbit, -action key) within one degree, and the cycle check sums by
-    # the same key, so both must agree with the images term by term
+def _twins_complex():
+    """omega = (1, 3/2), c1 = (0, 1): caps (3, 0) and (0, 2) have equal omega
+    and different Chern numbers, so orbit b carries both at one action, in
+    two degrees."""
     G = GammaGroup((F(1), F(3, 2)), (0, 1))
     one, k, h = (0, 0), (1, 0), (0, 1)
-    C = nv.FilteredComplex(
+    return nv.FilteredComplex(
         G,
         [("a", F(0), 2), ("b", F(-1, 3), 1), ("c", F(1), 3), ("e", F(1, 2), 2)],
         {"a": {"b": NovikovScalar(G, DOWN, {one: 1, k: 1}), "c": mono(1, h, G)},
          "b": {"e": mono(1, h, G)},
          "c": {"e": NovikovScalar(G, DOWN, {one: -1, k: -1})}},
     )
+
+
+def test_windows_address_rows_by_orbit_and_action_key():
+    # on the twins complex a window addresses its rows and its columns'
+    # targets by (orbit, -action key) within one degree, and the cycle check
+    # sums by the same key, so both must agree with the images term by term
+    C = _twins_complex()
     assert C.validate().ok
     twins = C.generator("b", (3, 0)), C.generator("b", (0, 2))
     assert twins[0].action == twins[1].action and twins[0].degree != twins[1].degree
@@ -819,10 +840,11 @@ def test_windows_address_rows_by_orbit_and_action_key():
             w = build_window(C, degree, lo, hi)
             rows, cols, matrix, cut = _window_from_images(C, degree, lo, hi)
             assert (w.rows, w.cols, w.matrix, w.truncated) == (rows, cols, matrix, cut)
-            assert w.index == {(orbit, neg_key): i
-                               for i, (neg_key, orbit, _, _) in enumerate(w.keys)}
-            for neg_key, orbit, cap, _ in w.keys:
-                caps_at.setdefault((orbit, neg_key), set()).add(cap)
+            ranks = C.boundary_check.ranks
+            assert _row_ids(w) == [g.neg_key * w.width + ranks[g.orbit] for g in w.rows]
+            assert w.generators(_row_ids(w), degree) == w.rows
+            for g in w.rows:
+                caps_at.setdefault((g.orbit, g.neg_key), set()).add(g.cap)
     key = -twins[0].action * C.action_keys.denom
     assert {(3, 0), (0, 2)} <= caps_at[("b", key)]
     rng = random.Random(27)
@@ -1061,6 +1083,58 @@ def test_record_refuses_exactly_the_mutants_validate_rejects():
     assert refused >= 60 and agreed >= 100, (refused, agreed)
 
 
+def test_window_ids_name_the_degree_generators(monkeypatch):
+    # a window's row and column ids, sorted and decoded, are `_degree_keys`
+    # exactly; `_chain_vector` maps each decoded generator back to its id;
+    # the row count below each level's id bound is the count of rows at or
+    # above the level; and a window over the cap raises before any id is
+    # read or any window is built
+    complexes = [random_instance(seed, max_orbits=n).complex
+                 for n in (6, 12) for seed in range(100)]
+    complexes += [nv.FilteredComplex(C.gamma, [(o, *C.orbits[o]) for o in sorted(C.orbits)[::-1]],
+                                     C.boundary_entries) for C in complexes[:20]]
+    for make in BUILTIN_FIXTURES.values():
+        fix = make()
+        complexes.append(fix.build(min(F(1, 8), fix.max_eps)))
+    complexes.append(_twins_complex())
+    windows = [(F(-5), F(5)), (F(-37, 3), F(11, 2))]
+    cap = engine.MAX_WINDOW_GENERATORS
+    rows = levels = over = 0
+    for C in complexes:
+        for degree in range(-2, 3):
+            for lo, hi in windows:
+                w = build_window(C, degree, lo, hi)
+                ids = _row_ids(w)
+                keys = _degree_keys(C, degree, lo, hi)
+                assert [tuple(g[:4]) for g in w.generators(ids, degree)] == keys
+                assert [tuple(g[:4]) for g in w.cols] == _degree_keys(C, degree + 1, lo, hi)
+                assert w.col_ids == sorted(w.col_ids) and len(set(ids)) == len(ids)
+                gens = [Generator(*key, w.denom) for key in keys]
+                vector, dropped = _chain_vector(w, C.chain({g: j + 1 for j, g in enumerate(gens)}))
+                assert vector == {i: j + 1 for j, i in enumerate(ids)} and not dropped
+                actions = [g.action for g in gens]
+                for level in {*actions, lo, hi} | {a + F(1, 97) for a in actions[:5]}:
+                    assert w.count(_prefix(w, level)) == sum(1 for a in actions if a >= level)
+                    levels += 1
+                rows += len(ids)
+                # over the cap by one, in the rows or the columns (checked first)
+                for size in {len(ids), len(w.col_ids)} - {0}:
+                    d = degree + 1 if len(w.col_ids) >= size else degree
+                    with monkeypatch.context() as m:
+                        m.setattr(engine, "MAX_WINDOW_GENERATORS", size - 1)
+                        m.setattr(chains.ActionKeys, "run_keys", _never)
+                        m.setattr(engine, "Window", _never)
+                        with pytest.raises(WindowTooLargeError, match=f"degree {d} on "):
+                            build_window(C, degree, lo, hi)
+                    over += 1
+                assert engine.MAX_WINDOW_GENERATORS == cap
+    assert rows > 10_000 and levels > 10_000 and over > 1000, (rows, levels, over)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("reached past the window cap")
+
+
 def test_queries_build_no_generator_views():
     # the invariant and membership read the window's integer keys; the
     # generator views `rows`, `cols` and `matrix` are built only when read
@@ -1081,8 +1155,9 @@ def test_queries_build_no_generator_views():
         assert "reduction" in vars(w)
         assert not {"rows", "cols", "matrix"} & set(vars(w)), seed
         top = result.certificate["stratum"][0]
-        i = next(i for i, key in enumerate(w.keys) if key[1:3] == top)
-        assert result.attained_at == w.generator(i)
+        (i,), _ = _chain_vector(w, C.chain({C.generator(*top): 1}))
+        assert any(i in run for run in w.runs)
+        assert w.generators([i], w.degree) == [result.attained_at]
         checked += 1
     assert checked >= 10
 

@@ -111,14 +111,16 @@ def test_in_period_group():
 
 def _caps(g, c1, lo, hi):
     """The caps A with c1(A) = c1 and lo <= omega(A) < hi, omega ascending:
-    the `ActionKeys.cap_run` of a one-orbit complex at action 0, after
-    checking its count and the -action key (there omega's key) of each cap."""
+    the `ActionKeys.cap_run` of a one-orbit complex at action 0, decoded by
+    `run_keys`, after checking its count, its ids (with one orbit, the
+    -action keys) and the -action key (there omega's key) of each cap."""
     keys = FilteredComplex(g, [("o", 0, 0)]).action_keys
     d = keys.denom
     # an integer omega key w has lo <= w / d < hi iff ceil(lo d) <= w < ceil(hi d)
-    count, run = keys.cap_run("o", c1, 5, -math.ceil(hi * d), -math.ceil(lo * d))
-    found = list(run)
-    assert count == len(found) and all(o == "o" and deg == 5 for _, o, _, deg in found)
+    ids = keys.cap_run(0, "o", c1, -math.ceil(hi * d), -math.ceil(lo * d))
+    found = keys.run_keys([("o", c1, ids)] if ids else [], 5)
+    assert len(ids) == len(found) and all(o == "o" and deg == 5 for _, o, _, deg in found)
+    assert list(ids) == [k for k, _, _, _ in found]
     assert all(F(k, d) == g.omega(a) for k, _, a, _ in found)
     return [a for _, _, a, _ in found]
 
@@ -185,10 +187,12 @@ def test_caps_match_brute_force(omega, c1):
 
 
 def test_cap_run_counts_before_it_enumerates():
-    # a run of 10**12 caps is counted, and its keys and caps are lazy
+    # a run of 10**12 caps is counted as a range of ids, and a slice of it
+    # decodes to its keys and caps alone
     keys = FilteredComplex(GammaGroup((F(1, 2),), (0,)), [("o", 0, 0)]).action_keys
-    count, run = keys.cap_run("o", 0, 0, -10**12, 0)
-    assert count == 10**12
-    assert next(run) == (0, "o", (0,), 0) and next(run) == (1, "o", (1,), 0)
-    assert keys.cap_run("o", 1, 0, -10**12, 0)[0] == 0  # no cap of c1 = 1
-    assert keys.cap_run("o", 0, 0, 5, 5)[0] == 0  # an empty key range
+    ids = keys.cap_run(0, "o", 0, -10**12, 0)
+    assert len(ids) == 10**12
+    assert keys.run_keys([("o", 0, ids[:2])], 0) == [(0, "o", (0,), 0), (1, "o", (1,), 0)]
+    assert keys.run_keys([("o", 0, ids[-1:])], 0) == [(10**12 - 1, "o", (10**12 - 1,), 0)]
+    assert len(keys.cap_run(0, "o", 1, -10**12, 0)) == 0  # no cap of c1 = 1
+    assert len(keys.cap_run(0, "o", 0, 5, 5)) == 0  # an empty key range

@@ -14,13 +14,14 @@ shift, `compose_matrices` composes, and `equivariant_image` applies a
 matrix to capped generators.
 
 A complex is never mutated, so it caches what it derives from its data:
-`action_keys`, the one owner of the integer action lattice (each action as
-a key over one denominator, the period, the base keys modulo it, and per
-Chern number the cap line and its runs of caps as ranges of generator ids,
-`ActionKeys.cap_run`), which the windows, the spectrum, the cycle test and
-the seeded chains read, and `boundary_check`, the one rule that makes the
-boundary a filtered Novikov differential (each term lowers the degree by
-one and never raises the action, and d∘d vanishes), decided in those keys.
+`action_keys`, the one owner of the integer action lattice and of the
+generator ids (each action as a key over one denominator, the period, the
+base keys modulo it, the orbit ranks, and per degree each orbit's runs of
+caps as ranges of ids, `ActionKeys.cap_run`), which the windows, the
+spectrum, the cycle test and the seeded chains read, and `boundary_check`,
+the one rule that makes the boundary a filtered Novikov differential (each
+term lowers the degree by one and never raises the action, and d∘d
+vanishes), decided in those keys.
 `validate` reports its violations; `is_cycle` and the engine refuse a
 complex that has any.
 
@@ -347,19 +348,24 @@ _NO_RUN = range(0)
 
 @dataclass(slots=True)  # built once per complex; only `lines` fills in later
 class ActionKeys:
-    """A complex's actions as integer keys: each action times `denom`.
+    """A complex's actions as integer keys, each action times `denom`, and
+    the owner of its generator ids.
 
     Besides the keys themselves it holds what the windows, the spectrum
-    and the cycle test read off them: the period generator, the base keys
+    and the cycle test read off them: the orbit names, base keys, base
+    degrees and ranks in name order, the period generator, the base keys
     modulo it, the lowest and highest base key, and per Chern number the
     cap line in keys, read from the group by the first `cap_run` that
     needs it.  Within one degree a generator is named by an id, -action
-    key * (number of orbits) + (its orbit's rank in `base`): `cap_run`
-    gives a run of ids as a `range`, and `run_keys` decodes runs."""
+    key * (number of orbits) + (its orbit's rank): `cap_run` gives a run
+    of ids as a `range`, and `run_keys` decodes runs."""
 
     gamma: GammaGroup
     denom: int  # lcm of the base-action and omega-value denominators
-    base: dict  # {orbit: base action key}, in orbit-name order
+    names: tuple  # the orbits in name order: an orbit's rank is its index
+    rank: dict  # {orbit: rank}
+    base: dict  # {orbit: base action key}, in name order
+    degrees: tuple  # the base degree of each orbit, by rank
     omega: tuple  # the omega key of each group generator
     period: int  # the gcd of the omega keys: the period generator as a key
     residues: frozenset  # the base keys, modulo period if nonzero
@@ -372,12 +378,17 @@ class ActionKeys:
         """The -action key of (orbit, cap): omega key(cap) - base key(orbit)."""
         return sum(map(mul, self.omega, cap)) - self.base[orbit]
 
-    def cap_run(self, rank: int, orbit: str, c1: int, lo: int, hi: int) -> range:
-        """The ids, ascending, of (orbit, A) over the caps A of Chern number
-        `c1` with action key in (lo, hi]; `rank` is the orbit's rank in
-        `base`.  The caps are a run of steps along the cap line, each adding
+    def cap_run(self, rank: int, degree: int, lo: int, hi: int) -> range:
+        """The ids, ascending, of the generators of `degree` of the orbit of
+        `rank` with action key in (lo, hi].  An orbit of base degree d holds
+        degree k at the caps of Chern number (d - k) / 2, and none when d - k
+        is odd.  The caps are a run of steps along that cap line, each adding
         the step's omega key to the -action key, so the ids are a `range`
         whose length is counted by two floor divisions."""
+        c1 = self.degrees[rank] - degree
+        if c1 % 2:
+            return _NO_RUN
+        c1 //= 2
         lines = self.lines
         if c1 not in lines:
             line = self.gamma.cap_line(c1)
@@ -390,8 +401,8 @@ class ActionKeys:
         if line is None:
             return _NO_RUN
         _, w0, step, dw = line
-        width = len(self.base)
-        key = self.base[orbit] - w0  # the key of `start`; each step lowers it by dw
+        width = len(self.names)
+        key = self.base[self.names[rank]] - w0  # the key of `start`; a step lowers it by dw
         if step is None:
             return (range(rank - key * width, rank + (1 - key) * width, width)
                     if lo < key <= hi else _NO_RUN)
@@ -401,14 +412,16 @@ class ActionKeys:
 
     def run_keys(self, runs, degree: int) -> list:
         """The keys (-action key, orbit, cap, `degree`) of `runs`, a list of
-        (orbit, Chern number, ids) whose ids are a nonempty `cap_run` of that
-        orbit and Chern number or a slice of one, run after run, each
-        ascending."""
-        width, base, lines = len(self.base), self.base, self.lines
+        nonempty `cap_run`s of `degree` or slices of them, run after run,
+        each ascending.  A run's first id names its orbit, so the Chern
+        number of its caps and the cap line `cap_run` read."""
+        names, base, degrees, lines = self.names, self.base, self.degrees, self.lines
+        width = len(names)
         keys = []
-        for orbit, c1, ids in runs:
-            start, w0, step, dw = lines[c1]
-            neg_key = ids.start // width
+        for ids in runs:
+            rank = ids.start % width
+            orbit, neg_key = names[rank], ids.start // width
+            start, w0, step, dw = lines[(degrees[rank] - degree) // 2]
             if step is None:
                 keys.append((neg_key, orbit, start, degree))
                 continue
@@ -424,8 +437,8 @@ class ActionKeys:
 class BoundaryCheck:
     """The boundary's violations, in the order `validate` reports them, the
     largest action-key drop of a boundary term (0 if none) and the least
-    (None if none), the orbits' ranks {orbit: rank in name order}, and per
-    source rank the terms as [(offset, coeff)].
+    (None if none), and per source rank (`ActionKeys.rank`) the terms as
+    [(offset, coeff)].
 
     A term's drop is how far it lowers the action key: `neg_key(dst,
     label) - neg_key(src, 0)`, and its offset is how far it moves the id
@@ -436,7 +449,6 @@ class BoundaryCheck:
     violations: tuple
     drop: int
     least: int | None
-    ranks: dict
     offsets: list
 
 
@@ -524,8 +536,8 @@ class FilteredComplex:
         """
         if chain.complex is not self:
             raise StructuralError("chain does not live in this complex")
-        check = _valid_boundary_check(self)
-        ranks, offsets, width = check.ranks, check.offsets, len(check.ranks)
+        offsets, ranks = _valid_boundary_check(self).offsets, self.action_keys.rank
+        width = len(ranks)
         image = {}
         for g, c in chain.terms.items():
             i = g.neg_key * width + (rank := ranks[g.orbit])
@@ -545,10 +557,12 @@ class FilteredComplex:
         denom = lcm(omega_denom, *(a.denominator for a, _ in self.orbits.values()))
         base = {o: a.numerator * (denom // a.denominator)
                 for o, (a, _) in sorted(self.orbits.items())}
+        names = tuple(base)
         omega = tuple(u * (denom // omega_denom) for u in units)
         period = gcd(*omega)
         return ActionKeys(
-            self.gamma, denom, base, omega, period,
+            self.gamma, denom, names, dict(zip(names, range(len(names)))), base,
+            tuple([self.orbits[o][1] for o in names]), omega, period,
             frozenset(k % period if period else k for k in base.values()),
             min(base.values(), default=0), max(base.values(), default=0),
         )
@@ -563,8 +577,7 @@ class FilteredComplex:
         units = self.action_keys
         c1 = self.gamma.c1_values
         report = ValidationReport()
-        ranks = dict(zip(units.base, range(len(units.base))))
-        width = len(ranks)
+        ranks, width = units.rank, len(units.names)
         offsets = [[] for _ in ranks]
         drops = []
         for src, dst, scalar in matrix_entries(entries):
@@ -592,7 +605,7 @@ class FilteredComplex:
                 report.add("square", (src, dst, label),
                            f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}")
         return BoundaryCheck(tuple(report.violations), max([0, *drops]), min(drops, default=None),
-                             ranks, offsets)
+                             offsets)
 
     def validate(self, explicit_generators=None, representatives=None) -> ValidationReport:
         report = ValidationReport(list(self.boundary_check.violations))

@@ -286,9 +286,7 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int)
     heads it.  A functional that detects nothing in the window pairs to
     zero with every class there: -infinity.
     """
-    if not classify_functional(mu).continuous:
-        raise DomainError("the functional is not continuous")
-    if not is_cocycle(mu, degree):
+    if not is_cocycle(mu, degree):  # refuses a discontinuous functional (`dual_boundary`)
         raise DomainError("the functional is not closed under the dual boundary")
     # the window one degree down has the degree-`degree` generators as its
     # columns, with their boundary images above its floor

@@ -23,30 +23,30 @@ vanishes there is indeterminate, with the interval (-inf, floor).  The
 window spans a pad around the representative's level, so terms spanning more
 than the pad can leave a finite invariant indeterminate.
 
-A window names its rows and columns by integer ids and never lists its
-rows (after Ripser, which never stores its boundary matrix).  Every action
-is an integer key over the complex's denominator
-(`FilteredComplex.action_keys`), and within one degree an orbit's
-generator is named by its action: its caps there share one Chern number,
-so two of them differ by a vector of c1 zero, on which omega is nonzero
-because `GammaGroup` refuses a group whose omega and c1 share a kernel
-vector.  So the id -action key * (number of orbits) + (the orbit's rank in
-name order) names a generator of one degree, and id order is chain order:
-descending action, ties by orbit.  Per orbit, the ids inside (lo, hi] are
-one `range` along the cap line of one Chern number (`ActionKeys.cap_run`),
-so a window holds those ranges, and their lengths are summed before any id
-is read: a window of more than `MAX_WINDOW_GENERATORS` generators in one
+A window names its rows and columns by integer ids and never lists its rows
+(after Ripser, which never stores its boundary matrix).  The ids belong to
+the complex's `action_keys`: every action is an integer key over one
+denominator, and within one degree an orbit's generator is named by its
+action, since its caps there share one Chern number, so two of them differ
+by a vector of c1 zero, on which omega is nonzero because `GammaGroup`
+refuses a group whose omega and c1 share a kernel vector.  So the id -action
+key * (number of orbits) + (the orbit's `ActionKeys.rank`) names a
+generator of one degree, and id order is chain order: descending action,
+ties by orbit.  Per orbit, the ids of one degree in (lo, hi] are one `range`
+(`ActionKeys.cap_run`, where a degree becomes a Chern number), so a
+window holds those ranges, and their lengths are summed before any id is
+read: a window of more than `MAX_WINDOW_GENERATORS` generators in one
 degree raises `WindowTooLargeError` at the cost of one pass over the
 orbits.  A column is {column id + offset: coeff} over the boundary's terms
 from its orbit (`BoundaryCheck.offsets`, by equivariance one integer per
 term at every cap), building no cap; a target at or past the floor's id
-lies below the window, since no boundary term of a valid complex raises
-the action or misses the degree.  A generator is decoded from its id only
-for the witness and the `rows`, `cols` and `matrix` views
+lies below the window, since no boundary term of a valid complex raises the
+action or misses the degree.  A generator is decoded from its id only for
+the witness and the `rows`, `cols` and `matrix` views
 (`ActionKeys.run_keys`), and the oracle's columns are the keys of the same
-runs (`_degree_keys`).  Every query refuses a complex whose
-`boundary_check` has a violation (`_valid_boundary_check`); the window pad
-(`window_pad`) is one sum of the largest drop and the `action_keys`.
+runs (`_degree_keys`).  Every query refuses a complex whose `boundary_check`
+has a violation (`_valid_boundary_check`); the window pad (`window_pad`) is
+one sum of the largest drop and the `action_keys`.
 
 Complexes and chains are never mutated after construction, so a query
 state is a function of its chain.  A query state (`_Query`) holds what
@@ -110,7 +110,7 @@ class Window:
     """Per-degree exact matrix model of a complex on an action window.
 
     Rows and columns are integer ids (`ActionKeys`): -action key times
-    `width`, the number of orbits, plus the orbit's rank in name order.
+    `width`, the number of orbits, plus the orbit's rank.
     Within one degree an id names a generator and id order is chain order.
     The rows are never listed: `runs` holds, per orbit in rank order, the
     `range` of its row ids, and an id at or past `floor` lies at or below
@@ -132,14 +132,10 @@ class Window:
     truncated: bool  # some boundary target fell below the window
 
     def generators(self, ids, degree: int) -> list:
-        """The generators of `degree` named by `ids`: the orbit from the
-        rank, the cap from the orbit's cap line."""
-        C = self.complex
-        keys, orbits = C.action_keys, C.orbits
-        names, width, denom = list(keys.base), self.width, self.denom
-        runs = [(orbit := names[i % width], (orbits[orbit][1] - degree) // 2, range(i, i + 1))
-                for i in ids]
-        return [Generator(*key, denom) for key in keys.run_keys(runs, degree)]
+        """The generators of `degree` named by `ids`, each a run of one id."""
+        denom, keys = self.denom, self.complex.action_keys
+        return [Generator(*key, denom)
+                for key in keys.run_keys([range(i, i + 1) for i in ids], degree)]
 
     def count(self, bound: int) -> int:
         """The number of rows of id below `bound`."""
@@ -179,26 +175,20 @@ _NEG_KEY = itemgetter(0)  # a key's -action key
 
 
 def _degree_runs(C: FilteredComplex, degree: int, lo, hi) -> list:
-    """Per orbit in name order with generators of one degree with action in
-    (lo, hi]: (orbit, Chern number, ids), the ids a `range`
-    (`ActionKeys.cap_run`).  The runs are counted before any id is read:
-    more than `MAX_WINDOW_GENERATORS` in all raises `WindowTooLargeError`.
-    Refuses an invalid complex (`_valid_boundary_check`)."""
+    """Per orbit in name order, the ids of its generators of `degree` with
+    action in (lo, hi], a nonempty `ActionKeys.cap_run`, counted before any
+    id is read: more than `MAX_WINDOW_GENERATORS` in all raises
+    `WindowTooLargeError`.  Refuses an invalid complex (`_valid_boundary_check`)."""
     _valid_boundary_check(C)
-    units, orbits = C.action_keys, C.orbits
+    units = C.action_keys
     cap_run = units.cap_run
     # actions as integer keys over denom: lo < key / denom <= hi
     lo_key, hi_key = floor_key(lo, units.denom), floor_key(hi, units.denom)
     runs = []
     total = 0
-    for rank, orbit in enumerate(units.base):
-        bdeg = orbits[orbit][1]
-        if (bdeg - degree) % 2 != 0:
-            continue
-        c1 = (bdeg - degree) // 2
-        ids = cap_run(rank, orbit, c1, lo_key, hi_key)
-        if ids:
-            runs.append((orbit, c1, ids))
+    for rank in range(len(units.names)):
+        if ids := cap_run(rank, degree, lo_key, hi_key):
+            runs.append(ids)
             total += len(ids)
     if total > MAX_WINDOW_GENERATORS:
         raise WindowTooLargeError(
@@ -235,13 +225,13 @@ def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     """The degree-`degree` window of C on (lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
     col_runs = _degree_runs(C, degree + 1, lo, hi)
-    runs = [ids for _, _, ids in _degree_runs(C, degree, lo, hi)]
+    runs = _degree_runs(C, degree, lo, hi)
     denom, offsets = C.action_keys.denom, C.boundary_check.offsets
     width = len(offsets)
     # on a valid complex a boundary target is a row or lies at or below the floor
     floor = -floor_key(lo, denom) * width
     col_ids = []
-    for _, _, ids in col_runs:
+    for ids in col_runs:
         col_ids += ids
     col_ids.sort()
     columns = []
@@ -266,7 +256,7 @@ def _chain_vector(window: Window, chain: NovikovChain):
     [top, floor), which names it as the window does.
     """
     v, dropped = {}, False
-    ranks, width, floor = window.complex.boundary_check.ranks, window.width, window.floor
+    ranks, width, floor = window.complex.action_keys.rank, window.width, window.floor
     top = -floor_key(window.hi, window.denom) * width
     for gen, coeff in chain.terms.items():
         i = gen.neg_key * width + ranks[gen.orbit]

@@ -613,25 +613,20 @@ def random_chain(rng: random.Random, C: FilteredComplex, degree):
 def _chain_candidates(C: FilteredComplex, degree) -> tuple:
     """`random_chain`'s candidates in `degree`; the last few are cached.
 
-    Per orbit with a cap line in `degree` the list holds the omega-0 cap,
-    then the caps of omega m * quantum for |m| <= 2, each run read off
-    `ActionKeys.cap_run` in omega ascending, so a nontrivial group lists
-    its omega-0 caps twice (on `czero` in degree 1: 6 candidates, 5
+    Per orbit in name order the list holds its generators of `degree` at
+    the omega-0 cap, then at the caps of omega m * quantum for |m| <= 2,
+    each a `ActionKeys.cap_run` in omega ascending, so a nontrivial group
+    lists its omega-0 caps twice (on `czero` in degree 1: 6 candidates, 5
     distinct) and `random_chain` draws them twice as often as the others.
     That bias stays: the demo report's bytes depend on these draws.
     """
     runs = []
     keys = C.action_keys
-    for rank, (orbit, base) in enumerate(keys.base.items()):  # in name order
-        base_deg = C.base_degree(orbit)
-        if (base_deg - degree) % 2 != 0:
-            continue
-        c = (base_deg - degree) // 2
+    for rank, base in enumerate(keys.base.values()):
         # omega keys in [w_lo, w_hi) are action keys in (base - w_hi, base - w_lo]
         for w_lo, w_hi in ((0, keys.period or keys.denom), (-2 * keys.period, 3 * keys.period)):
-            ids = keys.cap_run(rank, orbit, c, base - w_hi, base - w_lo)
-            if ids:
-                runs.append((orbit, c, ids))
+            if ids := keys.cap_run(rank, degree, base - w_hi, base - w_lo):
+                runs.append(ids)
     return tuple(Generator(*key, keys.denom) for key in keys.run_keys(runs, degree))
 
 

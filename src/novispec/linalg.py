@@ -85,7 +85,9 @@ class Reduction:
     one nonzero reduced column it heads.  An empty column, or one with no
     zero coefficient whose top row heads nothing yet, is reduced as it
     stands: `R[j]` is then the caller's own dict, with no copy or walk, so
-    neither the caller nor a reader of `R` may mutate it.
+    neither the caller nor a reader of `R` may mutate it.  A column with a
+    zero coefficient is walked, which drops it: the pairing check of
+    `quantum.ClassBasis` passes explicit zero entries.
     """
 
     def __init__(self, columns):

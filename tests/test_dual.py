@@ -238,6 +238,8 @@ def test_dual_boundary_rejects_divergent():
     bad = DualFunctional(C, {}, [Ray("bot", (0,), (1,), F(1))])
     with pytest.raises(DomainError):
         nv.dual_boundary(bad)
+    with pytest.raises(DomainError):
+        nv.dual_spectral_invariant(C, bad, 0)
 
 
 def test_threshold_never_drops_on_nonnegative_entries():

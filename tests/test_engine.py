@@ -840,7 +840,7 @@ def test_windows_address_rows_by_orbit_and_action_key():
             w = build_window(C, degree, lo, hi)
             rows, cols, matrix, cut = _window_from_images(C, degree, lo, hi)
             assert (w.rows, w.cols, w.matrix, w.truncated) == (rows, cols, matrix, cut)
-            ranks = C.boundary_check.ranks
+            ranks = C.action_keys.rank
             assert _row_ids(w) == [g.neg_key * w.width + ranks[g.orbit] for g in w.rows]
             assert w.generators(_row_ids(w), degree) == w.rows
             for g in w.rows:

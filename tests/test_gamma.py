@@ -111,15 +111,16 @@ def test_in_period_group():
 
 def _caps(g, c1, lo, hi):
     """The caps A with c1(A) = c1 and lo <= omega(A) < hi, omega ascending:
-    the `ActionKeys.cap_run` of a one-orbit complex at action 0, decoded by
-    `run_keys`, after checking its count, its ids (with one orbit, the
-    -action keys) and the -action key (there omega's key) of each cap."""
+    the `ActionKeys.cap_run` in degree -2 c1 of a one-orbit complex at
+    action 0 and degree 0, decoded by `run_keys`, after checking its count,
+    its ids (with one orbit, the -action keys) and the -action key (there
+    omega's key) of each cap."""
     keys = FilteredComplex(g, [("o", 0, 0)]).action_keys
-    d = keys.denom
+    d, degree = keys.denom, -2 * c1
     # an integer omega key w has lo <= w / d < hi iff ceil(lo d) <= w < ceil(hi d)
-    ids = keys.cap_run(0, "o", c1, -math.ceil(hi * d), -math.ceil(lo * d))
-    found = keys.run_keys([("o", c1, ids)] if ids else [], 5)
-    assert len(ids) == len(found) and all(o == "o" and deg == 5 for _, o, _, deg in found)
+    ids = keys.cap_run(0, degree, -math.ceil(hi * d), -math.ceil(lo * d))
+    found = keys.run_keys([ids] if ids else [], degree)
+    assert len(ids) == len(found) and all(o == "o" and k == degree for _, o, _, k in found)
     assert list(ids) == [k for k, _, _, _ in found]
     assert all(F(k, d) == g.omega(a) for k, _, a, _ in found)
     return [a for _, _, a, _ in found]
@@ -190,9 +191,20 @@ def test_cap_run_counts_before_it_enumerates():
     # a run of 10**12 caps is counted as a range of ids, and a slice of it
     # decodes to its keys and caps alone
     keys = FilteredComplex(GammaGroup((F(1, 2),), (0,)), [("o", 0, 0)]).action_keys
-    ids = keys.cap_run(0, "o", 0, -10**12, 0)
+    ids = keys.cap_run(0, 0, -10**12, 0)
     assert len(ids) == 10**12
-    assert keys.run_keys([("o", 0, ids[:2])], 0) == [(0, "o", (0,), 0), (1, "o", (1,), 0)]
-    assert keys.run_keys([("o", 0, ids[-1:])], 0) == [(10**12 - 1, "o", (10**12 - 1,), 0)]
-    assert len(keys.cap_run(0, "o", 1, -10**12, 0)) == 0  # no cap of c1 = 1
-    assert len(keys.cap_run(0, "o", 0, 5, 5)) == 0  # an empty key range
+    assert keys.run_keys([ids[:2]], 0) == [(0, "o", (0,), 0), (1, "o", (1,), 0)]
+    assert keys.run_keys([ids[-1:]], 0) == [(10**12 - 1, "o", (10**12 - 1,), 0)]
+    assert len(keys.cap_run(0, -2, -10**12, 0)) == 0  # no cap of c1 = 1
+    assert len(keys.cap_run(0, 1, -10**12, 0)) == 0  # a degree of the other parity
+    assert len(keys.cap_run(0, 0, 5, 5)) == 0  # an empty key range
+    # on two orbits a run's first id names its orbit, here the second, and
+    # decodes to the keys of `C.generator`, a slice of the run too
+    C = FilteredComplex(GammaGroup((F(1, 2), F(1, 3)), (1, 2)), [("o", 0, 0), ("p", F(1, 3), 3)])
+    keys = C.action_keys
+    assert not keys.cap_run(0, 1, -40, 40)  # "o" holds only even degrees
+    ids = keys.cap_run(1, 1, -40, 40)
+    found = keys.run_keys([ids], 1)
+    assert len(found) == len(ids) > 4 and {o for _, o, _, _ in found} == {"p"}
+    assert found == [tuple(C.generator("p", cap))[:4] for _, _, cap, _ in found]
+    assert keys.run_keys([ids[2:4]], 1) == found[2:4]

@@ -101,6 +101,9 @@ def test_pairing_nondegenerate_on_span():
                  for a in names for b in names}
         classes = [(a, fix.basis.degree(a)) for a in names]
         nv.ClassBasis(fix.basis.half_dim, classes, table)
+    # explicit zero entries: the reduction must walk, not take, such a column
+    antidiagonal = {("u", "u"): 0, ("u", "v"): 1, ("v", "u"): 1, ("v", "v"): 0}
+    nv.ClassBasis(1, [("u", 0), ("v", 2)], antidiagonal)
     ones = {(a, b): 1 for a in "uv" for b in "uv"}
     with pytest.raises(FixtureError, match="degenerate"):
         nv.ClassBasis(1, [("u", 0), ("v", 2)], ones)

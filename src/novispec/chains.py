@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 
 from .errors import DomainError, IndeterminateError, InvalidComplexError, StructuralError
@@ -437,8 +437,9 @@ class ActionKeys:
 class BoundaryCheck:
     """The boundary's violations, in the order `validate` reports them, the
     largest action-key drop of a boundary term (0 if none) and the least
-    (None if none), and per source rank (`ActionKeys.rank`) the terms as
-    [(offset, coeff)].
+    (None if none), per source rank (`ActionKeys.rank`) the terms as
+    [(offset, coeff)], ascending in offset, so a rank's greatest offset is
+    its last, and per source rank the least offset (inf if none).
 
     A term's drop is how far it lowers the action key: `neg_key(dst,
     label) - neg_key(src, 0)`, and its offset is how far it moves the id
@@ -450,6 +451,7 @@ class BoundaryCheck:
     drop: int
     least: int | None
     offsets: list
+    least_offset: list  # per source rank: its least offset, or inf
 
 
 def _valid_boundary_check(C: "FilteredComplex") -> BoundaryCheck:
@@ -596,6 +598,10 @@ class FilteredComplex:
                                f"{Fraction(src_key - drop, units.denom)}")
                 terms.append((drop * width + shift, coeff))
                 drops.append(drop)
+        least_offset = []
+        for terms in offsets:
+            terms.sort()
+            least_offset.append(terms[0][0] if terms else inf)
         # d(d(x)) = 0 for every base generator; equivariance makes this
         # sufficient for every cap.
         square = compose_matrices(entries, entries)
@@ -605,7 +611,7 @@ class FilteredComplex:
                 report.add("square", (src, dst, label),
                            f"d(d({src})) has residual {coeff}*q{list(label)} on {dst}")
         return BoundaryCheck(tuple(report.violations), max([0, *drops]), min(drops, default=None),
-                             offsets)
+                             offsets, least_offset)
 
     def validate(self, explicit_generators=None, representatives=None) -> ValidationReport:
         report = ValidationReport(list(self.boundary_check.violations))

@@ -13,9 +13,9 @@ column reduction of them (`linalg.Reduction`, pivots at the highest
 action): the representative is walked down its pivots (`reduce`) as far as
 the rows at or above the level, whose ids lie below one bound,
 (-action key + 1) times the number of orbits.  Most window columns are
-reduced as they stand, and the reduction shares them instead of copying
-them.  The representative stays sparse; the residual of each walk is the
-next representative.
+reduced as they stand, and the reduction builds them only when a walk
+subtracts them.  The representative stays sparse; the residual of each
+walk is the next representative.
 
 Each query reads one window, `default_window_bounds`, its floor raised to
 the representative's own.  Every row lies above the floor, so a class that
@@ -23,30 +23,36 @@ vanishes there is indeterminate, with the interval (-inf, floor).  The
 window spans a pad around the representative's level, so terms spanning more
 than the pad can leave a finite invariant indeterminate.
 
-A window names its rows and columns by integer ids and never lists its rows
-(after Ripser, which never stores its boundary matrix).  The ids belong to
-the complex's `action_keys`: every action is an integer key over one
-denominator, and within one degree an orbit's generator is named by its
-action, since its caps there share one Chern number, so two of them differ
-by a vector of c1 zero, on which omega is nonzero because `GammaGroup`
-refuses a group whose omega and c1 share a kernel vector.  So the id -action
-key * (number of orbits) + (the orbit's `ActionKeys.rank`) names a
-generator of one degree, and id order is chain order: descending action,
-ties by orbit.  Per orbit, the ids of one degree in (lo, hi] are one `range`
-(`ActionKeys.cap_run`, where a degree becomes a Chern number), so a
-window holds those ranges, and their lengths are summed before any id is
-read: a window of more than `MAX_WINDOW_GENERATORS` generators in one
-degree raises `WindowTooLargeError` at the cost of one pass over the
-orbits.  A column is {column id + offset: coeff} over the boundary's terms
-from its orbit (`BoundaryCheck.offsets`, by equivariance one integer per
-term at every cap), building no cap; a target at or past the floor's id
-lies below the window, since no boundary term of a valid complex raises the
-action or misses the degree.  A generator is decoded from its id only for
-the witness and the `rows`, `cols` and `matrix` views
-(`ActionKeys.run_keys`), and the oracle's columns are the keys of the same
-runs (`_degree_keys`).  Every query refuses a complex whose `boundary_check`
-has a violation (`_valid_boundary_check`); the window pad (`window_pad`) is
-one sum of the largest drop and the `action_keys`.
+A window names its rows and columns by integer ids and stores neither its
+rows nor its columns (after Ripser, which never stores its boundary
+matrix).  The ids belong to the complex's `action_keys`: every action is an
+integer key over one denominator, and within one degree an orbit's
+generator is named by its action, since its caps there share one Chern
+number, so two of them differ by a vector of c1 zero, on which omega is
+nonzero because `GammaGroup` refuses a group whose omega and c1 share a
+kernel vector.  So the id -action key * (number of orbits) + (the orbit's
+`ActionKeys.rank`) names a generator of one degree, and id order is chain
+order: descending action, ties by orbit.  Per orbit, the ids of one degree
+in (lo, hi] are one `range` (`ActionKeys.cap_run`, where a degree becomes a
+Chern number), so a window holds those ranges, and their lengths are summed
+before any id is read: a window of more than `MAX_WINDOW_GENERATORS`
+generators in one degree raises `WindowTooLargeError` at the cost of one
+pass over the orbits.  A column is {column id + offset: coeff} over the
+boundary's terms from its orbit (`BoundaryCheck.offsets`, by equivariance
+one integer per term at every cap, ascending), building no cap; a target at
+or past the floor's id lies below the window, since no boundary term of a
+valid complex raises the action or misses the degree.  So a column's top
+row is its id plus its orbit's least offset (`BoundaryCheck.least_offset`),
+or it is empty when that lies at or past the floor, and a window is
+truncated when some run's last column plus its orbit's greatest offset
+reaches the floor: the reduction reads every top row by arithmetic, and
+builds a column only when it walks or subtracts it, once.  A generator is
+decoded from its id only for the witness and the `rows`, `cols` and
+`matrix` views (`ActionKeys.run_keys`), and the oracle's columns are the
+keys of the same runs (`_degree_keys`).
+Every query refuses a complex whose `boundary_check` has a violation
+(`_valid_boundary_check`); the window pad (`window_pad`) is one sum of the
+largest drop and the `action_keys`.
 
 Complexes and chains are never mutated after construction, so a query
 state is a function of its chain.  A query state (`_Query`) holds what
@@ -83,7 +89,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 
 from . import linalg
@@ -114,9 +120,11 @@ class Window:
     Within one degree an id names a generator and id order is chain order.
     The rows are never listed: `runs` holds, per orbit in rank order, the
     `range` of its row ids, and an id at or past `floor` lies at or below
-    the window floor.  `generators` decodes ids, as do the views `rows`,
-    `cols` and `matrix`, built once when first read.  The queries of one
-    representative share its window: never mutate one.
+    the window floor.  No column is stored: the reduction builds a column
+    from the offsets (`_column`) only when it walks or subtracts it.
+    `generators` decodes ids, and the views `columns`, `rows`, `cols` and
+    `matrix` are built once when first read; no query reads them.  The
+    queries of one representative share its window: never mutate one.
     """
 
     complex: FilteredComplex
@@ -128,8 +136,7 @@ class Window:
     floor: int  # -floor key(lo) * width: no row id reaches it
     runs: list  # per orbit with rows: the range of its row ids, ascending
     col_ids: list  # column ids, ascending: the degree-(d+1) generators
-    columns: list  # per column: {row id: nonzero coefficient}
-    truncated: bool  # some boundary target fell below the window
+    truncated: bool  # some boundary target falls below the window
 
     def generators(self, ids, degree: int) -> list:
         """The generators of `degree` named by `ids`, each a run of one id."""
@@ -156,10 +163,37 @@ class Window:
         return [{rows[i]: c for i, c in col.items()} for col in self.columns]
 
     @cached_property
+    def columns(self) -> list:
+        """Per column: {row id: nonzero coefficient}, built once when first
+        read; no query reads it."""
+        column = partial(_column, self.complex.boundary_check.offsets, self.width, self.floor,
+                         self.col_ids)
+        return [column(j) for j in range(len(self.col_ids))]
+
+    @cached_property
     def reduction(self) -> linalg.Reduction:
         """The columns reduced in engine order (pivots at the highest action):
-        the reduced columns and their pivots, which every query walks."""
-        return linalg.Reduction(self.columns)
+        the reduced columns and their pivots, which every query walks.
+
+        A column's top row is its id plus the least offset of its orbit
+        (`BoundaryCheck.least_offset`), or none when that lies at or past
+        the floor; a column is built (`_column`) only when the reduction
+        walks or subtracts it.  The builder holds no reference to the
+        window, which holds the reduction: a window then dies with its
+        query state, without waiting for the cyclic garbage collector."""
+        check, col_ids, width, floor = (
+            self.complex.boundary_check, self.col_ids, self.width, self.floor)
+        least = check.least_offset
+        return linalg.Reduction(partial(_column, check.offsets, width, floor, col_ids), [
+            top if (top := c + least[c % width]) < floor else None for c in col_ids])
+
+
+def _column(offsets: list, width: int, floor: int, col_ids: list, j: int) -> dict:
+    """Column j of a window, {row id: nonzero coefficient}: the boundary
+    terms of column id `col_ids[j]` (`BoundaryCheck.offsets`) whose target
+    lies above the window floor, the id `floor`."""
+    c = col_ids[j]
+    return {i: coeff for off, coeff in offsets[c % width] if (i := c + off) < floor}
 
 
 def window_pad(C: FilteredComplex) -> int:
@@ -231,20 +265,14 @@ def build_window(C: FilteredComplex, degree: int, lo, hi) -> Window:
     # on a valid complex a boundary target is a row or lies at or below the floor
     floor = -floor_key(lo, denom) * width
     col_ids = []
+    truncated = False
     for ids in col_runs:
         col_ids += ids
+        # a run's last column reaches lowest, by its orbit's greatest offset
+        if terms := offsets[ids.start % width]:
+            truncated = truncated or ids[-1] + terms[-1][0] >= floor
     col_ids.sort()
-    columns = []
-    truncated = False
-    for c in col_ids:
-        column = {}
-        for off, coeff in offsets[c % width]:
-            if c + off < floor:
-                column[c + off] = coeff
-            else:
-                truncated = True
-        columns.append(column)
-    return Window(C, lo, hi, degree, denom, width, floor, runs, col_ids, columns, truncated)
+    return Window(C, lo, hi, degree, denom, width, floor, runs, col_ids, truncated)
 
 
 def _chain_vector(window: Window, chain: NovikovChain):
@@ -408,7 +436,7 @@ def spectral_invariant(C: FilteredComplex, representative: NovikovChain) -> Spec
                 # the rows of v below `bound` are the witness's terms at `level`
                 "stratum": [(g.orbit, g.cap) for g in witness.terms if g.neg_key == neg_key],
                 "constraint_rows": window.count(bound),
-                "columns": len(window.columns),
+                "columns": len(window.col_ids),
                 "unsolvable": True,
                 "window": (lo, hi),
             }

@@ -15,7 +15,12 @@ except a column that is reduced as it stands: empty, or with no zero
 coefficient and a top row that heads no reduced column yet.  Such a column
 is its own reduced column, taken without a copy or a walk (the "emergent
 pairs" of Ripser), so R may share its dicts with the caller's columns;
-columns are never mutated, since `reduce` copies its input.
+columns are never mutated, since `reduce` copies its input.  A caller that
+can name each column's top row without building the column (a window,
+whose columns are implicit in the boundary's offsets, as Ripser's are in
+its simplices) hands over those rows and a function that builds a column:
+the reduction then builds a column only when it walks or subtracts it,
+and keeps it.
 
 `add_terms` is the one sparse sum of the package: chains, scalars,
 quantum classes, dual functionals and reduction columns are all finite
@@ -82,23 +87,39 @@ class Reduction:
     Each column is walked down the pivots of the reduced columns before it
     (`reduce` with no row bound); a column left nonzero heads its top row.
     `R[j]` is the reduced column and `pivots` maps each pivot row to the
-    one nonzero reduced column it heads.  An empty column, or one with no
-    zero coefficient whose top row heads nothing yet, is reduced as it
-    stands: `R[j]` is then the caller's own dict, with no copy or walk, so
-    neither the caller nor a reader of `R` may mutate it.  A column with a
-    zero coefficient is walked, which drops it: the pairing check of
-    `quantum.ClassBasis` passes explicit zero entries.
+    one nonzero reduced column it heads.  A column whose top row heads
+    nothing yet, or that is empty, is reduced as it stands, with no copy
+    or walk.
+
+    `columns` is either the list of columns or, with `tops`, a function
+    that builds column j, whose top row is `tops[j]` (None when it is
+    empty) and which has no zero coefficient.  Given the list, a column
+    with a zero coefficient is read without it (the pairing check of
+    `quantum.ClassBasis` passes explicit zero entries), and any other
+    column reduced as it stands is the caller's own dict in `R`.  Given
+    `tops`, a column is built only when the reduction walks it or a walk
+    first subtracts it, at most once, and `R` keeps the result: `R[j]` is
+    None for a column reduced as it stands and not built yet, an empty one
+    included.  Neither the caller nor a reader of `R` may mutate a
+    column; `reduce` copies its input.
     """
 
-    def __init__(self, columns):
-        R, pivots = self.R, self.pivots = [], {}
-        for j, col in enumerate(columns):
-            if col and ((p := min(col)) in pivots or not all(col.values())):
-                if col := self.reduce(col):
+    def __init__(self, columns, tops=None):
+        if tops is None:
+            R = [col if all(col.values()) else {i: c for i, c in col.items() if c}
+                 for col in columns]
+            tops, self._column = [min(col) if col else None for col in R], R.__getitem__
+        else:
+            R, self._column = [None] * len(tops), columns
+        pivots = {}
+        self.R, self.pivots = R, pivots
+        for j, p in enumerate(tops):
+            if p in pivots:
+                if col := self.reduce(self._column(j)):
                     pivots[min(col)] = j
-            elif col:
-                pivots[p] = j  # reduced as it stands: R[j] is the column itself
-            R.append(col)
+                R[j] = col
+            elif p is not None:
+                pivots[p] = j  # reduced as it stands: R[j] is the column itself, once built
 
     def reduce(self, b, k=math.inf):
         """The residual of the sparse vector b walked down the pivots.
@@ -110,7 +131,10 @@ class Reduction:
         rows < k exactly when r vanishes there.
         """
         r = {i: c for i, c in b.items() if c}
+        R = self.R
         while r and (p := min(r)) < k and (j := self.pivots.get(p)) is not None:
-            f = -r[p] / self.R[j][p]
-            add_terms(r, ((i, f * c) for i, c in self.R[j].items()))
+            if (col := R[j]) is None:  # built on first use, then kept
+                col = R[j] = self._column(j)
+            f = -r[p] / col[p]
+            add_terms(r, ((i, f * c) for i, c in col.items()))
         return r

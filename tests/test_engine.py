@@ -597,13 +597,19 @@ def _reference_reduction(columns):
 def test_reduction_matches_the_reference_walk(monkeypatch):
     # a column whose top row heads nothing yet is taken as it stands, shared
     # with the caller; R and the pivots must equal the plain walk's entry for
-    # entry, and no column a caller passed in may change
+    # entry, and no column a caller passed in may change.  A window hands
+    # the reduction its columns' top rows and a function that builds one:
+    # there a column taken as it stands may stay unbuilt, None in R
     reduced = []  # (columns, a deep copy taken before the reduction, reduction)
 
     class Recorded(linalg.Reduction):
-        def __init__(self, columns):
-            before = copy.deepcopy(columns)
-            super().__init__(columns)
+        def __init__(self, columns, tops=None):
+            if tops is None:
+                before = copy.deepcopy(columns)
+            else:
+                before = [columns(j) for j in range(len(tops))]
+                assert tops == [min(col) if col else None for col in before]
+            super().__init__(columns, tops)
             reduced.append((columns, before, self))
 
     monkeypatch.setattr(linalg, "Reduction", Recorded)
@@ -655,14 +661,86 @@ def test_reduction_matches_the_reference_walk(monkeypatch):
         linalg.Reduction(columns)
     shared = walked = 0
     for columns, before, reduction in reduced:
+        R, pivots = _reference_reduction(before)
+        assert reduction.pivots == pivots
+        if callable(columns):  # unbuilt: a column the walk leaves as it stands
+            assert [ref if r is None else r for r, ref in zip(reduction.R, R)] == R
+            assert all(ref == col for r, ref, col in zip(reduction.R, R, before) if r is None)
+            shared += sum(r is None and bool(col) for r, col in zip(reduction.R, before))
+            walked += sum(bool(r) and r != col for r, col in zip(reduction.R, before))
+            continue
         assert columns == before
-        assert (reduction.R, reduction.pivots) == _reference_reduction(before)
+        assert reduction.R == R
         for r, col in zip(reduction.R, columns):
             if r is col:
                 shared += 1
             elif r:
                 walked += 1
     assert shared > 1000 and walked > 100, (shared, walked)
+
+
+def test_window_reduction_reads_columns_on_demand():
+    # a window's reduction reads each column's top row off its id and the
+    # least offset of its orbit, and builds a column only when it walks or
+    # subtracts it; its pivots, every column it stores and every residual of
+    # the representative, at each level of the invariant's walk and at each
+    # probe prefix, must equal those of the reduction of the columns built
+    # from the boundary images term by term, on the query windows, on
+    # windows narrowed to cut columns and on the builtins
+    cases = []  # (complex, representative, lo, hi)
+    for max_orbits in (6, 12):
+        for seed in range(100):
+            inst = random_instance(seed, max_orbits=max_orbits)
+            C, rep = inst.complex, inst.representative
+            if rep.is_zero():
+                continue
+            lo, hi = _query(C, rep).bounds
+            cases += [(C, rep, lo, hi), (C, rep, max(lo, rep.level() - 1), hi)]
+    for name in sorted(BUILTIN_FIXTURES):
+        fix = BUILTIN_FIXTURES[name]()
+        C = fix.build(min(F(1, 8), fix.max_eps))
+        for a in fix.shipped_classes:
+            rep = nv.realize_flat(nv.flat(a), C, fix.pd_chains)
+            if not rep.is_zero():
+                cases.append((C, rep, *_query(C, rep).bounds))
+    truncated = built = unbuilt = walks = 0
+    for C, rep, lo, hi in cases:
+        w = build_window(C, rep.degree, lo, hi)
+        rows, _, matrix, cut = _window_from_images(C, rep.degree, lo, hi)
+        ranks = C.action_keys.rank
+        ids = {g: g.neg_key * w.width + ranks[g.orbit] for g in rows}
+        explicit = linalg.Reduction([{ids[g]: c for g, c in col.items()} for col in matrix])
+        reduction = w.reduction
+        v, _ = _chain_vector(w, rep)
+        r = v
+        while r:  # the invariant's walk: one level at a time
+            k = (min(r) // w.width + 1) * w.width
+            residual = reduction.reduce(r, k)
+            assert residual == explicit.reduce(r, k), (rep, lo, k)
+            walks += 1
+            if residual and min(residual) < k:
+                break
+            r = residual
+        for lam in _off_spectrum(C, rep):
+            k = _prefix(w, lam)
+            assert reduction.reduce(v, k) == explicit.reduce(v, k), (rep, lo, lam)
+            walks += 1
+        # the queries leave most columns unbuilt; the sum of the columns is a
+        # boundary, and walked down every row it builds every pivot column
+        unbuilt += sum(col is None and bool(image) for col, image in zip(reduction.R, matrix))
+        boundary = {}
+        for col in explicit.R:
+            linalg.add_terms(boundary, col.items())
+        assert reduction.reduce(boundary) == explicit.reduce(boundary) == {}
+        assert reduction.pivots == explicit.pivots == linalg.Reduction(w.columns).pivots
+        assert w.truncated == cut
+        for j, col in enumerate(reduction.R):
+            if col is not None:
+                assert col == explicit.R[j], (rep, lo, j)
+                built += bool(col)
+        truncated += cut
+    assert truncated > 100 and built > 1000 and unbuilt > 1000 and walks > 2000, (
+        truncated, built, unbuilt, walks)
 
 
 def test_degree_generators_pinned():
@@ -1113,8 +1191,10 @@ def test_window_ids_name_the_degree_generators(monkeypatch):
                 vector, dropped = _chain_vector(w, C.chain({g: j + 1 for j, g in enumerate(gens)}))
                 assert vector == {i: j + 1 for j, i in enumerate(ids)} and not dropped
                 actions = [g.action for g in gens]
+                asc = sorted(actions)
                 for level in {*actions, lo, hi} | {a + F(1, 97) for a in actions[:5]}:
-                    assert w.count(_prefix(w, level)) == sum(1 for a in actions if a >= level)
+                    # the rows with action >= level
+                    assert w.count(_prefix(w, level)) == len(asc) - bisect_left(asc, level)
                     levels += 1
                 rows += len(ids)
                 # over the cap by one, in the rows or the columns (checked first)
@@ -1277,6 +1357,19 @@ def test_window_cache_is_transparent_and_bounded():
     del inst
     gc.collect()
     assert ref() is None
+
+    # a window and its reduction form no reference cycle, so the query
+    # state of the next representative frees the window at once, without
+    # the cyclic garbage collector
+    inst, other = _nonzero_instance(7), _nonzero_instance(8)
+    nv.spectral_invariant(inst.complex, inst.representative)
+    window = weakref.ref(_query(inst.complex, inst.representative).window())
+    gc.disable()
+    try:
+        nv.spectral_invariant(other.complex, other.representative)
+        assert window() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -1453,11 +1546,14 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     # per (complex, Chern number), kept as long as the complex; the oracle
     # builds no window, a probe above the representative's level does not
     # walk the reduction, and an invariant attained as the representative
-    # stands returns it as its witness and builds no chain
+    # stands returns it as its witness and builds no chain; no query reads
+    # the window's column list, and the reduction builds each column once
     counts = Counter()
     lines = Counter()  # cap_line calls per (group, Chern number)
+    built = Counter()  # column builds per column id, in one representative's window
     reduce, cap_line = linalg.Reduction.reduce, nv.GammaGroup.cap_line
     chain_init = chains.NovikovChain.__init__
+    column = engine._column
 
     def counting(name, f):
         def counted(*args, **kwargs):
@@ -1466,9 +1562,9 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
         return counted
 
     class CountedReduction(linalg.Reduction):
-        def __init__(self, columns):
+        def __init__(self, columns, tops=None):
             counts["Reduction"] += 1
-            super().__init__(columns)
+            super().__init__(columns, tops)
 
     def counted_reduce(self, b, k=math.inf):
         counts["reduce"] += 1
@@ -1477,6 +1573,13 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     def counted_cap_line(self, c1):
         lines[id(self), c1] += 1
         return cap_line(self, c1)
+
+    def counted_column(offsets, width, floor, col_ids, j):
+        built[col_ids[j]] += 1
+        return column(offsets, width, floor, col_ids, j)
+
+    def read_columns(self):
+        raise AssertionError("a query read the window's column list")
 
     image = counting("equivariant_image", chains.equivariant_image)
     monkeypatch.setattr(chains, "equivariant_image", image)
@@ -1490,7 +1593,9 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     monkeypatch.setattr(nv.GammaGroup, "cap_line", counted_cap_line)
     monkeypatch.setattr(linalg, "Reduction", CountedReduction)
     monkeypatch.setattr(linalg.Reduction, "reduce", counted_reduce)
-    checked = own = 0
+    monkeypatch.setattr(engine, "_column", counted_column)
+    monkeypatch.setattr(engine.Window, "columns", property(read_columns))
+    checked = own = materialised = 0
     for seed in range(100):
         inst = _nonzero_instance(seed)
         C, rep = inst.complex, inst.representative
@@ -1519,6 +1624,9 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
         assert counts["boundary"] == counts["equivariant_image"] == 0, (seed, counts)
         assert max(lines.values()) == 1, (seed, lines)
         assert counts["reduce"] - walks == len(lams) - len(above), seed
+        assert max(built.values(), default=0) <= 1, (seed, built)
+        materialised += len(built)
+        built.clear()
         checked += len(above) > 0 and len(above) < len(lams)
         q = engine._last_query
         exact = not (q.window().truncated or q.vector()[1] or rep.floor is not None)
@@ -1527,7 +1635,7 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
             own += 1
         else:
             assert r.witness is not rep, seed
-    assert checked >= 90 and own >= 50, (checked, own)
+    assert checked >= 90 and own >= 50 and materialised >= 10, (checked, own, materialised)
     # the engine keeps the last representative's query state only: A, B,
     # then A again builds A's window a second time, with the same answer,
     # but reads its cap lines off A's action keys

@@ -11,11 +11,13 @@ divergence is certified by the canonical prefix sequence whose evaluations
 step by one.
 
 The dual invariant reads one engine window, the one a degree down: its
-columns are the generators of the functional's degree with their boundary
-images.  Each column gains one row below every boundary row, the
-functional's value on its generator where it is nonzero, and the columns
-are reduced in ascending action: the first column to head that row is the
-first cycle the functional detects.
+columns are the generators of the functional's degree, implicit as the
+engine's are (`Window.implicit_columns`).  Each column gains one row below
+every boundary row, the functional's value on its generator where it is
+nonzero, and the columns are reduced in ascending action: the first column
+to head that row is the first cycle the functional detects.  A column's
+top row is its boundary part's, or the functional's row when that part is
+empty, and a column is built only when the reduction walks or subtracts it.
 """
 
 from __future__ import annotations
@@ -291,10 +293,17 @@ def dual_spectral_invariant(C: FilteredComplex, mu: DualFunctional, degree: int)
     # the window one degree down has the degree-`degree` generators as its
     # columns, with their boundary images above its floor
     w = build_window(C, degree - 1, *_default_dual_window(C))
-    gens = w.cols[::-1]
-    # mu's row, an id past every window row, only where mu is nonzero: a
-    # column that mu does not see stays the window's own, with no zero
-    columns = [col if not (value := mu.value(gen)) else {**col, w.floor: value}
-               for gen, col in zip(gens, w.columns[::-1])]
-    j = linalg.Reduction(columns).pivots.get(w.floor)
+    ids, floor = w.col_ids[::-1], w.floor
+    gens = w.generators(ids, degree)
+    values = [mu.value(gen) for gen in gens]
+    column, tops = w.implicit_columns(ids)
+
+    def seen(j):  # mu's row, an id past every window row, only where mu is nonzero
+        col = column(j)
+        if values[j]:
+            col[floor] = values[j]
+        return col
+
+    tops = [floor if top is None and value else top for top, value in zip(tops, values)]
+    j = linalg.Reduction(seen, tops).pivots.get(floor)
     return NEG_INF if j is None else gens[j].action

@@ -46,10 +46,13 @@ row is its id plus its orbit's least offset (`BoundaryCheck.least_offset`),
 or it is empty when that lies at or past the floor, and a window is
 truncated when some run's last column plus its orbit's greatest offset
 reaches the floor: the reduction reads every top row by arithmetic, and
-builds a column only when it walks or subtracts it, once.  A generator is
-decoded from its id only for the witness and the `rows`, `cols` and
-`matrix` views (`ActionKeys.run_keys`), and the oracle's columns are the
-keys of the same runs (`_degree_keys`).
+builds a column only when it walks or subtracts it, once
+(`Window.implicit_columns`, which the dual invariant reads too).  A
+generator is decoded from its id (`ActionKeys.run_keys`) only for the
+witness, the dual's functional values and the `rows`, `cols` and `matrix`
+views, and the oracle's columns are the keys of the same runs
+(`_degree_keys`).  Only `bench/tracing.py` and the tests read the views,
+and they and the dual's cocycle test `_degree_generators`.
 Every query refuses a complex whose `boundary_check` has a violation
 (`_valid_boundary_check`); the window pad (`window_pad`) is one sum of the
 largest drop and the `action_keys`.
@@ -120,11 +123,12 @@ class Window:
     Within one degree an id names a generator and id order is chain order.
     The rows are never listed: `runs` holds, per orbit in rank order, the
     `range` of its row ids, and an id at or past `floor` lies at or below
-    the window floor.  No column is stored: the reduction builds a column
-    from the offsets (`_column`) only when it walks or subtracts it.
-    `generators` decodes ids, and the views `columns`, `rows`, `cols` and
-    `matrix` are built once when first read; no query reads them.  The
-    queries of one representative share its window: never mutate one.
+    the window floor.  No column is stored: a reduction reads each top row
+    by arithmetic and builds a column from the offsets only when it walks
+    or subtracts it (`implicit_columns`).  `generators` decodes ids.  The
+    views `rows`, `cols` and `matrix` are built once when first read; only
+    `bench/tracing.py` and the tests read them.  The queries of one
+    representative share its window: never mutate one.
     """
 
     complex: FilteredComplex
@@ -160,32 +164,30 @@ class Window:
     def matrix(self) -> list:
         """Per column: {row generator: nonzero coefficient}."""
         rows = dict(zip(sorted(i for run in self.runs for i in run), self.rows))
-        return [{rows[i]: c for i, c in col.items()} for col in self.columns]
+        column, _ = self.implicit_columns(self.col_ids)
+        return [{rows[i]: c for i, c in column(j).items()} for j in range(len(self.col_ids))]
 
-    @cached_property
-    def columns(self) -> list:
-        """Per column: {row id: nonzero coefficient}, built once when first
-        read; no query reads it."""
-        column = partial(_column, self.complex.boundary_check.offsets, self.width, self.floor,
-                         self.col_ids)
-        return [column(j) for j in range(len(self.col_ids))]
+    def implicit_columns(self, ids: list):
+        """(column, tops) of the columns named by `ids`, in their order, as
+        `linalg.Reduction` takes them.
+
+        A column's top row is its id plus the least offset of its orbit
+        (`BoundaryCheck.least_offset`), or None when that lies at or past
+        the floor; `column(j)` builds column j (`_column`).  The builder
+        holds no reference to the window, which holds its reduction: a
+        window then dies with its query state, without waiting for the
+        cyclic garbage collector."""
+        check, width, floor = self.complex.boundary_check, self.width, self.floor
+        least = check.least_offset
+        return partial(_column, check.offsets, width, floor, ids), [
+            top if (top := c + least[c % width]) < floor else None for c in ids]
 
     @cached_property
     def reduction(self) -> linalg.Reduction:
         """The columns reduced in engine order (pivots at the highest action):
-        the reduced columns and their pivots, which every query walks.
-
-        A column's top row is its id plus the least offset of its orbit
-        (`BoundaryCheck.least_offset`), or none when that lies at or past
-        the floor; a column is built (`_column`) only when the reduction
-        walks or subtracts it.  The builder holds no reference to the
-        window, which holds the reduction: a window then dies with its
-        query state, without waiting for the cyclic garbage collector."""
-        check, col_ids, width, floor = (
-            self.complex.boundary_check, self.col_ids, self.width, self.floor)
-        least = check.least_offset
-        return linalg.Reduction(partial(_column, check.offsets, width, floor, col_ids), [
-            top if (top := c + least[c % width]) < floor else None for c in col_ids])
+        the reduced columns and their pivots, which every query walks.  A
+        column is built only when the reduction walks or subtracts it."""
+        return linalg.Reduction(*self.implicit_columns(self.col_ids))
 
 
 def _column(offsets: list, width: int, floor: int, col_ids: list, j: int) -> dict:

@@ -10,17 +10,14 @@ answers the cancellation system at every action level.  Its one walk,
 `reduce`, subtracts pivot columns from a vector until its top row lies past
 a given row prefix or heads no reduced column, and returns the residual:
 the vector is a boundary on the prefix exactly when the residual vanishes
-there.  The reduction itself walks each column down the columns before it,
-except a column that is reduced as it stands: empty, or with no zero
-coefficient and a top row that heads no reduced column yet.  Such a column
-is its own reduced column, taken without a copy or a walk (the "emergent
-pairs" of Ripser), so R may share its dicts with the caller's columns;
-columns are never mutated, since `reduce` copies its input.  A caller that
-can name each column's top row without building the column (a window,
-whose columns are implicit in the boundary's offsets, as Ripser's are in
-its simplices) hands over those rows and a function that builds a column:
-the reduction then builds a column only when it walks or subtracts it,
-and keeps it.
+there.  The columns are implicit, as Ripser's are in its simplices: the
+caller names each column's top row and hands over a function that builds
+a column.  A column whose top row heads no reduced column yet, or that is
+empty, is its own reduced column (the "emergent pairs" of Ripser), taken
+unbuilt; any other column is built and walked down the columns before it.
+A column is built at most once, when the reduction walks it or a walk
+first subtracts it, and kept; it is never mutated, since `reduce` copies
+its input.
 
 `add_terms` is the one sparse sum of the package: chains, scalars,
 quantum classes, dual functionals and reduction columns are all finite
@@ -82,40 +79,25 @@ def add_terms(y, pairs):
 
 
 class Reduction:
-    """Column reduction of sparse columns {row: Fraction}, left to right.
+    """Column reduction of implicit sparse columns {row: Fraction}, left to right.
 
-    Each column is walked down the pivots of the reduced columns before it
-    (`reduce` with no row bound); a column left nonzero heads its top row.
-    `R[j]` is the reduced column and `pivots` maps each pivot row to the
-    one nonzero reduced column it heads.  A column whose top row heads
-    nothing yet, or that is empty, is reduced as it stands, with no copy
-    or walk.
-
-    `columns` is either the list of columns or, with `tops`, a function
-    that builds column j, whose top row is `tops[j]` (None when it is
-    empty) and which has no zero coefficient.  Given the list, a column
-    with a zero coefficient is read without it (the pairing check of
-    `quantum.ClassBasis` passes explicit zero entries), and any other
-    column reduced as it stands is the caller's own dict in `R`.  Given
-    `tops`, a column is built only when the reduction walks it or a walk
-    first subtracts it, at most once, and `R` keeps the result: `R[j]` is
-    None for a column reduced as it stands and not built yet, an empty one
-    included.  Neither the caller nor a reader of `R` may mutate a
-    column; `reduce` copies its input.
+    `column(j)` builds column j, which has no zero coefficient, and
+    `tops[j]` is its top row (None when it is empty).  Each column is walked
+    down the pivots of the reduced columns before it (`reduce` with no row
+    bound); a column left nonzero heads its top row.  `R[j]` is the reduced
+    column and `pivots` maps each pivot row to the one nonzero reduced
+    column it heads.  A column whose top row heads nothing yet, or that is
+    empty, is reduced as it stands: `R[j]` is None until a walk first
+    subtracts it, which builds it.  Neither the caller nor a reader of `R`
+    may mutate a column.
     """
 
-    def __init__(self, columns, tops=None):
-        if tops is None:
-            R = [col if all(col.values()) else {i: c for i, c in col.items() if c}
-                 for col in columns]
-            tops, self._column = [min(col) if col else None for col in R], R.__getitem__
-        else:
-            R, self._column = [None] * len(tops), columns
-        pivots = {}
-        self.R, self.pivots = R, pivots
+    def __init__(self, column, tops):
+        R, pivots = [None] * len(tops), {}
+        self.R, self.pivots, self._column = R, pivots, column
         for j, p in enumerate(tops):
             if p in pivots:
-                if col := self.reduce(self._column(j)):
+                if col := self.reduce(column(j)):
                     pivots[min(col)] = j
                 R[j] = col
             elif p is not None:

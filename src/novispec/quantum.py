@@ -64,9 +64,10 @@ class ClassBasis:
     def _check_nondegenerate(self):
         # full rank: every column of the reduced matrix keeps a pivot
         names = sorted(self.classes)
-        columns = [{i: self.pairing_table.get((a, b), Fraction(0))
-                    for i, a in enumerate(names)} for b in names]
-        if len(Reduction(columns).pivots) != len(names):
+        columns = [{i: c for i, a in enumerate(names) if (c := self.pairing_table.get((a, b)))}
+                   for b in names]
+        tops = [min(col, default=None) for col in columns]
+        if len(Reduction(columns.__getitem__, tops).pivots) != len(names):
             raise FixtureError("classical pairing matrix is degenerate")
 
     def degree(self, name: str) -> int:

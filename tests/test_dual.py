@@ -354,6 +354,20 @@ def test_dual_invariant_matches_dense_solve_on_builtins():
                 assert nv.dual_spectral_invariant(C, mu, degree) == expected, (name, eps)
                 checked += expected != NEG_INF
     assert checked > 10
+    # the curated continuous functionals, rays included, in both degrees of
+    # the calibration complex: the dual reads a ray's value on every column
+    _, C = cz_complex()
+    continuous, _ = curated_functionals(C)
+    cases = finite_rays = 0
+    for mu in continuous:
+        for degree in sorted({d for _, d in C.orbits.values()}):
+            if not is_cocycle(mu, degree):
+                continue
+            expected = _dual_by_dense_solve(C, mu, degree)
+            assert nv.dual_spectral_invariant(C, mu, degree) == expected, (mu.rays, degree)
+            cases += 1
+            finite_rays += bool(mu.rays) and expected != NEG_INF
+    assert cases == 20 and finite_rays >= 6, (cases, finite_rays)
     # random atom cocycles on dressed random complexes, whose boundaries
     # are far from zero
     checked = 0

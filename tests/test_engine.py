@@ -501,7 +501,8 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
         # the representative, and a boundary (feasible at every level)
         mix = [F(rng.randint(-2, 2)) for _ in w.cols]
         image = [sum((a * m for a, m in zip(row, mix)), F(0)) for row in dense]
-        reduction = linalg.Reduction(w.columns)
+        columns = _window_columns(w)
+        reduction = _explicit_reduction(columns)
         actions = [g.action for g in w.rows]
         for rhs in ([-c for c in v], image):
             for level in sorted(set(actions)):
@@ -517,8 +518,10 @@ def test_prefix_reduction_matches_dense_solve(max_orbits, seeds):
                 assert all(i >= bound for i in r), (seed, level)
                 cancelled = [b - r.get(i, 0) for i, b in zip(ids, rhs)]
                 assert linalg.first_inconsistent_row(rows, cancelled) is None, (seed, level)
-                # the walk subtracts only reduced columns that head rows < k
-                heads = [reduction.R[j] for p, j in reduction.pivots.items() if p < bound]
+                # the walk subtracts only reduced columns that head rows < k,
+                # a column left unbuilt reduced as it stands
+                heads = [reduction.R[j] or columns[j]
+                         for p, j in reduction.pivots.items() if p < bound]
                 spanned = [{j: col[i] for j, col in enumerate(heads) if i in col}
                            for i in ids]
                 assert linalg.first_inconsistent_row(spanned, cancelled) is None, (seed, level)
@@ -559,7 +562,7 @@ def test_solve_matches_definition():
         else:
             rhs = [F(rng.randint(-2, 2)) for _ in rows]
         columns = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
-        reduction = linalg.Reduction(columns)
+        reduction = _explicit_reduction(columns)
 
         def solvable(m):
             r = reduction.reduce(dict(enumerate(rhs[:m])), m)
@@ -576,6 +579,19 @@ def test_solve_matches_definition():
         assert linalg.first_inconsistent_row(rows[:k + 1], rhs[:k + 1]) == k, (rows, rhs, k)
         infeasible += 1
     assert feasible > 100 and infeasible > 100
+
+
+def _explicit_reduction(columns):
+    """The reduction of a list of columns {row: coefficient}, each read
+    without its zero coefficients and handed over by index with its top row."""
+    columns = [{i: c for i, c in col.items() if c} for col in columns]
+    return linalg.Reduction(columns.__getitem__, [min(col, default=None) for col in columns])
+
+
+def _window_columns(w):
+    """Every column of a window, {row id: coefficient}, built from the offsets."""
+    column, _ = w.implicit_columns(w.col_ids)
+    return [column(j) for j in range(len(w.col_ids))]
 
 
 def _reference_reduction(columns):
@@ -595,22 +611,20 @@ def _reference_reduction(columns):
 
 
 def test_reduction_matches_the_reference_walk(monkeypatch):
-    # a column whose top row heads nothing yet is taken as it stands, shared
-    # with the caller; R and the pivots must equal the plain walk's entry for
-    # entry, and no column a caller passed in may change.  A window hands
-    # the reduction its columns' top rows and a function that builds one:
-    # there a column taken as it stands may stay unbuilt, None in R
-    reduced = []  # (columns, a deep copy taken before the reduction, reduction)
+    # a reduction takes each column's top row and a function that builds
+    # it, and leaves a column whose top row heads nothing yet unbuilt, None
+    # in R; R, an unbuilt column read as the column itself, and the pivots
+    # must equal the plain walk's entry for entry, and no column the
+    # builder hands over may change
+    reduced = []  # (the columns built before the reduction, a deep copy, the reduction)
 
     class Recorded(linalg.Reduction):
-        def __init__(self, columns, tops=None):
-            if tops is None:
-                before = copy.deepcopy(columns)
-            else:
-                before = [columns(j) for j in range(len(tops))]
-                assert tops == [min(col) if col else None for col in before]
-            super().__init__(columns, tops)
-            reduced.append((columns, before, self))
+        def __init__(self, column, tops):
+            built = [column(j) for j in range(len(tops))]
+            assert tops == [min(col) if col else None for col in built]
+            before = copy.deepcopy(built)
+            super().__init__(column, tops)
+            reduced.append((built, before, self))
 
     monkeypatch.setattr(linalg, "Reduction", Recorded)
     # the window columns of seeded instances, read by an invariant and probes
@@ -622,7 +636,6 @@ def test_reduction_matches_the_reference_walk(monkeypatch):
             if rep.is_zero():
                 continue
             w = _query(C, rep).window()
-            before = copy.deepcopy(w.columns)
             nv.spectral_invariant(C, rep)
             half = F(1, 2 * w.denom)  # off the 1/denom grid, so off the spectrum
             for i in _row_ids(w)[::7]:
@@ -630,7 +643,6 @@ def test_reduction_matches_the_reference_walk(monkeypatch):
                 if rep.floor is None or lam > rep.floor:
                     nv.image_membership(C, rep, lam)
             assert _query(C, rep).window() is w
-            assert w.columns == before, (max_orbits, seed)
             windows += 1
     assert windows > 150 and len(reduced) == windows
     # the dual's columns on the builtins: a column gains the functional's
@@ -658,25 +670,19 @@ def test_reduction_matches_the_reference_walk(monkeypatch):
             else:
                 columns.append({i: F(rng.randint(-2, 2), rng.randint(1, 3))
                                 for i in range(n) if rng.random() < 0.5})
-        linalg.Reduction(columns)
-    shared = walked = 0
-    for columns, before, reduction in reduced:
-        R, pivots = _reference_reduction(before)
-        assert reduction.pivots == pivots
-        if callable(columns):  # unbuilt: a column the walk leaves as it stands
-            assert [ref if r is None else r for r, ref in zip(reduction.R, R)] == R
-            assert all(ref == col for r, ref, col in zip(reduction.R, R, before) if r is None)
-            shared += sum(r is None and bool(col) for r, col in zip(reduction.R, before))
-            walked += sum(bool(r) and r != col for r, col in zip(reduction.R, before))
-            continue
+        before = copy.deepcopy(columns)
+        _explicit_reduction(columns)
         assert columns == before
-        assert reduction.R == R
-        for r, col in zip(reduction.R, columns):
-            if r is col:
-                shared += 1
-            elif r:
-                walked += 1
-    assert shared > 1000 and walked > 100, (shared, walked)
+    unbuilt = walked = 0
+    for built, before, reduction in reduced:
+        R, pivots = _reference_reduction(before)
+        assert built == before
+        assert reduction.pivots == pivots
+        assert [ref if r is None else r for r, ref in zip(reduction.R, R)] == R
+        assert all(ref == col for r, ref, col in zip(reduction.R, R, before) if r is None)
+        unbuilt += sum(r is None and bool(col) for r, col in zip(reduction.R, before))
+        walked += sum(r is not None and r != col for r, col in zip(reduction.R, before))
+    assert unbuilt > 1000 and walked > 100, (unbuilt, walked)
 
 
 def test_window_reduction_reads_columns_on_demand():
@@ -709,7 +715,8 @@ def test_window_reduction_reads_columns_on_demand():
         rows, _, matrix, cut = _window_from_images(C, rep.degree, lo, hi)
         ranks = C.action_keys.rank
         ids = {g: g.neg_key * w.width + ranks[g.orbit] for g in rows}
-        explicit = linalg.Reduction([{ids[g]: c for g, c in col.items()} for col in matrix])
+        images = [{ids[g]: c for g, c in col.items()} for col in matrix]
+        explicit = _explicit_reduction(images)
         reduction = w.reduction
         v, _ = _chain_vector(w, rep)
         r = v
@@ -725,18 +732,20 @@ def test_window_reduction_reads_columns_on_demand():
             k = _prefix(w, lam)
             assert reduction.reduce(v, k) == explicit.reduce(v, k), (rep, lo, lam)
             walks += 1
-        # the queries leave most columns unbuilt; the sum of the columns is a
-        # boundary, and walked down every row it builds every pivot column
+        # the queries leave most columns unbuilt; the sum of the reduced
+        # columns is a boundary, and walked down every row it builds every
+        # pivot column
         unbuilt += sum(col is None and bool(image) for col, image in zip(reduction.R, matrix))
+        explicit_R = [image if col is None else col for col, image in zip(explicit.R, images)]
         boundary = {}
-        for col in explicit.R:
+        for col in explicit_R:
             linalg.add_terms(boundary, col.items())
         assert reduction.reduce(boundary) == explicit.reduce(boundary) == {}
-        assert reduction.pivots == explicit.pivots == linalg.Reduction(w.columns).pivots
+        assert reduction.pivots == explicit.pivots == _explicit_reduction(_window_columns(w)).pivots
         assert w.truncated == cut
         for j, col in enumerate(reduction.R):
             if col is not None:
-                assert col == explicit.R[j], (rep, lo, j)
+                assert col == explicit_R[j], (rep, lo, j)
                 built += bool(col)
         truncated += cut
     assert truncated > 100 and built > 1000 and unbuilt > 1000 and walks > 2000, (
@@ -1546,8 +1555,8 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     # per (complex, Chern number), kept as long as the complex; the oracle
     # builds no window, a probe above the representative's level does not
     # walk the reduction, and an invariant attained as the representative
-    # stands returns it as its witness and builds no chain; no query reads
-    # the window's column list, and the reduction builds each column once
+    # stands returns it as its witness and builds no chain; the reduction
+    # builds each column once
     counts = Counter()
     lines = Counter()  # cap_line calls per (group, Chern number)
     built = Counter()  # column builds per column id, in one representative's window
@@ -1562,9 +1571,9 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
         return counted
 
     class CountedReduction(linalg.Reduction):
-        def __init__(self, columns, tops=None):
+        def __init__(self, column, tops):
             counts["Reduction"] += 1
-            super().__init__(columns, tops)
+            super().__init__(column, tops)
 
     def counted_reduce(self, b, k=math.inf):
         counts["reduce"] += 1
@@ -1577,9 +1586,6 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     def counted_column(offsets, width, floor, col_ids, j):
         built[col_ids[j]] += 1
         return column(offsets, width, floor, col_ids, j)
-
-    def read_columns(self):
-        raise AssertionError("a query read the window's column list")
 
     image = counting("equivariant_image", chains.equivariant_image)
     monkeypatch.setattr(chains, "equivariant_image", image)
@@ -1594,7 +1600,6 @@ def test_one_window_reduction_and_cycle_check_per_representative(monkeypatch):
     monkeypatch.setattr(linalg, "Reduction", CountedReduction)
     monkeypatch.setattr(linalg.Reduction, "reduce", counted_reduce)
     monkeypatch.setattr(engine, "_column", counted_column)
-    monkeypatch.setattr(engine.Window, "columns", property(read_columns))
     checked = own = materialised = 0
     for seed in range(100):
         inst = _nonzero_instance(seed)
@@ -1664,9 +1669,9 @@ def test_oracle_builds_one_generator_and_no_window(monkeypatch):
         return counted
 
     class CountedReduction(linalg.Reduction):
-        def __init__(self, columns):
+        def __init__(self, column, tops):
             counts["Reduction"] += 1
-            super().__init__(columns)
+            super().__init__(column, tops)
 
     image = counting("equivariant_image", chains.equivariant_image)
     monkeypatch.setattr(chains, "equivariant_image", image)

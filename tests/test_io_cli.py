@@ -80,6 +80,7 @@ ANSWERS_DIGEST = {
     "oracle": "a22b76c29ed552d077a4d3491c8ca7a4ad1d7d367019e1a1739035b70b41df67",
     "probes": "c395cdd98e7490b619fac68ea0f358b38677b0db992d75009c1295aa0ffbc178",
     "fixtures": "37ecd1d23af9af6499461c1ae63d19d8347a92a2a1ddeb82377841d238e3e28b",
+    "dual": "c588673557395f1584c7be7a5513a02c1d82cbc43b55804020857fc01224f894",
 }
 
 

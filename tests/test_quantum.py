@@ -101,12 +101,15 @@ def test_pairing_nondegenerate_on_span():
                  for a in names for b in names}
         classes = [(a, fix.basis.degree(a)) for a in names]
         nv.ClassBasis(fix.basis.half_dim, classes, table)
-    # explicit zero entries: the reduction must walk, not take, such a column
+    # explicit zero entries are no entries: a column's top row is its first nonzero
     antidiagonal = {("u", "u"): 0, ("u", "v"): 1, ("v", "u"): 1, ("v", "v"): 0}
     nv.ClassBasis(1, [("u", 0), ("v", 2)], antidiagonal)
+    # a column of explicit zeros is empty, and heads no row
     ones = {(a, b): 1 for a in "uv" for b in "uv"}
-    with pytest.raises(FixtureError, match="degenerate"):
-        nv.ClassBasis(1, [("u", 0), ("v", 2)], ones)
+    zero_v = {("u", "u"): 1, ("u", "v"): 0, ("v", "u"): 1, ("v", "v"): 0}
+    for table in (ones, zero_v):
+        with pytest.raises(FixtureError, match="degenerate"):
+            nv.ClassBasis(1, [("u", 0), ("v", 2)], table)
 
 
 def test_flat_is_degree_complementary():

@@ -7,29 +7,35 @@ On `random_instance` seeds 0-599 (12 orbits on even seeds, 6 on odd) it
 asks, per class, for the spectral invariant, the oracle and 5 membership
 probes, and prints {field: sha256} as JSON: rho, the witness
 (`jsonio.chain_to_json`), the reduced trace, the spectrality, `attained_at`,
-the certificate, the oracle's outcome and the probes.  A raised error counts
-as an answer (its type and message).  The `fixtures` field hashes the
-questions themselves: each instance's complex (`jsonio.complex_to_json`),
-representative and expected rho.  Run it on two trees to check that a
-change keeps every answer and every seeded instance.
+the certificate, the oracle's outcome and the probes.  On seeds 0-199 the
+`dual` field adds the dual invariant of one functional per degree of the
+complex: 1 to 3 seeded atoms on the generators of the dual window, kept
+when the functional is a cocycle.  A raised error counts as an answer (its
+type and message).  The `fixtures` field hashes the questions themselves:
+each instance's complex (`jsonio.complex_to_json`), representative and
+expected rho.  Run it on two trees to check that a change keeps every
+answer and every seeded instance.
 """
 
 from fractions import Fraction
 from hashlib import sha256
 import json
 from pathlib import Path
+import random
 import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import novispec as nv
 from novispec import jsonio
-from novispec.engine import ReductionStep
+from novispec.dual import _default_dual_window, is_cocycle
+from novispec.engine import ReductionStep, _degree_generators
 from novispec.fixtures import random_instance
 
 SEEDS = range(600)
+DUAL_SEEDS = range(200)
 FIELDS = ("rho", "witness", "trace", "spectrality", "attained_at", "certificate",
-          "oracle", "probes", "fixtures")
+          "oracle", "probes", "fixtures", "dual")
 
 
 def _canon(x):
@@ -54,6 +60,22 @@ def _ask(func, *args):
         return f"{type(err).__name__}: {err}"
 
 
+def dual_answers(seed: int, C) -> list:
+    """[degree, dual invariant] per degree of C with a seeded atom cocycle."""
+    rng = random.Random(seed)
+    out = []
+    for degree in sorted({d for _, d in C.orbits.values()}):
+        gens = _degree_generators(C, degree, *_default_dual_window(C))
+        if not gens:
+            continue
+        atoms = [(rng.choice(gens), Fraction(rng.choice([1, -1, 2, -3]), rng.randint(1, 2)))
+                 for _ in range(rng.randint(1, 3))]
+        mu = nv.DualFunctional(C, atoms, [])
+        if is_cocycle(mu, degree):
+            out.append([degree, _ask(nv.dual_spectral_invariant, C, mu, degree)])
+    return out
+
+
 def answers(seed: int) -> dict:
     """{field: answer} for the class of one seed."""
     inst = random_instance(seed, max_orbits=12 if seed % 2 == 0 else 6)
@@ -66,6 +88,8 @@ def answers(seed: int) -> dict:
            "oracle": _ask(nv.oracle_rho, C, rep),
            "probes": [_ask(nv.image_membership, C, rep, base + Fraction(k, 7) + Fraction(1, 13))
                       for k in (-6, -3, 0, 3, 6)]}
+    if seed in DUAL_SEEDS:
+        out["dual"] = dual_answers(seed, C)
     if isinstance(r, str):
         out.update(dict.fromkeys(FIELDS[:6], r))
     else:
